@@ -11,12 +11,17 @@ Three tools:
   geometric ladder.
 * :func:`fourier_piecewise_linear` — exact Fourier integral of a piecewise
   linear interpolant on a uniform grid (Filon-type), used for transforms of
-  sampled kernels.
+  sampled kernels.  It takes a whole frequency array at once: equally spaced
+  frequencies go through blocked chirp-z transforms, any other frequencies
+  through a blocked direct product.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import QuadratureFailed
 
@@ -165,19 +170,108 @@ class RunningIntegral:
         self.x = hi_edge
 
 
-def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray, xi: float) -> complex:
-    """Exact ``int f_lin(t) e^{-i xi t} dt`` for the linear interpolant on a uniform grid."""
-    h = grid[1] - grid[0]
-    a = values[:-1]
-    b = (values[1:] - values[:-1]) / h
+# Filon weights use their Taylor series for |xi h| below _SERIES_W, where the
+# closed forms cancel; the first omitted term is below 1e-19 at |xi h| = 0.5
+_SERIES_W = 0.5
+_SERIES_TERMS = 16
+_E0_SERIES = np.array([1.0 / math.factorial(n + 1) for n in range(_SERIES_TERMS)])
+_E1_SERIES = np.array([1.0 / (math.factorial(n) * (n + 2)) for n in range(_SERIES_TERMS)])
+# chirp-z blocks hold max(_CZT_BLOCK, N) frequencies: chirp phase rounding grows
+# with the square of the longest chirp, max(block, N), and each block costs one
+# FFT of length N + block.  With N = 32767 samples: 2e-13 for one block of
+# 200 001 frequencies, 3e-15 in blocks of N.
+_CZT_BLOCK = 4096
+# complex exponentials per block of the direct product, so memory stays flat in N
+_DIRECT_ENTRIES = 2 ** 18
+
+
+def _filon_weights(xi: np.ndarray, h: float):
+    """``e0 = int_0^h e^{-i xi s} ds`` and ``e1 = int_0^h s e^{-i xi s} ds`` per frequency."""
     w = xi * h
-    if abs(w) < 1e-4:
-        # series in w to avoid cancellation
-        e0 = h * (1 - 1j * w / 2 - w ** 2 / 6 + 1j * w ** 3 / 24)
-        e1 = h * h * (0.5 - 1j * w / 3 - w ** 2 / 8 + 1j * w ** 3 / 30)
+    e0 = np.empty(xi.shape, dtype=complex)
+    e1 = np.empty(xi.shape, dtype=complex)
+    small = np.abs(w) < _SERIES_W
+    # e0/h = sum (-iw)^n/(n+1)!,  e1/h^2 = sum (-iw)^n/(n! (n+2)),  by Horner
+    z = -1j * w[small]
+    s0 = np.zeros(z.shape, dtype=complex)
+    s1 = np.zeros(z.shape, dtype=complex)
+    for c0, c1 in zip(_E0_SERIES[::-1], _E1_SERIES[::-1]):
+        s0 = s0 * z + c0
+        s1 = s1 * z + c1
+    e0[small] = h * s0
+    e1[small] = h * h * s1
+    x = xi[~small]
+    ph = np.exp(-1j * w[~small])
+    e0[~small] = (1 - ph) / (1j * x)
+    e1[~small] = ph * (1j * h / x + 1 / x ** 2) - 1 / x ** 2
+    return e0, e1
+
+
+def _is_uniform(xi: np.ndarray) -> bool:
+    if xi.size < 2:
+        return False
+    step = (xi[-1] - xi[0]) / (xi.size - 1)
+    return step != 0 and bool(np.all(np.abs(np.diff(xi) - step) <= 1e-9 * abs(step)))
+
+
+def _chirp_z_sums(coeffs: np.ndarray, t0: float, h: float, xi: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[:, k] e^{-i xi (t0 + k h)}`` for equally spaced ``xi``.
+
+    Bluestein's chirp-z transform: with ``theta = h * step``, ``m k = (m^2 +
+    k^2 - (m - k)^2) / 2`` turns each block's sum into one FFT convolution
+    with the chirp ``e^{-i theta k^2 / 2}``.  The chirp phases are computed
+    from ``theta`` itself; raising a rounded ratio ``e^{-i theta}`` to the
+    power ``k^2 / 2`` instead (as ``scipy.signal.czt`` does) errs by ~1e-11.
+    """
+    n, m = coeffs.shape[1], xi.size
+    block = min(m, max(_CZT_BLOCK, n))
+    theta = h * (xi[-1] - xi[0]) / (m - 1)
+    size = next_fast_len(n + block - 1)
+    k = np.arange(max(n, block), dtype=float)
+    chirp = np.exp(-0.5j * theta * k ** 2)
+    # conjugate chirp at lags 0 .. block-1 and, wrapped around, -(n-1) .. -1
+    filt = np.zeros(size, dtype=complex)
+    filt[:block] = chirp[:block].conj()
+    filt[size - n + 1:] = chirp[1:n][::-1].conj()
+    filt = fft(filt)
+    chirped = coeffs * chirp[:n]
+    out = np.empty((coeffs.shape[0], m), dtype=complex)
+    for j in range(0, m, block):
+        # each block starts at its own frequency xi[j]
+        y = fft(chirped * np.exp(-1j * xi[j] * h * k[:n]), size)
+        part = ifft(y * filt)[:, :block] * chirp[:block]
+        out[:, j:j + block] = part[:, :m - j]
+    return out * np.exp(-1j * xi * t0)
+
+
+def _direct_sums(coeffs: np.ndarray, t: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[:, k] e^{-i xi t_k}`` for arbitrary ``xi``, in bounded blocks."""
+    rows = max(1, _DIRECT_ENTRIES // t.size)
+    out = np.empty((coeffs.shape[0], xi.size), dtype=complex)
+    for j in range(0, xi.size, rows):
+        out[:, j:j + rows] = coeffs @ np.exp(-1j * np.outer(t, xi[j:j + rows]))
+    return out
+
+
+def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray,
+                             xi: np.ndarray) -> np.ndarray:
+    """Exact ``int f_lin(t) e^{-i xi t} dt`` for the linear interpolant on a uniform grid.
+
+    On cell ``k`` the interpolant is ``a_k + b_k s`` with ``s = t - t_k``, so the
+    transform is ``e0(xi) sum_k a_k e^{-i xi t_k} + e1(xi) sum_k b_k e^{-i xi t_k}``
+    with the Filon weights ``e0``, ``e1`` of one cell, for every frequency of
+    the 1-D array ``xi`` at once.  When ``xi`` has at least two points and
+    equal steps (to a relative 1e-9) the two phase sums are chirp-z transforms
+    over blocks of ``max(_CZT_BLOCK, N)`` frequencies, O((N + M) log(N + M))
+    in all; any other ``xi`` takes a direct product, blocked so that its
+    memory does not grow with N.
+    """
+    xi = np.asarray(xi, dtype=float)
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    coeffs = np.stack([values[:-1], np.diff(values) / h]).astype(complex)
+    if _is_uniform(xi):
+        sums = _chirp_z_sums(coeffs, grid[0], h, xi)
     else:
-        ph = np.exp(-1j * w)
-        e0 = (1 - ph) / (1j * xi)
-        e1 = ph * (1j * h / xi + 1 / xi ** 2) - 1 / xi ** 2
-    phases = np.exp(-1j * xi * grid[:-1])
-    return complex(np.sum(phases * (a * e0 + b * e1)))
+        sums = _direct_sums(coeffs, grid[:-1], xi)
+    e0, e1 = _filon_weights(xi, h)
+    return e0 * sums[0] + e1 * sums[1]

@@ -55,10 +55,44 @@ def test_running_integral_rejects_backward():
 def test_filon_matches_quadrature():
     grid = np.linspace(0.0, 10.0, 2049)
     values = np.exp(-grid) * (1 + 0.5j)
-    for xi in (0.0, 1e-6, 0.5, 7.0):
-        got = fourier_piecewise_linear(grid, values, xi)
+    xis = np.array([0.0, 1e-6, 0.5, 7.0])
+    for xi, got in zip(xis, fourier_piecewise_linear(grid, values, xis)):
         want = integrate_adaptive(
             lambda t, xi=xi: np.interp(t, grid, values.real) * np.exp(-1j * xi * t)
             + 1j * np.interp(t, grid, values.imag) * np.exp(-1j * xi * t),
             0.0, 10.0, 1e-10)
         assert abs(got - want) < 1e-8
+
+
+# The triangle 1 - |t - 1| on [0, 2] is its own linear interpolant on any grid
+# through t = 1, so its exact transform e^{-i xi} (sin(xi/2) / (xi/2))^2 is what
+# the Filon sum must return.  h = 1/128; at xi h = 1.01e-4 and 1e-3 the
+# closed-form Filon weights lose up to 8 digits to cancellation, and 63.99 and
+# 64.0 sit on both sides of the switch to them at xi h = 0.5.  Values are at 50
+# digits (tools/oracle_recheck.py recomputes them).
+TRIANGLE_TRANSFORM = {
+    0.012928: 0.9999025080480220815 - 0.012927459834577335016j,
+    0.128: 0.99046575425638059215 - 0.12747657020274879251j,
+    63.99: 0.00011732497761742075256 - 0.00026799696521479326277j,
+    64.0: 0.00011635993231915652082 - 0.00027319686667281489347j,
+}
+
+
+def test_filon_weights_keep_full_precision():
+    grid = np.linspace(0.0, 2.0, 257)
+    values = 1.0 - np.abs(grid - 1.0)
+    xis = np.array(list(TRIANGLE_TRANSFORM))
+    for xi, got in zip(xis, fourier_piecewise_linear(grid, values, xis)):
+        assert abs(got - TRIANGLE_TRANSFORM[xi]) < 5e-15, xi
+
+
+def test_filon_array_matches_single_frequencies():
+    grid = np.linspace(0.0, 10.0, 1001)
+    values = np.exp(-grid) * (1 + 0.5j)
+    for xi in (np.linspace(-30.0, 30.0, 10_001),                 # chirp-z blocks
+               np.array([3.0, -1.0, 0.0, 1e-7, 25.0, 0.5])):     # direct product
+        got = fourier_piecewise_linear(grid, values, xi)
+        assert got.shape == xi.shape
+        for i in range(0, xi.size, max(1, xi.size // 50)):
+            one = fourier_piecewise_linear(grid, values, xi[i:i + 1])
+            assert abs(got[i] - one[0]) < 1e-12

@@ -7,7 +7,7 @@ from halfsum.config import DEFAULT
 from halfsum.errors import FlavorMismatch, InvalidArgument
 from halfsum.kernels import (Flavor, counterexample_additive,
                              counterexample_multiplicative, exponential,
-                             finite_mixture, power_law, sampled_kernel)
+                             finite_mixture, normalize, power_law, sampled_kernel)
 from halfsum.spectrum import (classify_wiener, dual_transform_identity_check,
                               fourier_transform, mellin_transform,
                               transform_grid, transform_numeric)
@@ -83,14 +83,57 @@ def test_classify_requires_normalized():
         classify_wiener(k)
 
 
+def _sampled(fn, samples, flavor=Flavor.ADDITIVE):
+    """Normalized kernel sampled as fn(u) at equally spaced u in [0, 40]."""
+    u = np.linspace(0.0, 40.0, samples)
+    t = np.exp(u) if flavor is Flavor.MULTIPLICATIVE else u
+    return normalize(sampled_kernel(t, fn(u), flavor))
+
+
 def test_classify_sampled_kernel():
-    t = np.linspace(0.0, 40.0, 8192)
-    k = sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE)
-    from halfsum.kernels import normalize
-    profile = classify_wiener(normalize(k))
-    # no analytic proof and no planted zero: window certificate or honest pass
-    assert profile.verdict.kind in ("nonvanishing_on_window", "inconclusive")
+    profile = classify_wiener(_sampled(lambda u: np.exp(-u), 8192))
+    # no analytic proof and no planted zero: the Lipschitz bound certifies the window
+    assert profile.verdict.kind == "nonvanishing_on_window"
+    assert profile.verdict.margin > 0.01
     assert profile.min_modulus > 1e-3
+
+
+def test_classify_sampled_counterexample_never_certified():
+    # sampling moves the planted zero just off the real axis (|F| ~ 6e-6 at
+    # 200 001 frequencies): no Lipschitz certificate can hold there
+    profile = classify_wiener(_sampled(counterexample_additive(1.0).body.form, 8192))
+    assert profile.verdict.kind != "nonvanishing_on_window"
+    assert profile.min_modulus < 1e-4
+
+
+def test_sampled_transform_branches_agree():
+    k = _sampled(lambda u: np.exp(-u), 512)
+    xi = np.array([-7.0, 0.0, 0.3, 1.5, 12.0])      # unequal steps: direct product
+    grid_vals = transform_grid(k, xi)
+    assert np.max(np.abs(grid_vals - 1.0 / (1.0 + 1j * xi))) < 1e-4
+    assert np.max(np.abs(transform_numeric(k, xi) - grid_vals)) == 0.0
+    for x, want in zip(xi, grid_vals):
+        assert abs(fourier_transform(k, x) - want) < 1e-15
+    # equal steps take the chirp-z path; it agrees with the direct product
+    uniform = np.linspace(-12.0, 12.0, 9)
+    direct = np.array([fourier_transform(k, x) for x in uniform])
+    assert np.max(np.abs(transform_grid(k, uniform) - direct)) < 1e-12
+
+
+def test_sampled_mellin_transform():
+    k = _sampled(lambda u: 2.0 * np.exp(-2.0 * u), 512, Flavor.MULTIPLICATIVE)
+    for x in (-5.0, 0.0, 3.0):
+        got = mellin_transform(k, x)
+        assert got == transform_grid(k, np.array([x]))[0]
+        assert abs(got - 2.0 / (2.0 + 1j * x)) < 1e-4
+
+
+def test_sampled_chirp_z_matches_direct_on_fine_grid():
+    k = _sampled(lambda u: np.exp(-u), 8192)
+    xi = np.linspace(-50.0, 50.0, 200_001)
+    full = transform_grid(k, xi)
+    pick = np.sort(np.random.default_rng(5).choice(xi.size, 300, replace=False))
+    assert np.max(np.abs(full[pick] - transform_grid(k, xi[pick]))) < 1e-10
 
 
 def test_verdict_serialization():
@@ -103,3 +146,9 @@ def test_verdict_serialization():
 def test_reflection_identity():
     report = dual_transform_identity_check(exponential(1.0), DEFAULT, n_points=21)
     assert report.max_deviation < 1e-7
+
+
+def test_reflection_identity_sampled():
+    k = _sampled(lambda u: np.exp(-u) * (1.0 + 0.5 * np.sin(u)), 512)
+    report = dual_transform_identity_check(k, DEFAULT, n_points=81)
+    assert report.max_deviation < 1e-10

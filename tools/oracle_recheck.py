@@ -10,6 +10,8 @@ once after any change to the kernel algebra:
 Exit code 0 means every frozen value reproduced; nonzero lists the mismatches.
 """
 
+import ast
+import os
 import sys
 
 import mpmath as mp
@@ -17,6 +19,7 @@ import mpmath as mp
 mp.mp.dps = 50
 
 FAILURES = []
+TESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
 
 
 def check(name, got, want, tol):
@@ -25,6 +28,17 @@ def check(name, got, want, tol):
     print(f"[{'ok' if ok else 'FAIL'}] {name}: |delta| = {mp.nstr(err, 3)}")
     if not ok:
         FAILURES.append(name)
+
+
+def frozen(test_file, name):
+    """The literal value assigned to ``name`` at module level in a test file."""
+    with open(os.path.join(TESTS, test_file)) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise KeyError(f"{name} not found in {test_file}")
 
 
 def main():
@@ -88,6 +102,15 @@ def main():
     # --- triple iterate of Exp(1): u^2/2 e^{-u}, unit mass ----------------
     mass3 = mp.quad(lambda u: u**2 / 2 * mp.e**(-u), [0, mp.inf])
     check("third iterate mass", mass3, 1, mp.mpf("1e-30"))
+
+    # --- triangle 1 - |t - 1| on [0, 2]: transform e^{-i x} sinc^2(x/2) ------
+    # the values frozen in tests/test_quadrature.py, as doubles
+    for x, want in frozen("test_quadrature.py", "TRIANGLE_TRANSFORM").items():
+        xm = mp.mpf(x)
+        got = mp.quad(lambda t: (1 - abs(t - 1)) * mp.e**(-1j * xm * t), [0, 1, 2])
+        check(f"triangle transform at {x}", got, want, mp.mpf("2e-16"))
+        closed = mp.e**(-1j * xm) * (mp.sin(xm / 2) / (xm / 2))**2
+        check(f"triangle closed form at {x}", got, closed, mp.mpf("1e-40"))
 
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
