@@ -50,11 +50,10 @@ def _fail(message: str):
               help="Maximum number of ladder doublings.")
 @click.option("--output", "output_fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
-@click.option("--seed", type=int, default=None, help="Reserved; currently unused.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Parallel workers for the verification matrix.")
 @click.pass_context
-def main(ctx, config_path, tol, max_ladder, output_fmt, seed, jobs):
+def main(ctx, config_path, tol, max_ladder, output_fmt, jobs):
     """Summability methods on the half-line: classify kernels, estimate limits."""
     settings = DEFAULT
     try:

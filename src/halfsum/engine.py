@@ -6,7 +6,9 @@ the reflected kernel argument.  Multiplicative kernels are handled through
 the log substitution, which turns them into additive exponential-polynomial
 weights; for closed-form kernels the operator then decomposes into moment
 integrals of the function that can be accumulated incrementally along the
-evaluation ladder.
+evaluation ladder.  One moment backend per distinct kernel rate returns all
+the moments of that rate at once; for embedded sequences it is one exact
+cell pass, which stops at the last term of a finite sequence.
 
 Limit estimation is heuristic plateau detection on a geometric ladder of
 evaluation points.  The four statuses are honest: ``converged`` and
@@ -18,6 +20,7 @@ stable spread across two doubling windows, and everything else is
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -27,7 +30,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly
-from .kernels import Flavor, Kernel, Sampled, exponential, normalize, power, power_law
+from .kernels import Flavor, Kernel, Sampled, exponential, power, power_law
 from .quadrature import RunningIntegral, counter, integrate_adaptive
 
 LOG2 = math.log(2.0)
@@ -98,6 +101,24 @@ class SummationResult:
 # ---------------------------------------------------------------------------
 # sequence embedding
 
+class _FiniteSequence:
+    """a_1, ..., a_L continued by zero, as a vectorized callable on integer arrays.
+
+    Exact cell sums read ``length`` and stop at the last term.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.length = values.size
+
+    def __call__(self, n):
+        n = np.asarray(n, dtype=np.int64)
+        out = np.zeros(n.shape, dtype=complex)
+        ok = (n >= 1) & (n <= self.length)
+        out[ok] = self.values[n[ok] - 1]
+        return out
+
+
 def embed_sequence(a, label: str = "sequence") -> TestFunction:
     """Step function f(x) = a_[x] on [1, inf) for a bounded sequence a_1, a_2, ...
 
@@ -114,14 +135,7 @@ def embed_sequence(a, label: str = "sequence") -> TestFunction:
             raise InvalidArgument("cannot embed an empty sequence")
         if not np.all(np.isfinite(arr)):
             raise InvalidArgument("sequence entries must be finite")
-
-        def seq(n, _arr=arr):
-            n = np.asarray(n, dtype=np.int64)
-            out = np.zeros(n.shape, dtype=complex)
-            ok = (n >= 1) & (n <= _arr.size)
-            out[ok] = _arr[n[ok] - 1]
-            return out
-
+        seq = _FiniteSequence(arr)
         bound = float(np.abs(arr).max())
 
     def evaluator(x, _seq=seq):
@@ -143,102 +157,150 @@ def discrete_cesaro(a, n: int) -> complex:
 # ---------------------------------------------------------------------------
 # closed-form multiplicative machinery
 
-def _logpow_antideriv(j: int, s: complex, t: np.ndarray) -> np.ndarray:
-    """Antiderivative of (log t)^j * t^s for s != -1, by parts recursively."""
+def _real_if_exact(s: complex):
+    """``s`` as a float when its imaginary part is exactly zero.
+
+    Catalog rates are real but stored as complex; a float exponent keeps
+    ``t ** s`` on numpy's real power, about 12x cheaper than the complex one.
+    """
+    s = complex(s)
+    return s.real if s.imag == 0 else s
+
+
+def _logpow_antiderivs(p: int, s, t: np.ndarray) -> np.ndarray:
+    """Antiderivatives G_j of (log t)^j t^s at ``t``, one row per j = 0..p (s != -1).
+
+    By parts, G_0 = t^(s+1)/(s+1) and G_j = G_0 (log t)^j - j/(s+1) G_{j-1}.
+    """
     base = t ** (s + 1) / (s + 1)
-    if j == 0:
-        return base
-    return base * np.log(t) ** j - (j / (s + 1)) * _logpow_antideriv(j - 1, s, t)
+    out = np.empty((p + 1, t.size), dtype=base.dtype)
+    out[0] = base
+    if p:
+        log_t = np.log(t)
+        for j in range(1, p + 1):
+            out[j] = base * log_t ** j - (j / (s + 1)) * out[j - 1]
+    return out
 
 
 class _CellMoments:
-    """Exact cumulative cell sums  sum_n a_n int_n^{n+1} (log t)^j t^s dt.
+    """Exact cumulative cell sums  sum_n a_n int_n^{n+1} (log t)^j t^s dt, j = 0..p.
 
+    One pass serves every moment of a kernel rate: each cell's a_n, and each
+    edge's antiderivatives, are evaluated once, and the p+1 sums are one
+    product of the antiderivative differences with the sequence values.
     Chunked so that arbitrarily distant endpoints never materialize the whole
-    index range at once.
+    index range at once; a finite sequence stops the sums at its last term.
     """
 
-    CHUNK = 1 << 20
+    CHUNK = 1 << 18
 
-    def __init__(self, seq, j: int, s: complex):
+    def __init__(self, seq, p: int, s: complex):
         self.seq = seq
-        self.j = j
-        self.s = s
+        self.p = p
+        self.s = _real_if_exact(s)
+        self.last = seq.length if isinstance(seq, _FiniteSequence) else math.inf
         self.n_done = 1          # cells [1, n_done) summed
-        self.total = 0.0 + 0.0j
+        self.total = np.zeros(p + 1, dtype=complex)
 
-    def _cells(self, lo: int, hi: int) -> complex:
-        total = 0.0 + 0.0j
-        n = lo
+    def _cells(self, lo: int, hi: int) -> np.ndarray:
+        total = np.zeros(self.p + 1, dtype=complex)
+        n, hi = lo, min(hi, self.last + 1)
         while n < hi:
             m = min(n + self.CHUNK, hi)
-            idx = np.arange(n, m, dtype=np.int64)
-            a = np.asarray(self.seq(idx), dtype=complex)
-            g_hi = _logpow_antideriv(self.j, self.s, (idx + 1).astype(float))
-            g_lo = _logpow_antideriv(self.j, self.s, idx.astype(float))
-            total += np.sum(a * (g_hi - g_lo))
-            counter.add(idx.size)
+            a = np.asarray(self.seq(np.arange(n, m, dtype=np.int64)))
+            g = _logpow_antiderivs(self.p, self.s, np.arange(n, m + 1, dtype=float))
+            total += np.diff(g) @ a
+            counter.add(m - n)
             n = m
         return total
 
-    def _partial_cell(self, lo: float, hi: float) -> complex:
+    def _partial_cell(self, lo: float, hi: float) -> np.ndarray:
         """Contribution of the (single) cell slice [lo, hi) inside one index cell."""
         if hi <= lo:
-            return 0.0 + 0.0j
-        n = int(math.floor(lo))
-        a = complex(np.asarray(self.seq(np.array([n])), dtype=complex)[0])
-        g = _logpow_antideriv(self.j, self.s, np.array([lo, hi]))
-        return a * complex(g[1] - g[0])
+            return np.zeros(self.p + 1, dtype=complex)
+        a = np.asarray(self.seq(np.array([int(math.floor(lo))])))[0]
+        g = _logpow_antiderivs(self.p, self.s, np.array([lo, hi]))
+        return a * (g[:, 1] - g[:, 0])
 
-    def value_to(self, x: float) -> complex:
-        """int_1^x f(t) (log t)^j t^s dt (cumulative; endpoints must not decrease)."""
+    def value_to(self, x: float) -> np.ndarray:
+        """int_1^x f(t) (log t)^j t^s dt for j = 0..p (endpoints should not decrease)."""
         n_x = int(math.floor(x))
         if n_x < self.n_done:
             # backward query: recompute statelessly (slow path, rarely hit)
             return self.range_value(1.0, x)
-        self.total += self._cells(self.n_done, n_x)
+        self.total = self.total + self._cells(self.n_done, n_x)
         self.n_done = n_x
         if x > n_x >= 1:
             return self.total + self._partial_cell(float(n_x), x)
         return self.total
 
-    def range_value(self, a: float, b: float) -> complex:
+    def range_value(self, a: float, b: float) -> np.ndarray:
         """int_a^b, stateless (no cumulative cache): cost is O(b - a)."""
         a = max(a, 1.0)
         if b <= a:
-            return 0.0 + 0.0j
+            return np.zeros(self.p + 1, dtype=complex)
         na, nb = int(math.floor(a)), int(math.floor(b))
         if na == nb:
             return self._partial_cell(a, b)
-        total = self._partial_cell(a, float(na + 1))
-        total += self._cells(na + 1, nb)
-        total += self._partial_cell(float(nb), b)
-        return total
+        return (self._partial_cell(a, float(na + 1)) + self._cells(na + 1, nb)
+                + self._partial_cell(float(nb), b))
 
 
 class _SmoothMoments:
-    """Cumulative moment integrals of a smooth function against a power weight.
+    """Cumulative moment integrals int_1^x f(t) (log t)^j t^s dt, j = 0..p, of a smooth f.
 
-    Depending on the function's oscillation coordinate the integral runs in
-    t (weight (log t)^j t^s) or in v = log t (weight v^j e^{(s+1) v}).
+    One running integral per j.  Depending on the function's oscillation
+    coordinate the integral runs in t (weight (log t)^j t^s) or in v = log t
+    (weight v^j e^{(s+1) v}).
     """
 
-    def __init__(self, f: TestFunction, j: int, s: complex, settings: Settings):
-        self.j = j
-        self.s = s
-        if f.osc_scale == "log":
-            def g(v, _f=f, _j=j, _s=s):
-                return _f(np.exp(v)) * v ** _j * np.exp((_s + 1) * v)
-            self.integral = RunningIntegral(g, 0.0, tol_density=1e-11, panel=0.5)
-            self.in_log = True
+    def __init__(self, f: TestFunction, p: int, s: complex, settings: Settings):
+        s = _real_if_exact(s)
+        self.tol = settings.tol_quad
+        self.in_log = f.osc_scale == "log"
+        if self.in_log:
+            def g(v, j):
+                val = f(np.exp(v))
+                return (val * v ** j if j else val) * np.exp((s + 1) * v)
+            origin, panel = 0.0, 0.5
         else:
-            def g(t, _f=f, _j=j, _s=s):
-                return _f(t) * np.log(t) ** _j * t ** _s
-            self.integral = RunningIntegral(g, 1.0, tol_density=1e-11, panel=3.0)
-            self.in_log = False
+            def g(t, j):
+                val = f(t)
+                return (val * np.log(t) ** j if j else val) * t ** s
+            origin, panel = 1.0, 3.0
+        self.integrals = [RunningIntegral(functools.partial(g, j=j), origin,
+                                          tol_density=1e-11, panel=panel)
+                          for j in range(p + 1)]
 
-    def value_to(self, x: float) -> complex:
-        return self.integral.value_to(math.log(x) if self.in_log else x)
+    def _coord(self, x: float) -> float:
+        return math.log(x) if self.in_log else x
+
+    def value_to(self, x: float) -> np.ndarray:
+        """Moments to x; x must not decrease between calls."""
+        y = self._coord(x)
+        return np.array([ri.value_to(y) for ri in self.integrals])
+
+    def range_value(self, a: float, b: float) -> np.ndarray:
+        """int_a^b by adaptive quadrature, for endpoints behind the running integrals."""
+        lo, hi = self._coord(a), self._coord(b)
+        return np.array([integrate_adaptive(ri.f, lo, hi, self.tol, order=12,
+                                            initial_panels=max(4, int((hi - lo) / 2.0)))
+                         for ri in self.integrals])
+
+
+def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, settings: Settings) -> dict:
+    """One moment backend per distinct rate mu of ``form``, with s = sign * mu - 1.
+
+    The backend of rate mu returns the moments for j = 0..p at once, p the
+    highest power carried at that rate: exact cell sums for embedded
+    sequences, running quadrature otherwise.
+    """
+    top: dict[complex, int] = {}
+    for t in form:
+        top[t.rate] = max(top.get(t.rate, 0), t.power)
+    if f.sequence is not None:
+        return {mu: _CellMoments(f.sequence, p, sign * mu - 1.0) for mu, p in top.items()}
+    return {mu: _SmoothMoments(f, p, sign * mu - 1.0, settings) for mu, p in top.items()}
 
 
 class _MultForwardClosed:
@@ -252,26 +314,18 @@ class _MultForwardClosed:
     def __init__(self, form: ExpPoly, f: TestFunction, settings: Settings):
         self.form = form
         self.f = f
-        self.moments = {}
-        for t in form:
-            for j in range(t.power + 1):
-                key = (j, t.rate)
-                if key not in self.moments:
-                    s = -t.rate - 1.0
-                    if f.sequence is not None:
-                        self.moments[key] = _CellMoments(f.sequence, j, s)
-                    else:
-                        self.moments[key] = _SmoothMoments(f, j, s, settings)
+        self.backends = _moment_backends(form, f, -1, settings)
 
     def __call__(self, x: float) -> complex:
         w = math.log(x)
+        moments = {mu: backend.value_to(x) for mu, backend in self.backends.items()}
         val = 0.0 + 0.0j
         for t in self.form:
             xpmu = np.exp(t.rate * w)
+            m = moments[t.rate]
             for j in range(t.power + 1):
-                mj = self.moments[(j, t.rate)].value_to(x)
                 val += (t.coef * xpmu * math.comb(t.power, j)
-                        * w ** (t.power - j) * (-1) ** j * mj)
+                        * w ** (t.power - j) * (-1) ** j * m[j])
         return complex(val)
 
 
@@ -300,45 +354,24 @@ class _MultDualClosed:
         self.f = f
         self.settings = settings
         self.adaptive_in_log = f.sequence is None and f.osc_scale == "log"
-        self.backends = {}
-        self.memo: dict[tuple, complex] = {}
-        self.max_edge: dict[tuple, float] = {}
-        if not self.adaptive_in_log:
-            for t in form:
-                for j in range(t.power + 1):
-                    key = (j, t.rate)
-                    if key in self.backends:
-                        continue
-                    s = t.rate - 1.0
-                    if f.sequence is not None:
-                        self.backends[key] = _CellMoments(f.sequence, j, s)
-                    else:
-                        def g(u, _f=f, _j=j, _s=s):
-                            return _f(u) * np.log(u) ** _j * u ** _s
-                        self.backends[key] = RunningIntegral(g, 1.0,
-                                                            tol_density=1e-11, panel=3.0)
+        self.backends = {} if self.adaptive_in_log else _moment_backends(form, f, 1, settings)
+        self.memo: dict[tuple, np.ndarray] = {}
+        self.max_edge: dict[complex, float] = {}
 
     # -- cumulative moment plumbing -----------------------------------------
 
-    def _cum(self, key, edge: float) -> complex:
-        memo_key = (key, edge)
+    def _cum(self, rate, edge: float) -> np.ndarray:
+        memo_key = (rate, edge)
         if memo_key in self.memo:
             return self.memo[memo_key]
-        backend = self.backends[key]
-        top = self.max_edge.get(key, 1.0)
-        if edge >= top:
+        backend = self.backends[rate]
+        if edge >= self.max_edge.get(rate, 1.0):
             val = backend.value_to(edge)
-            self.max_edge[key] = edge
-        elif isinstance(backend, _CellMoments):
-            val = backend.range_value(1.0, edge)
+            self.max_edge[rate] = edge
         else:
             # missed intermediate edge: integrate from the nearest cached one
-            below = [e for (k2, e) in self.memo if k2 == key and e <= edge]
-            base_e = max(below) if below else 1.0
-            base_v = self.memo.get((key, base_e), 0.0 + 0.0j)
-            val = base_v + integrate_adaptive(backend.f, base_e, edge,
-                                              self.settings.tol_quad, order=12,
-                                              initial_panels=max(4, int((edge - base_e) / 2.0)))
+            base_e = max((e for (r, e) in self.memo if r == rate and e <= edge), default=1.0)
+            val = self.memo.get((rate, base_e), 0.0) + backend.range_value(base_e, edge)
         self.memo[memo_key] = val
         return val
 
@@ -348,10 +381,10 @@ class _MultDualClosed:
         val = 0.0 + 0.0j
         for t in self.form:
             xpmu = np.exp(-t.rate * w)
+            m = self._cum(t.rate, b) - self._cum(t.rate, a)
             for j in range(t.power + 1):
-                mj = self._cum((j, t.rate), b) - self._cum((j, t.rate), a)
                 val += (t.coef * xpmu * math.comb(t.power, j)
-                        * (-w) ** (t.power - j) * mj)
+                        * (-w) ** (t.power - j) * m[j])
         return val
 
     def _segment_adaptive(self, x: float, v_lo: float, v_hi: float) -> complex:
@@ -636,16 +669,6 @@ def k_estimator(flavor: Flavor) -> MethodDescriptor:
         return MethodDescriptor(exponential(1.0), Variant.FORWARD, 1,
                                 label="K~S_exp(1)")
     return MethodDescriptor(power_law(1.0), Variant.FORWARD, 1, label="P~M_1")
-
-
-def method_S(kernel: Kernel, variant: Variant = Variant.FORWARD,
-             iterations: int = 1, label: str = "") -> MethodDescriptor:
-    kernel = normalize(kernel)
-    if not label:
-        star = "*" if variant is Variant.DUAL else ""
-        cid = getattr(kernel.body, "catalog_id", "sampled")
-        label = f"S{star}_{cid}"
-    return MethodDescriptor(kernel, variant, iterations, label=label)
 
 
 # ---------------------------------------------------------------------------

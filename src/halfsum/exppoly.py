@@ -160,9 +160,6 @@ class ExpPoly:
             result = result.convolve(self)
         return result
 
-    def reversed_tail(self):  # pragma: no cover - convenience repr
-        return self.terms
-
     def __repr__(self):
         body = " + ".join(f"({t.coef:.6g})*x^{t.power}*exp({t.rate:.6g}x)" for t in self.terms)
         return f"ExpPoly[{body or '0'}]"

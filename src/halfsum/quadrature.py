@@ -122,7 +122,9 @@ class RunningIntegral:
 
     ``value_to(x)`` integrates incrementally from the furthest point reached
     so far, so evaluating along an increasing ladder costs the top segment
-    only once.  Panel length adapts per chunk by comparing embedded estimates.
+    only once.  Each chunk starts from panels of the fixed length ``panel``;
+    panels whose embedded error estimate misses the per-length target are
+    bisected, for at most 24 rounds per chunk.
     """
 
     def __init__(self, f, origin: float, tol_density: float = 1e-12, *,
@@ -164,7 +166,8 @@ class RunningIntegral:
             mid = 0.5 * (lo[bad] + hi[bad])
             lo = np.concatenate([lo[bad], mid])
             hi = np.concatenate([mid, hi[bad]])
-        # refinement stalled: accept the current estimate, its error is tracked
+        # refinement stalled: accept the current estimate; its error estimate
+        # is discarded, so nothing downstream records the stall
         est, _, _ = _panel_values(self.f, lo, hi, self.order)
         self.total += est.sum()
         self.x = hi_edge

@@ -228,8 +228,12 @@ def dual_transform_identity_check(kernel: Kernel, settings: Settings = DEFAULT,
     """Check that reflecting the kernel flips the sign of the frequency.
 
     The reflected kernel lives on the negative half-line; its transform is
-    computed by independent quadrature and compared against the original
-    transform evaluated at -xi.
+    compared against the original transform evaluated at -xi.  For
+    closed-form kernels the reflected side is computed by independent
+    adaptive quadrature.  For sampled kernels both sides go through
+    ``_sampled_transform`` (the reflected side on conjugated samples), so
+    ``max_deviation`` then checks only that the routine is consistent under
+    conjugation, not the reflection identity itself.
     """
     if kernel.flavor is not Flavor.ADDITIVE:
         raise FlavorMismatch("dual_transform_identity_check expects an additive kernel")

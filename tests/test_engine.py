@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from halfsum import engine
 from halfsum.config import DEFAULT
 from halfsum.corpus import corpus_map
 from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             apply_forward, chain_apply, discrete_cesaro,
-                            embed_sequence, estimate_limit, k_estimator,
-                            method_Mr, method_holder, nested_apply,
+                            embed_sequence, estimate_limit, iterated_kernel,
+                            k_estimator, method_Mr, method_holder, nested_apply,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument
-from halfsum.kernels import Flavor, exponential, power_law, to_additive
+from halfsum.kernels import (Flavor, counterexample_multiplicative, exponential,
+                             normalize, power_law, to_additive)
+from halfsum.quadrature import counter
 
 SIN_ADD = corpus_map()[("sin", Flavor.ADDITIVE)]
 SIN_MUL = corpus_map()[("sin", Flavor.MULTIPLICATIVE)]
@@ -98,6 +101,77 @@ def test_embedded_mean_tracks_discrete_mean():
     continuous = apply_forward(power_law(1.0), f, x)
     discrete = discrete_cesaro(lambda n: (-1.0) ** n, 4096)
     assert abs(continuous - discrete) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# exact cell sums
+
+# int_1^N (log t)^j t^s dt for j = 0, 1, 2, keyed by s: computed at 50 digits
+# and frozen as doubles (tools/oracle_recheck.py recomputes them)
+CELL_MOMENTS_N = 1000
+CELL_MOMENTS = {
+    -1.5: (1.9367544467966324, 3.436624089580557, 10.728603047096367),
+    -0.5: (61.245553203367585, 314.3936976059729, 1760.3185208019688),
+    (-0.5+2j): ((15.176581310074473-0.7044420822102282j),
+                (104.19480875542135-0.8920257231155106j),
+                (706.1190924448138+42.206571582302466j)),
+}
+
+
+def test_cell_moments_of_ones_match_frozen_integrals():
+    ones = lambda n: np.ones(np.shape(n))
+    for s, want in CELL_MOMENTS.items():
+        got = engine._CellMoments(ones, 2, s).value_to(float(CELL_MOMENTS_N))
+        assert got.shape == (3,)
+        for j in range(3):
+            assert abs(got[j] - want[j]) <= 1e-13 * abs(want[j]), (s, j)
+
+
+def test_cell_moments_chunking_does_not_change_sums(monkeypatch):
+    blocks = lambda n: ((np.asarray(n) - 1) % 4 < 2).astype(float)
+    whole = engine._CellMoments(blocks, 2, -0.5)
+    want = [whole.value_to(x) for x in (30.0, 100.5)] + [whole.range_value(3.25, 90.75)]
+    monkeypatch.setattr(engine._CellMoments, "CHUNK", 7)
+    chunked = engine._CellMoments(blocks, 2, -0.5)
+    got = [chunked.value_to(x) for x in (30.0, 100.5)] + [chunked.range_value(3.25, 90.75)]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_finite_sequence_stops_at_last_term():
+    finite = embed_sequence([1.0] * 5, "five")
+    gated = embed_sequence(lambda n: (np.asarray(n) <= 5) * 1.0, "five_gated")
+    for method in (method_Mr(1.0, Variant.DUAL), method_holder(2)):
+        a = estimate_limit(method, finite, DEFAULT)
+        b = estimate_limit(method, gated, DEFAULT)
+        assert a.status is b.status is Status.CONVERGED
+        assert abs(a.estimate - b.estimate) < 1e-12
+        # cells only: the evaluator alone, at the ladder points the run visited
+        ev = engine._make_evaluator(iterated_kernel(method), finite, method.variant, DEFAULT)
+        start = counter.count
+        for x, _ in a.trace:
+            ev(x)
+        assert counter.count - start <= 10 * len(a.trace)
+
+
+def test_cell_sums_under_complex_rates_match_direct_sum():
+    import mpmath as mp
+    kernel = normalize(counterexample_multiplicative(2.0))
+    form = kernel.additive_form()
+    assert any(t.rate.imag != 0 for t in form)
+    a = lambda n: np.cos(np.asarray(n)) + 0.5 * ((np.asarray(n) - 1) % 3 == 0)
+    f = embed_sequence(a, "cos_n")
+
+    def phi(u):
+        return sum(mp.mpc(t.coef) * u ** t.power * mp.exp(mp.mpc(t.rate) * u) for t in form)
+
+    for x in (7.5, 33.0, 120.25):
+        with mp.workdps(30):
+            want = sum(float(a(n)) * mp.quad(lambda t: phi(mp.log(x / t)) / t,
+                                             [n, min(n + 1, x)])
+                       for n in range(1, int(x) + 1) if n < x)
+        got = apply_forward(kernel, f, x)
+        assert abs(got - complex(want)) < 1e-12 * (1 + abs(complex(want))), x
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,20 @@ def main():
         closed = mp.e**(-1j * xm) * (mp.sin(xm / 2) / (xm / 2))**2
         check(f"triangle closed form at {x}", got, closed, mp.mpf("1e-40"))
 
+    # --- exact cell sums of a_n = 1: int_1^N (log t)^j t^s dt -------------
+    # the values frozen in tests/test_engine.py, as doubles
+    n_top = mp.mpf(frozen("test_engine.py", "CELL_MOMENTS_N"))
+    for s, row in frozen("test_engine.py", "CELL_MOMENTS").items():
+        sm = mp.mpc(s)
+        for j, want in enumerate(row):
+            # in v = log t the integrand is v^j e^{(s+1) v}
+            got = mp.quad(lambda v: v**j * mp.e**((sm + 1) * v),
+                          mp.linspace(0, mp.log(n_top), 20))
+            check(f"cell moment j={j} s={s}", got, want, 2e-16 * abs(got))
+            a = -(sm + 1)
+            closed = mp.gammainc(j + 1, 0, a * mp.log(n_top)) / a**(j + 1)
+            check(f"cell moment closed form j={j} s={s}", got, closed, mp.mpf("1e-40"))
+
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
         return 1
