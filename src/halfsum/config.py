@@ -19,7 +19,6 @@ class Settings:
     tol_quad: float = 1e-8          # absolute, per evaluation point
     mass_epsilon: float = 1e-10     # below this |mass| a kernel cannot be normalized
     x_max_quad: float = 60.0        # additive support window for sampled grids
-    conv_grid_points: int = 2 ** 19  # grid cells for sampled convolution output
     max_evals: int = 60_000_000     # integrand-evaluation budget per quadrature call
 
     # spectrum

@@ -30,8 +30,10 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly
-from .kernels import Flavor, Kernel, Sampled, exponential, power, power_law
-from .quadrature import RunningIntegral, counter, integrate_adaptive
+from .kernels import (Flavor, Kernel, additive_values, exponential, power,
+                      power_law)
+from .quadrature import (RunningIntegral, counter, integrate_adaptive,
+                         trapezoid_convolution)
 
 LOG2 = math.log(2.0)
 
@@ -447,29 +449,31 @@ class _MultDualClosed:
 # ---------------------------------------------------------------------------
 # additive paths
 
-class _AddForwardClosed:
-    def __init__(self, form: ExpPoly, f: TestFunction, settings: Settings):
+class _AddClosed:
+    """Operator of a closed-form additive kernel, either variant, by quadrature.
+
+    The forward window integrates f(x - s) phi(s) over [0, min(x, cut)], the
+    dual window f(x + s) phi(s) over [0, cut], with cut the point past which
+    the kernel's absolute tail is negligible.
+    """
+
+    def __init__(self, form: ExpPoly, f: TestFunction, variant: Variant,
+                 settings: Settings):
         self.form = form
         self.f = f
+        self.forward = variant is Variant.FORWARD
         self.settings = settings
         eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
         self.cut = form.support_cutoff(eps)
 
     def __call__(self, x: float) -> complex:
-        upper = min(x, self.cut)
         f, form = self.f, self.form
-        g = lambda s: f(x - s) * form(s)
+        if self.forward:
+            g, upper = (lambda s: f(x - s) * form(s)), min(x, self.cut)
+        else:
+            g, upper = (lambda s: f(x + s) * form(s)), self.cut
         tol = self.settings.tol_quad * (1.0 + f.bound)
         return integrate_adaptive(g, 0.0, upper, tol, order=12,
-                                  max_evals=self.settings.max_evals)
-
-
-class _AddDualClosed(_AddForwardClosed):
-    def __call__(self, x: float) -> complex:
-        f, form = self.f, self.form
-        g = lambda s: f(x + s) * form(s)
-        tol = self.settings.tol_quad * (1.0 + f.bound)
-        return integrate_adaptive(g, 0.0, self.cut, tol, order=12,
                                   max_evals=self.settings.max_evals)
 
 
@@ -480,22 +484,21 @@ class _SampledOperator:
     grid (uniform in additive coordinates) can be used directly.
     """
 
-    def __init__(self, body: Sampled, f: TestFunction, variant: Variant,
-                 flavor: Flavor, settings: Settings):
-        self.body = body
+    def __init__(self, kernel: Kernel, f: TestFunction, variant: Variant,
+                 settings: Settings):
+        self.kernel = kernel
         self.f = f
         self.variant = variant
-        self.flavor = flavor
         self.settings = settings
 
     def _f_add(self, u):
-        if self.flavor is Flavor.MULTIPLICATIVE:
+        if self.kernel.flavor is Flavor.MULTIPLICATIVE:
             return self.f(np.exp(u))
         return self.f(u)
 
     def __call__(self, x: float) -> complex:
-        body = self.body
-        w = math.log(x) if self.flavor is Flavor.MULTIPLICATIVE else x
+        body = self.kernel.body
+        w = math.log(x) if self.kernel.flavor is Flavor.MULTIPLICATIVE else x
         grid, vals = body.grid, body.values
         if self.variant is Variant.FORWARD:
             upper = min(w, grid[-1])
@@ -506,8 +509,7 @@ class _SampledOperator:
             total = complex(np.trapezoid(fv, g))
             if n < grid.size and upper > g[-1]:
                 # partial last cell
-                frac = (upper - g[-1]) / (grid[1] - grid[0])
-                v_end = vals[n - 1] + (vals[n] - vals[n - 1]) * frac
+                v_end = additive_values(self.kernel, np.array([upper]))[0]
                 total += 0.5 * (upper - g[-1]) * (fv[-1] + self._f_add(np.array([w - upper]))[0] * v_end)
             if w > grid[-1] and body.tail_rate > 0:
                 stretch = min(w - grid[-1], 40.0 / body.tail_rate)
@@ -547,9 +549,8 @@ def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
             return _MultForwardClosed(form, f, settings)
         return _MultDualClosed(form, f, settings)
     if form is not None:
-        cls = _AddForwardClosed if variant is Variant.FORWARD else _AddDualClosed
-        return cls(form, f, settings)
-    return _SampledOperator(kernel.body, f, variant, kernel.flavor, settings)
+        return _AddClosed(form, f, variant, settings)
+    return _SampledOperator(kernel, f, variant, settings)
 
 
 def apply_forward(kernel: Kernel, f: TestFunction, x: float,
@@ -575,6 +576,7 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
 
     One dense uniform grid and discrete trapezoid convolutions replace nested
     adaptive quadrature, so composing operators costs one FFT per kernel.
+    Sampled kernels enter with their geometric tail past the last sample.
     """
     for k in kernels:
         if k.flavor is not Flavor.ADDITIVE:
@@ -583,19 +585,10 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
     x_max = float(max(xs))
     grid = np.linspace(0.0, x_max, grid_points + 1)
     h = grid[1] - grid[0]
-    from scipy.signal import fftconvolve
-
-    def conv(values_f, kern: Kernel):
-        kv = kern.additive_form()
-        kvals = kv(grid) if kv is not None else _sampled_on(kern.body, grid)
-        out = fftconvolve(values_f, kvals)[: grid.size] * h
-        out -= 0.5 * h * (values_f[0] * kvals + kvals[0] * values_f)
-        return out
-
     values = f(grid)
     counter.add(grid.size)
     for k in kernels:
-        values = conv(values, k)
+        values = trapezoid_convolution(values, additive_values(k, grid), h)
     idx = np.clip(np.round(np.asarray(xs) / h).astype(int), 0, grid.size - 1)
     return values[idx]
 
@@ -605,13 +598,6 @@ def nested_apply(outer: Kernel, inner: Kernel, f: TestFunction,
                  grid_points: int = 2 ** 20) -> np.ndarray:
     """U_outer(U_inner f) at the given additive probe points."""
     return chain_apply([inner, outer], f, xs, settings, grid_points)
-
-
-def _sampled_on(body: Sampled, grid):
-    out = np.empty(grid.size, dtype=complex)
-    out.real = np.interp(grid, body.grid, body.values.real, left=0.0, right=0.0)
-    out.imag = np.interp(grid, body.grid, body.values.imag, left=0.0, right=0.0)
-    return out
 
 
 def transport_function(f: TestFunction) -> TestFunction:
@@ -725,23 +711,23 @@ def estimate_limit(method: MethodDescriptor, f: TestFunction,
     """Plateau-detected limit of the (possibly iterated) operator along the ladder."""
     _check_domain(method.kernel, f)
     tol_limit = tol if tol is not None else settings.tol_limit(f.bound)
-    start_evals = counter.count
 
-    if method.iterations > 1:
-        if iterate_strategy == "nested" or (iterate_strategy == "auto"
-                                            and method.kernel.additive_form() is None):
-            x_top = settings.ladder_x0 * settings.ladder_ratio ** settings.ladder_max_steps
-            evaluator = _nested_cache_evaluator(method, f, settings, x_top)
-            kern_eff = method.kernel
-            l1_eff = method.kernel.l1_norm() ** method.iterations
-        else:
-            kern_eff = iterated_kernel(method, settings)
-            evaluator = _make_evaluator(kern_eff, f, method.variant, settings)
-            l1_eff = kern_eff.l1_norm()
-    else:
+    nested = method.iterations > 1 and (
+        iterate_strategy == "nested"
+        or (iterate_strategy == "auto" and method.kernel.additive_form() is None))
+    if nested:
         kern_eff = method.kernel
-        evaluator = _make_evaluator(kern_eff, f, method.variant, settings)
+        l1_eff = method.kernel.l1_norm() ** method.iterations
+    else:
+        kern_eff = iterated_kernel(method, settings)
         l1_eff = kern_eff.l1_norm()
+    # the kernel's norm quadrature ran above: only the operator's work counts
+    start_evals = counter.count
+    if nested:
+        x_top = settings.ladder_x0 * settings.ladder_ratio ** settings.ladder_max_steps
+        evaluator = _nested_cache_evaluator(method, f, settings, x_top)
+    else:
+        evaluator = _make_evaluator(kern_eff, f, method.variant, settings)
 
     cap = 10.0 * f.bound * max(l1_eff, 1.0) + 1e-12
     window = settings.plateau_window

@@ -5,7 +5,9 @@ measure; a multiplicative kernel lives on [1, inf) under dt/t.  The log
 substitution u = log t identifies the multiplicative algebra with the
 additive one, so internally every closed-form kernel is stored as an
 :class:`~halfsum.exppoly.ExpPoly` in additive coordinates and the flavor
-only controls how abscissae are interpreted.
+only controls how abscissae are interpreted.  ``ExpPoly`` is closed under
+half-line convolution, so convolutions and powers of closed forms stay
+closed forms; only a sampled operand makes the result a sampled grid.
 
 Closed-form catalog:
 
@@ -26,13 +28,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .config import DEFAULT, Settings
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch,
-                     InvalidArgument, InvalidKernel)
+                     InvalidArgument, InvalidKernel, QuadratureFailed)
 from .exppoly import ExpPoly, Term
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, trapezoid_convolution
 
 
 class Flavor(enum.Enum):
@@ -52,16 +53,13 @@ class Sampled:
     """Grid samples in additive coordinates plus a geometric tail model.
 
     ``grid`` is uniform in additive coordinates; the kernel beyond the grid is
-    modeled as ``tail_value * exp(-tail_rate * (u - grid[-1]))``.  When the
-    samples came from an exact convolution of closed forms the generating
-    expression is kept in ``exact`` for high-precision downstream use.
+    modeled as ``tail_value * exp(-tail_rate * (u - grid[-1]))``.
     """
 
     grid: np.ndarray
     values: np.ndarray
     tail_value: complex
     tail_rate: float
-    exact: Optional[ExpPoly] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,6 @@ class Kernel:
         if isinstance(self.body, ClosedForm):
             return self.body.form.mass()
         b = self.body
-        if b.exact is not None:
-            return b.exact.mass()
         m = complex(np.trapezoid(b.values, b.grid))
         if b.tail_rate > 0:
             m += b.tail_value / b.tail_rate
@@ -95,7 +91,7 @@ class Kernel:
         if key not in self.meta:
             try:
                 self.meta[key] = self._abs_moment(1)
-            except Exception:
+            except QuadratureFailed:
                 self.meta[key] = None
         return self.meta[key]
 
@@ -123,8 +119,6 @@ class Kernel:
         """Closed-form additive-coordinates representation, if one exists."""
         if isinstance(self.body, ClosedForm):
             return self.body.form
-        if self.body.exact is not None:
-            return self.body.exact
         return None
 
     def support_origin(self) -> float:
@@ -148,17 +142,19 @@ def evaluate(kernel: Kernel, t):
     else:
         inside = t >= 1
         u = np.log(t[inside])
-    body = kernel.body
-    if isinstance(body, ClosedForm):
-        out[inside] = body.form(u)
-    elif body.exact is not None:
-        out[inside] = body.exact(u)
-    else:
-        out[inside] = _sampled_eval(body, u)
+    out[inside] = additive_values(kernel, u)
     return complex(out[0]) if scalar else out
 
 
-def _sampled_eval(body: Sampled, u: np.ndarray) -> np.ndarray:
+def additive_values(kernel: Kernel, u: np.ndarray) -> np.ndarray:
+    """Kernel values at an array of additive coordinates ``u`` (zero for u < 0).
+
+    A closed form evaluates its expression; a sampled kernel gives the linear
+    interpolant of its grid and, past the last sample, its geometric tail.
+    """
+    body = kernel.body
+    if isinstance(body, ClosedForm):
+        return body.form(u)
     out = np.empty(u.shape, dtype=complex)
     out.real = np.interp(u, body.grid, body.values.real, left=0.0, right=0.0)
     out.imag = np.interp(u, body.grid, body.values.imag, left=0.0, right=0.0)
@@ -308,53 +304,28 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
         new = ClosedForm(body.catalog_id, dict(body.params), body.form.scaled(scale))
     else:
         new = Sampled(body.grid, body.values * scale, body.tail_value * scale,
-                      body.tail_rate,
-                      None if body.exact is None else body.exact.scaled(scale))
+                      body.tail_rate)
     return Kernel(kernel.flavor, new, meta)
 
 
-def _to_sampled_body(kernel: Kernel, grid: np.ndarray) -> np.ndarray:
-    """Kernel values on a uniform additive-coordinates grid."""
-    body = kernel.body
-    if isinstance(body, ClosedForm):
-        return body.form(grid)
-    vals = np.empty(grid.size, dtype=complex)
-    vals.real = np.interp(grid, body.grid, body.values.real, left=0.0, right=0.0)
-    vals.imag = np.interp(grid, body.grid, body.values.imag, left=0.0, right=0.0)
-    beyond = grid > body.grid[-1]
-    if beyond.any() and body.tail_rate > 0:
-        vals[beyond] = body.tail_value * np.exp(-body.tail_rate * (grid[beyond] - body.grid[-1]))
-    return vals
-
-
-def _sampled_from_form(form: ExpPoly, flavor: Flavor, settings: Settings) -> Kernel:
-    grid = np.linspace(0.0, settings.x_max_quad, settings.conv_grid_points + 1)
-    values = form(grid)
-    try:
-        tail_value, tail_rate = _fit_tail(grid, values)
-    except InvalidKernel:
-        tail_value, tail_rate = 0.0 + 0.0j, 0.0
-    return Kernel(flavor, Sampled(grid, values, tail_value, tail_rate, exact=form))
-
-
 def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
-    """Half-line convolution; the result is a sampled kernel of the shared flavor."""
+    """Half-line convolution of two kernels of the same flavor.
+
+    Two closed forms give their exact product as a closed form; a sampled
+    operand gives a sampled kernel on [0, x_max_quad].
+    """
     if k1.flavor is not k2.flavor:
         raise FlavorMismatch(f"cannot convolve {k1.flavor.value} with {k2.flavor.value}")
     f1, f2 = k1.additive_form(), k2.additive_form()
     if f1 is not None and f2 is not None:
-        return _sampled_from_form(f1.convolve(f2), k1.flavor, settings)
+        return Kernel(k1.flavor, ClosedForm("convolution", {}, f1.convolve(f2)))
     # discrete path with step-halving until the change is below tol_quad
     n = 2 ** 14
     prev = None
     for _ in range(4):
         grid = np.linspace(0.0, settings.x_max_quad, n + 1)
-        h = grid[1] - grid[0]
-        v1 = _to_sampled_body(k1, grid)
-        v2 = _to_sampled_body(k2, grid)
-        conv = fftconvolve(v1, v2)[: grid.size] * h
-        # trapezoid endpoint correction for the discrete convolution
-        conv -= 0.5 * h * (v1[0] * v2 + v2[0] * v1)
+        conv = trapezoid_convolution(additive_values(k1, grid),
+                                     additive_values(k2, grid), grid[1] - grid[0])
         if prev is not None:
             diff = np.max(np.abs(conv[::2] - prev))
             if diff < settings.tol_quad:
@@ -376,7 +347,7 @@ def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
         return kernel
     form = kernel.additive_form()
     if form is not None:
-        return _sampled_from_form(form.power(k), kernel.flavor, settings)
+        return Kernel(kernel.flavor, ClosedForm("power", {"k": int(k)}, form.power(k)))
     out = kernel
     for _ in range(k - 1):
         out = convolve(out, kernel, settings)

@@ -1,6 +1,6 @@
 """Vectorized panel quadrature for complex integrands.
 
-Three tools:
+Four tools:
 
 * :func:`integrate_adaptive` — Gauss-Legendre panels with pairwise bisection
   of panels whose embedded error estimate is too large.  Handles integrands
@@ -14,6 +14,9 @@ Three tools:
   sampled kernels.  It takes a whole frequency array at once: equally spaced
   frequencies go through blocked chirp-z transforms, any other frequencies
   through a blocked direct product.
+* :func:`trapezoid_convolution` — trapezoid rule for the half-line
+  convolution of two functions sampled on one uniform grid, by one FFT
+  product.
 """
 
 from __future__ import annotations
@@ -278,3 +281,16 @@ def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray,
         sums = _direct_sums(coeffs, grid[:-1], xi)
     e0, e1 = _filon_weights(xi, h)
     return e0 * sums[0] + e1 * sums[1]
+
+
+def trapezoid_convolution(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid values of ``int_0^t a(t - s) b(s) ds`` at every node ``t`` of a grid.
+
+    ``a`` and ``b`` are samples at ``0, h, 2h, ...`` on the same grid.  The
+    discrete convolution comes from one zero-padded FFT product; the endpoint
+    correction then halves the two end terms of each sum.
+    """
+    size = next_fast_len(a.size + b.size - 1)
+    out = ifft(fft(a, size) * fft(b, size))[:a.size] * h
+    out -= 0.5 * h * (a[0] * b + b[0] * a)
+    return out

@@ -5,7 +5,7 @@ import pytest
 
 from halfsum import engine
 from halfsum.config import DEFAULT
-from halfsum.corpus import corpus_map
+from halfsum.corpus import corpus_map, method_catalog
 from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             apply_forward, chain_apply, discrete_cesaro,
                             embed_sequence, estimate_limit, iterated_kernel,
@@ -13,7 +13,7 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument
 from halfsum.kernels import (Flavor, counterexample_multiplicative, exponential,
-                             normalize, power_law, to_additive)
+                             normalize, power_law, sampled_kernel, to_additive)
 from halfsum.quadrature import counter
 
 SIN_ADD = corpus_map()[("sin", Flavor.ADDITIVE)]
@@ -154,6 +154,16 @@ def test_finite_sequence_stops_at_last_term():
         assert counter.count - start <= 10 * len(a.trace)
 
 
+def test_evaluations_count_only_the_operator():
+    # the kernel's norm quadrature runs once per kernel object; it is not counted
+    f = corpus_map()[("finite_ones", Flavor.MULTIPLICATIVE)]
+    for label in ("M*_1", "H_2"):
+        reused = method_catalog()[label]
+        estimate_limit(reused, f, DEFAULT)
+        fresh = estimate_limit(method_catalog()[label], f, DEFAULT)
+        assert fresh.evaluations == estimate_limit(reused, f, DEFAULT).evaluations, label
+
+
 def test_cell_sums_under_complex_rates_match_direct_sum():
     import mpmath as mp
     kernel = normalize(counterexample_multiplicative(2.0))
@@ -246,6 +256,15 @@ def test_chain_apply_matches_nested():
     nested = nested_apply(k2, k1, SIN_ADD, xs)
     direct = chain_apply([combined], SIN_ADD, xs)
     assert np.max(np.abs(nested - direct)) < 1e-6
+
+
+def test_chain_apply_keeps_sampled_tail():
+    # sampled exp(-u) ends at u = 6; past it the kernel is its geometric tail
+    t = np.linspace(0.0, 6.0, 400)
+    k = normalize(sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE))
+    xs = [12.0, 20.0]
+    direct = np.array([apply_forward(k, ONE_ADD, x) for x in xs])
+    assert np.max(np.abs(chain_apply([k], ONE_ADD, xs) - direct)) < 1e-5
 
 
 def test_transport_function_round_trip():

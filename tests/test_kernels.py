@@ -7,7 +7,7 @@ import pytest
 
 from halfsum.errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                             InvalidArgument, InvalidKernel)
-from halfsum.kernels import (Flavor, convolve, counterexample_additive,
+from halfsum.kernels import (ClosedForm, Flavor, convolve, counterexample_additive,
                              counterexample_multiplicative, evaluate,
                              exponential, finite_mixture, from_catalog,
                              kernel_from_dict, normalize, parse_kernel_arg,
@@ -74,7 +74,7 @@ def test_convolution_of_exponentials():
     c = convolve(exponential(1.0), exponential(1.0))
     x = np.linspace(0.0, 20.0, 101)
     assert np.max(np.abs(evaluate(c, x) - x * np.exp(-x))) < 1e-10
-    assert c.additive_form() is not None  # exact expression rides along
+    assert c.body.form is c.additive_form()  # the product stays a closed form
 
 
 def test_convolution_of_power_laws():
@@ -185,3 +185,12 @@ def test_moments():
     k = exponential(1.0)
     assert abs(k.l1_norm() - 1.0) < 1e-9
     assert abs(k.first_moment() - 1.0) < 1e-8  # int u e^{-u} du = 1
+
+
+def test_closed_form_product_moments():
+    # (log t)/t on [1, inf) and 2 (e^{-u} - e^{-2u}): unit mass, first moments 2 and 1.5
+    for k, m1 in ((power(power_law(1.0), 2), 2.0),
+                  (convolve(exponential(1.0), exponential(2.0)), 1.5)):
+        assert isinstance(k.body, ClosedForm)
+        assert abs(k.l1_norm() - 1.0) < 1e-12
+        assert abs(k.first_moment() - m1) < 1e-12
