@@ -469,9 +469,11 @@ class _AddClosed:
     def __call__(self, x: float) -> complex:
         f, form = self.f, self.form
         if self.forward:
-            g, upper = (lambda s: f(x - s) * form(s)), min(x, self.cut)
+            g = lambda s: f(x - s) * form(s)
+            upper = min(x, self.cut)
         else:
-            g, upper = (lambda s: f(x + s) * form(s)), self.cut
+            g = lambda s: f(x + s) * form(s)
+            upper = self.cut
         tol = self.settings.tol_quad * (1.0 + f.bound)
         return integrate_adaptive(g, 0.0, upper, tol, order=12,
                                   max_evals=self.settings.max_evals)
