@@ -2,13 +2,17 @@
 
 The forward operator integrates the function against the kernel over the
 window ending at x; the dual integrates over the window starting at x with
-the reflected kernel argument.  Multiplicative kernels are handled through
-the log substitution, which turns them into additive exponential-polynomial
-weights; for closed-form kernels the operator then decomposes into moment
-integrals of the function that can be accumulated incrementally along the
-evaluation ladder.  One moment backend per distinct kernel rate returns all
-the moments of that rate at once; for embedded sequences it is one exact
-cell pass, which stops at the last term of a finite sequence.
+the reflected kernel argument.  Under the log substitution u = log t a
+multiplicative operator applied to f is the additive operator of the
+transported kernel applied to f o exp at log x, and ``_make_evaluator`` is
+the one place that chooses the coordinate.  Sampled multiplicative kernels,
+and closed forms on functions that oscillate in log t, run the additive
+evaluator at log x.  Closed forms on sequences and on functions that
+oscillate in t stay in t: the operator decomposes into moment integrals of
+the function, accumulated incrementally along the evaluation ladder.  One
+moment backend per distinct kernel rate returns all the moments of that rate
+at once; for embedded sequences it is one exact cell pass, which stops at the
+last term of a finite sequence.
 
 Limit estimation is heuristic plateau detection on a geometric ladder of
 evaluation points.  The four statuses are honest: ``converged`` and
@@ -31,7 +35,7 @@ from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly
 from .kernels import (Flavor, Kernel, additive_values, exponential, power,
-                      power_law)
+                      power_law, to_additive)
 from .quadrature import (RunningIntegral, counter, integrate_adaptive,
                          trapezoid_convolution)
 
@@ -59,7 +63,8 @@ class TestFunction:
 
     ``evaluator`` must accept numpy arrays of abscissae in native coordinates.
     ``osc_scale`` says in which coordinate the oscillation is O(1): ``linear``
-    (the abscissa itself) or ``log``; it only steers quadrature pacing.
+    (the abscissa itself) or ``log``.  A closed-form multiplicative operator
+    integrates in that coordinate.
     ``sequence`` is set for step embeddings and unlocks exact cell sums.
     """
 
@@ -252,46 +257,32 @@ class _CellMoments:
 class _SmoothMoments:
     """Cumulative moment integrals int_1^x f(t) (log t)^j t^s dt, j = 0..p, of a smooth f.
 
-    One running integral per j.  Depending on the function's oscillation
-    coordinate the integral runs in t (weight (log t)^j t^s) or in v = log t
-    (weight v^j e^{(s+1) v}).
+    One running integral per j, in t with weight (log t)^j t^s.
     """
 
     def __init__(self, f: TestFunction, p: int, s: complex, settings: Settings):
         s = _real_if_exact(s)
         self.tol = settings.tol_quad
-        self.in_log = f.osc_scale == "log"
+
         # one expression per branch: numpy then reuses the product's
         # temporaries in place, which a named f value would prevent
-        if self.in_log:
-            def g(v, j):
-                if j:
-                    return f(np.exp(v)) * v ** j * np.exp((s + 1) * v)
-                return f(np.exp(v)) * np.exp((s + 1) * v)
-            origin, panel = 0.0, 0.5
-        else:
-            def g(t, j):
-                if j:
-                    return f(t) * np.log(t) ** j * t ** s
-                return f(t) * t ** s
-            origin, panel = 1.0, 3.0
-        self.integrals = [RunningIntegral(functools.partial(g, j=j), origin,
-                                          tol_density=1e-11, panel=panel)
-                          for j in range(p + 1)]
+        def g(t, j):
+            if j:
+                return f(t) * np.log(t) ** j * t ** s
+            return f(t) * t ** s
 
-    def _coord(self, x: float) -> float:
-        return math.log(x) if self.in_log else x
+        self.integrals = [RunningIntegral(functools.partial(g, j=j), 1.0,
+                                          tol_density=1e-11, panel=3.0)
+                          for j in range(p + 1)]
 
     def value_to(self, x: float) -> np.ndarray:
         """Moments to x; x must not decrease between calls."""
-        y = self._coord(x)
-        return np.array([ri.value_to(y) for ri in self.integrals])
+        return np.array([ri.value_to(x) for ri in self.integrals])
 
     def range_value(self, a: float, b: float) -> np.ndarray:
         """int_a^b by adaptive quadrature, for endpoints behind the running integrals."""
-        lo, hi = self._coord(a), self._coord(b)
-        return np.array([integrate_adaptive(ri.f, lo, hi, self.tol, order=12,
-                                            initial_panels=max(4, int((hi - lo) / 2.0)))
+        return np.array([integrate_adaptive(ri.f, a, b, self.tol, order=12,
+                                            initial_panels=max(4, int((b - a) / 2.0)))
                          for ri in self.integrals])
 
 
@@ -340,10 +331,11 @@ class _MultDualClosed:
     """Dual operator for a closed-form multiplicative kernel.
 
     Integrates over geometric segments [x 2^k, x 2^(k+1)] until either the
-    kernel tail is negligible or the oscillation-resolution budget runs out;
-    the unresolved remainder is completed by the exact remaining kernel mass
+    kernel tail is negligible or the segments pass ``EDGE_CAP``; the
+    unresolved remainder is completed by the exact remaining kernel mass
     times the function's recent weighted average (exact for functions that
-    settle, negligible for functions whose local means die out).
+    settle, negligible for functions whose local means die out).  A window
+    that starts past ``EDGE_CAP`` raises ``QuadratureFailed``.
 
     Segment values come from cumulative moment integrals
     N_{j,mu}(e) = int_1^e f(t) (log t)^j t^(mu-1) dt evaluated at the segment
@@ -353,15 +345,13 @@ class _MultDualClosed:
     """
 
     EDGE_CAP = 3.2e7          # furthest edge the shared cumulative integrals reach
-    SPAN_BUDGET = 4.0e6       # per-evaluation t-span in the uncached fallback
     SEG_BUDGET = 64           # max geometric segments (log scale)
 
     def __init__(self, form: ExpPoly, f: TestFunction, settings: Settings):
         self.form = form
         self.f = f
         self.settings = settings
-        self.adaptive_in_log = f.sequence is None and f.osc_scale == "log"
-        self.backends = {} if self.adaptive_in_log else _moment_backends(form, f, 1, settings)
+        self.backends = _moment_backends(form, f, 1, settings)
         self.memo: dict[tuple, np.ndarray] = {}
         self.max_edge: dict[complex, float] = {}
 
@@ -394,27 +384,17 @@ class _MultDualClosed:
                         * (-w) ** (t.power - j) * m[j])
         return val
 
-    def _segment_adaptive(self, x: float, v_lo: float, v_hi: float) -> complex:
-        f, form = self.f, self.form
-        tol = self.settings.tol_quad
-        if self.adaptive_in_log:
-            g = lambda v: f(x * np.exp(v)) * form(v)
-            return integrate_adaptive(g, v_lo, v_hi, tol, order=12,
-                                      initial_panels=max(4, int((v_hi - v_lo) / 0.5)))
-        t_lo, t_hi = x * math.exp(v_lo), x * math.exp(v_hi)
-        g = lambda t: f(t) * form(np.log(t) - math.log(x)) / t
-        return integrate_adaptive(g, t_lo, t_hi, tol, order=12,
-                                  initial_panels=max(4, min(400_000, int((t_hi - t_lo) / 2.0))))
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x: float) -> complex:
+        if x > self.EDGE_CAP:
+            raise QuadratureFailed(f"dual window at x={x:g} starts past the moment "
+                                   f"integrals' reach {self.EDGE_CAP:g}",
+                                   interval=(x, 2.0 * x))
         tol = self.settings.tol_quad * (1.0 + self.f.bound)
-        use_cached = not self.adaptive_in_log and x <= self.EDGE_CAP
         total = 0.0 + 0.0j
         seg_sum: list[complex] = []
         seg_weight: list[complex] = []
-        span = 0.0
         k = 0
         while k < self.SEG_BUDGET:
             v_lo, v_hi = k * LOG2, (k + 1) * LOG2
@@ -422,16 +402,9 @@ class _MultDualClosed:
                 break
             # exact power-of-two edges so the moment memo is shared across x
             a, b = x * (2.0 ** k), x * (2.0 ** (k + 1))
-            if use_cached:
-                if b > self.EDGE_CAP and k >= 2:
-                    break
-                s = self._segment_from_moments(x, a, b)
-            else:
-                if not self.adaptive_in_log:
-                    span += b - a
-                    if span > self.SPAN_BUDGET and k > 0:
-                        break
-                s = self._segment_adaptive(x, v_lo, v_hi)
+            if b > self.EDGE_CAP and k >= 2:
+                break
+            s = self._segment_from_moments(x, a, b)
             seg_sum.append(s)
             seg_weight.append(self.form.integral(v_lo, v_hi))
             total += s
@@ -480,52 +453,37 @@ class _AddClosed:
 
 
 class _SampledOperator:
-    """Trapezoid evaluation against a sampled kernel grid (either variant).
+    """Trapezoid evaluation against a sampled additive kernel grid (either variant).
 
-    Multiplicative functions are transported through u = log t so the kernel
-    grid (uniform in additive coordinates) can be used directly.
+    The window f(w + sign s) phi(s) runs over s in [0, reach]: sign -1 and
+    reach w for the forward variant, sign +1 and no reach limit for the dual.
+    Past the last sample the kernel's geometric tail is integrated.
     """
 
     def __init__(self, kernel: Kernel, f: TestFunction, variant: Variant,
                  settings: Settings):
         self.kernel = kernel
         self.f = f
-        self.variant = variant
+        self.forward = variant is Variant.FORWARD
         self.settings = settings
 
-    def _f_add(self, u):
-        if self.kernel.flavor is Flavor.MULTIPLICATIVE:
-            return self.f(np.exp(u))
-        return self.f(u)
-
-    def __call__(self, x: float) -> complex:
-        body = self.kernel.body
-        w = math.log(x) if self.kernel.flavor is Flavor.MULTIPLICATIVE else x
+    def __call__(self, w: float) -> complex:
+        f, body = self.f, self.kernel.body
         grid, vals = body.grid, body.values
-        if self.variant is Variant.FORWARD:
-            upper = min(w, grid[-1])
-            n = int(np.searchsorted(grid, upper, side="right"))
-            g = grid[:n]
-            fv = self._f_add(w - g) * vals[:n]
-            counter.add(g.size)
-            total = complex(np.trapezoid(fv, g))
-            if n < grid.size and upper > g[-1]:
-                # partial last cell
-                v_end = additive_values(self.kernel, np.array([upper]))[0]
-                total += 0.5 * (upper - g[-1]) * (fv[-1] + self._f_add(np.array([w - upper]))[0] * v_end)
-            if w > grid[-1] and body.tail_rate > 0:
-                stretch = min(w - grid[-1], 40.0 / body.tail_rate)
-                tail = lambda s: (self._f_add(np.atleast_1d(w - grid[-1] - s))
-                                  * body.tail_value * np.exp(-body.tail_rate * s))
-                total += integrate_adaptive(tail, 0.0, stretch,
-                                            self.settings.tol_quad, order=12)
-            return total
-        fv = self._f_add(w + grid) * vals
-        counter.add(grid.size)
-        total = complex(np.trapezoid(fv, grid))
-        if body.tail_rate > 0:
-            stretch = 40.0 / body.tail_rate
-            tail = lambda s: (self._f_add(np.atleast_1d(w + grid[-1] + s))
+        sign, reach = (-1.0, w) if self.forward else (1.0, math.inf)
+        upper = min(reach, grid[-1])
+        n = int(np.searchsorted(grid, upper, side="right"))
+        g = grid[:n]
+        fv = f(w + sign * g) * vals[:n]
+        counter.add(g.size)
+        total = complex(np.trapezoid(fv, g))
+        if n < grid.size and upper > g[-1]:
+            # partial last cell
+            v_end = additive_values(self.kernel, np.array([upper]))[0]
+            total += 0.5 * (upper - g[-1]) * (fv[-1] + f(np.array([w + sign * upper]))[0] * v_end)
+        if reach > grid[-1] and body.tail_rate > 0:
+            stretch = min(reach - grid[-1], 40.0 / body.tail_rate)
+            tail = lambda s: (f(np.atleast_1d(w + sign * grid[-1] + sign * s))
                               * body.tail_value * np.exp(-body.tail_rate * s))
             total += integrate_adaptive(tail, 0.0, stretch,
                                         self.settings.tol_quad, order=12)
@@ -544,12 +502,19 @@ def _check_domain(kernel: Kernel, f: TestFunction):
 
 def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
                     settings: Settings):
+    """The operator x -> value; the only place that picks a multiplicative
+    operator's coordinate: t for closed forms on sequences and on functions
+    that oscillate in t, otherwise the additive operator at log x."""
     _check_domain(kernel, f)
     form = kernel.additive_form()
-    if kernel.flavor is Flavor.MULTIPLICATIVE and form is not None:
-        if variant is Variant.FORWARD:
-            return _MultForwardClosed(form, f, settings)
-        return _MultDualClosed(form, f, settings)
+    if kernel.flavor is Flavor.MULTIPLICATIVE:
+        if form is not None and (f.sequence is not None or f.osc_scale != "log"):
+            if variant is Variant.FORWARD:
+                return _MultForwardClosed(form, f, settings)
+            return _MultDualClosed(form, f, settings)
+        additive = _make_evaluator(to_additive(kernel), transport_function(f),
+                                   variant, settings)
+        return lambda x: additive(math.log(x))
     if form is not None:
         return _AddClosed(form, f, variant, settings)
     return _SampledOperator(kernel, f, variant, settings)
@@ -673,9 +638,14 @@ def _spread(vals) -> float:
 
 
 def iterated_kernel(method: MethodDescriptor, settings: Settings = DEFAULT) -> Kernel:
+    """The method's kernel to the power of its iterations, cached on the kernel."""
     if method.iterations == 1:
         return method.kernel
-    return power(method.kernel, method.iterations, settings)
+    powers = method.kernel.meta.setdefault("_powers", {})
+    key = (method.iterations, settings)
+    if key not in powers:
+        powers[key] = power(method.kernel, method.iterations, settings)
+    return powers[key]
 
 
 def _nested_cache_evaluator(method: MethodDescriptor, f: TestFunction,

@@ -297,7 +297,8 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
     if abs(m - 1.0) <= settings.tol_quad:
         return kernel
     scale = 1.0 / m
-    meta = dict(kernel.meta)
+    # keys that start with "_" cache values of the unscaled kernel
+    meta = {k: v for k, v in kernel.meta.items() if not k.startswith("_")}
     meta["normalization_scale"] = scale
     body = kernel.body
     if isinstance(body, ClosedForm):

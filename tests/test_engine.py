@@ -11,7 +11,7 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             embed_sequence, estimate_limit, iterated_kernel,
                             k_estimator, method_Mr, method_holder, nested_apply,
                             transport_function, uniform_continuity_bound)
-from halfsum.errors import FlavorMismatch, InvalidArgument
+from halfsum.errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from halfsum.kernels import (Flavor, counterexample_multiplicative, exponential,
                              normalize, power_law, sampled_kernel, to_additive)
 from halfsum.quadrature import counter
@@ -55,6 +55,27 @@ def test_multiplicative_dual_constant():
     k = power_law(1.0)
     for x in (2.0, 100.0, 1e4):
         assert abs(apply_dual(k, ONE_MUL, x) - 1.0) < 1e-6
+
+
+def test_moment_paths_match_closed_forms_on_sin():
+    # sin oscillates in t, so M_1 and M*_1 run on the moment integrals in t:
+    # M_1 sin(x) = (cos 1 - cos x)/x and M*_1 sin(x) = sin x - x Ci(x)
+    from scipy.special import sici
+    xs = (4.0, 64.0, 1024.0, 2.0 ** 20)
+    forward = engine._make_evaluator(power_law(1.0), SIN_MUL, Variant.FORWARD, DEFAULT)
+    dual = engine._make_evaluator(power_law(1.0), SIN_MUL, Variant.DUAL, DEFAULT)
+    for x in xs:
+        assert abs(forward(x) - (np.cos(1.0) - np.cos(x)) / x) < 1e-12, x
+        assert abs(dual(x) - (np.sin(x) - x * sici(x)[1])) < 1e-8, x
+
+
+def test_dual_past_edge_cap_fails_at_once():
+    x = 4e7
+    start = counter.count
+    with pytest.raises(QuadratureFailed) as info:
+        apply_dual(power_law(1.0), SIN_MUL, x)
+    assert info.value.interval == (x, 2 * x)
+    assert counter.count == start
 
 
 def test_domain_guards():
@@ -164,6 +185,16 @@ def test_evaluations_count_only_the_operator():
         assert fresh.evaluations == estimate_limit(reused, f, DEFAULT).evaluations, label
 
 
+def test_iterated_kernel_is_cached():
+    f = corpus_map()[("finite_ones", Flavor.MULTIPLICATIVE)]
+    method = method_catalog()["H_2"]
+    assert iterated_kernel(method) is iterated_kernel(method)
+    estimate_limit(method, f, DEFAULT)
+    start = counter.count
+    res = estimate_limit(method, f, DEFAULT)
+    assert counter.count - start == res.evaluations
+
+
 def test_cell_sums_under_complex_rates_match_direct_sum():
     import mpmath as mp
     kernel = normalize(counterexample_multiplicative(2.0))
@@ -213,6 +244,23 @@ def test_estimate_settling_function():
     res = estimate_limit(method_Mr(1.0), SETTLE_MUL, DEFAULT)
     assert res.status is Status.CONVERGED
     assert abs(res.estimate - 0.3) < 2e-4
+
+
+def test_dual_on_log_periodic_sequence():
+    # a_n = 1 when floor(log2 n) is even: with q = 2^-r, M*_r at x = 2^m is
+    # 1/(1+q) for even m and q/(1+q) for odd m
+    f = embed_sequence(lambda n: (np.frexp(np.asarray(n, dtype=float))[1] - 1) % 2 == 0,
+                       "log_periodic")
+    for r in (0.5, 1.0, 2.0):
+        q = 2.0 ** -r
+        res = estimate_limit(method_Mr(r, Variant.DUAL), f, DEFAULT)
+        assert res.status is Status.OSCILLATING, r
+        assert abs(res.oscillation_amplitude - (1 - q) / (2 * (1 + q))) < 1e-6, r
+        for x, v in res.trace:
+            m = int(np.log2(x))
+            assert x == 2.0 ** m
+            want = 1 / (1 + q) if m % 2 == 0 else q / (1 + q)
+            assert abs(v - want) < 1e-8, (r, x)
 
 
 def test_estimate_dual_variant():

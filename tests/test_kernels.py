@@ -62,6 +62,14 @@ def test_normalize_scales_to_unit_mass():
     assert "normalization_scale" in n.meta
 
 
+def test_normalize_drops_cached_norms():
+    k = finite_mixture([(0.5, exponential(1.0))], Flavor.ADDITIVE)
+    assert abs(k.l1_norm() - 0.5) < 1e-12
+    n = normalize(k)
+    assert abs(n.l1_norm() - 1.0) < 1e-12
+    assert abs(n.first_moment() - 1.0) < 1e-12
+
+
 def test_normalize_rejects_degenerate():
     k = finite_mixture([(1.0, exponential(1.0)), (-1.0, exponential(1.0 + 1e-15))],
                        Flavor.ADDITIVE)
