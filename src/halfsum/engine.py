@@ -502,9 +502,12 @@ def _check_domain(kernel: Kernel, f: TestFunction):
 
 def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
                     settings: Settings):
-    """The operator x -> value; the only place that picks a multiplicative
-    operator's coordinate: t for closed forms on sequences and on functions
-    that oscillate in t, otherwise the additive operator at log x."""
+    """The operator x -> value.
+
+    The only place that picks a multiplicative operator's coordinate: t for
+    closed forms on sequences and on functions that oscillate in t, otherwise
+    the additive operator at log x.
+    """
     _check_domain(kernel, f)
     form = kernel.additive_form()
     if kernel.flavor is Flavor.MULTIPLICATIVE:
