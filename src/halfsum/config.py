@@ -33,7 +33,6 @@ class Settings:
     ladder_max_steps: int = 28
     plateau_window: int = 5
     tol_limit_scale: float = 1e-4   # tol_limit = scale * (1 + ||f||_inf)
-    iterate_cache_points: int = 4096
 
     def tol_limit(self, bound: float) -> float:
         return self.tol_limit_scale * (1.0 + bound)
@@ -45,10 +44,20 @@ class Settings:
 DEFAULT = Settings()
 
 
+# key: (the value must exceed this bound, the value must be an integer).  A
+# ladder that does not grow, or a one-point plateau window, would report
+# "converged" at once.
+_BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
+           "tol_limit_scale": (0, False), "mass_epsilon": (0, False),
+           "ladder_x0": (0, False), "ladder_ratio": (1, False),
+           "ladder_max_steps": (0, True), "plateau_window": (1, True)}
+
+
 def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
     """Read a JSON config file and overlay it on ``base``.
 
-    Unknown keys are rejected so typos do not silently keep defaults.
+    Unknown keys are rejected so typos do not silently keep defaults, and so
+    are ladder and tolerance values that cannot give an honest status.
     """
     try:
         with open(path) as fh:
@@ -61,7 +70,9 @@ def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("tol_quad", "zero_epsilon", "tol_limit_scale", "mass_epsilon"):
-        if key in raw and not (isinstance(raw[key], (int, float)) and raw[key] > 0):
-            raise ConfigError(f"config key {key!r} must be a positive number")
+    for key, (lower, integral) in _BOUNDS.items():
+        v, kind = raw.get(key), int if integral else (int, float)
+        if key in raw and (isinstance(v, bool) or not isinstance(v, kind) or not v > lower):
+            what = "an integer" if integral else "a number"
+            raise ConfigError(f"config key {key!r} must be {what} > {lower}")
     return base.replace(**raw)

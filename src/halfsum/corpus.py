@@ -265,7 +265,9 @@ def _measure(result) -> dict:
             "evaluations": result.evaluations}
 
 
-def _run_case(case: VerificationCase, settings: Settings) -> CaseOutcome:
+def _run_case(case: VerificationCase, settings: Settings) -> tuple[CaseOutcome, int]:
+    """The case's outcome and the evaluations it made (counted where it ran)."""
+    start = counter.count
     f = corpus_map()[(case.function, case.flavor)]
     methods = method_catalog()
     tol = case.tolerance if case.tolerance is not None \
@@ -276,14 +278,15 @@ def _run_case(case: VerificationCase, settings: Settings) -> CaseOutcome:
         res = estimate_limit(methods[label], f, settings)
         results[label] = res
         measured[label] = _measure(res)
-    return _judge(case, results, tol, measured)
+    return _judge(case, results, tol, measured), counter.count - start
 
 
 def run_matrix(cases: list[VerificationCase], settings: Settings = DEFAULT,
                jobs: int = 1) -> VerificationReport:
     """Evaluate every case and collect an append-only pass/fail report.
 
-    Cases are independent, so ``jobs > 1`` farms them out to worker processes.
+    Cases are independent, so ``jobs > 1`` farms them out to worker processes;
+    each case counts its evaluations where it runs, and the report sums them.
     """
     functions = corpus_map()
     methods = method_catalog()
@@ -297,16 +300,14 @@ def run_matrix(cases: list[VerificationCase], settings: Settings = DEFAULT,
                 raise ConfigError(f"case {case.case_id!r}: unknown method {m!r}")
 
     t_start = time.time()
-    evals_start = counter.count
     if jobs > 1 and len(cases) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_case, cases,
-                                     [settings] * len(cases)))
+            runs = list(pool.map(_run_case, cases, [settings] * len(cases)))
     else:
-        outcomes = [_run_case(case, settings) for case in cases]
-    return VerificationReport(outcomes, time.time() - t_start,
-                              counter.count - evals_start)
+        runs = [_run_case(case, settings) for case in cases]
+    return VerificationReport([outcome for outcome, _ in runs], time.time() - t_start,
+                              sum(evals for _, evals in runs))
 
 
 def _judge(case: VerificationCase, results: dict, tol: float,

@@ -12,7 +12,13 @@ oscillate in t stay in t: the operator decomposes into moment integrals of
 the function, accumulated incrementally along the evaluation ladder.  One
 moment backend per distinct kernel rate returns all the moments of that rate
 at once; for embedded sequences it is one exact cell pass, which stops at the
-last term of a finite sequence.
+last term of a finite sequence.  The forward and dual expansions in the
+moments are one sum, ``_expand_moments``, and differ only in a sign.
+
+A method iterated k times is the method of the kernel's k-th convolution
+power (``iterated_kernel``): closed forms stay ``ExpPoly`` products, sampled
+kernels are convolved on a grid, and the power then runs through the same
+evaluators as any other kernel.
 
 Limit estimation is heuristic plateau detection on a geometric ladder of
 evaluation points.  The four statuses are honest: ``converged`` and
@@ -146,8 +152,10 @@ def embed_sequence(a, label: str = "sequence") -> TestFunction:
         bound = float(np.abs(arr).max())
 
     def evaluator(x, _seq=seq):
-        x = np.asarray(x, dtype=float)
-        return _seq(np.floor(x).astype(np.int64))
+        n = np.floor(np.asarray(x, dtype=float))
+        if not np.all(np.abs(n) < 2.0 ** 63):
+            raise QuadratureFailed("sequence index past the int64 range or not finite")
+        return _seq(n.astype(np.int64))
 
     return TestFunction(label=label, evaluator=evaluator, bound=bound,
                         support_flavor=Flavor.MULTIPLICATIVE,
@@ -231,11 +239,10 @@ class _CellMoments:
         return a * (g[:, 1] - g[:, 0])
 
     def value_to(self, x: float) -> np.ndarray:
-        """int_1^x f(t) (log t)^j t^s dt for j = 0..p (endpoints should not decrease)."""
+        """int_1^x f(t) (log t)^j t^s dt for j = 0..p; endpoints never decrease."""
         n_x = int(math.floor(x))
         if n_x < self.n_done:
-            # backward query: recompute statelessly (slow path, rarely hit)
-            return self.range_value(1.0, x)
+            raise QuadratureFailed("cell-sum endpoints must be nondecreasing")
         self.total = self.total + self._cells(self.n_done, n_x)
         self.n_done = n_x
         if x > n_x >= 1:
@@ -276,7 +283,7 @@ class _SmoothMoments:
                           for j in range(p + 1)]
 
     def value_to(self, x: float) -> np.ndarray:
-        """Moments to x; x must not decrease between calls."""
+        """Moments to x; endpoints never decrease."""
         return np.array([ri.value_to(x) for ri in self.integrals])
 
     def range_value(self, a: float, b: float) -> np.ndarray:
@@ -287,7 +294,7 @@ class _SmoothMoments:
 
 
 def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, settings: Settings) -> dict:
-    """One moment backend per distinct rate mu of ``form``, with s = sign * mu - 1.
+    """One moment backend per distinct rate mu of ``form``, with s = -sign * mu - 1.
 
     The backend of rate mu returns the moments for j = 0..p at once, p the
     highest power carried at that rate: exact cell sums for embedded
@@ -297,8 +304,25 @@ def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, settings: Settin
     for t in form:
         top[t.rate] = max(top.get(t.rate, 0), t.power)
     if f.sequence is not None:
-        return {mu: _CellMoments(f.sequence, p, sign * mu - 1.0) for mu, p in top.items()}
-    return {mu: _SmoothMoments(f, p, sign * mu - 1.0, settings) for mu, p in top.items()}
+        return {mu: _CellMoments(f.sequence, p, -sign * mu - 1.0) for mu, p in top.items()}
+    return {mu: _SmoothMoments(f, p, -sign * mu - 1.0, settings) for mu, p in top.items()}
+
+
+def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> complex:
+    """sum_terms c x^(sign mu) sum_j C(p,j) (sign w)^(p-j) (-sign)^j m_j(mu), w = log x.
+
+    The kernel in additive form at u = sign (log x - log t), expanded by the
+    binomial theorem: sign +1 is the forward window, sign -1 the dual one.  The
+    moments m_j(mu) of rate mu are those of ``_moment_backends(..., sign)``.
+    """
+    val = 0.0 + 0.0j
+    for t in form:
+        xpmu = np.exp(sign * t.rate * w)
+        m = moments[t.rate]
+        for j in range(t.power + 1):
+            val += (t.coef * xpmu * math.comb(t.power, j)
+                    * (sign * w) ** (t.power - j) * (-sign) ** j * m[j])
+    return val
 
 
 class _MultForwardClosed:
@@ -311,20 +335,11 @@ class _MultForwardClosed:
 
     def __init__(self, form: ExpPoly, f: TestFunction, settings: Settings):
         self.form = form
-        self.f = f
-        self.backends = _moment_backends(form, f, -1, settings)
+        self.backends = _moment_backends(form, f, 1, settings)
 
     def __call__(self, x: float) -> complex:
-        w = math.log(x)
         moments = {mu: backend.value_to(x) for mu, backend in self.backends.items()}
-        val = 0.0 + 0.0j
-        for t in self.form:
-            xpmu = np.exp(t.rate * w)
-            m = moments[t.rate]
-            for j in range(t.power + 1):
-                val += (t.coef * xpmu * math.comb(t.power, j)
-                        * w ** (t.power - j) * (-1) ** j * m[j])
-        return complex(val)
+        return complex(_expand_moments(self.form, math.log(x), 1, moments))
 
 
 class _MultDualClosed:
@@ -351,7 +366,7 @@ class _MultDualClosed:
         self.form = form
         self.f = f
         self.settings = settings
-        self.backends = _moment_backends(form, f, 1, settings)
+        self.backends = _moment_backends(form, f, -1, settings)
         self.memo: dict[tuple, np.ndarray] = {}
         self.max_edge: dict[complex, float] = {}
 
@@ -374,15 +389,8 @@ class _MultDualClosed:
 
     def _segment_from_moments(self, x: float, a: float, b: float) -> complex:
         """int over t in [a, b] of f(t) psi(t/x) dt/t via cached moments."""
-        w = math.log(x)
-        val = 0.0 + 0.0j
-        for t in self.form:
-            xpmu = np.exp(-t.rate * w)
-            m = self._cum(t.rate, b) - self._cum(t.rate, a)
-            for j in range(t.power + 1):
-                val += (t.coef * xpmu * math.comb(t.power, j)
-                        * (-w) ** (t.power - j) * m[j])
-        return val
+        moments = {mu: self._cum(mu, b) - self._cum(mu, a) for mu in self.backends}
+        return _expand_moments(self.form, math.log(x), -1, moments)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -651,58 +659,16 @@ def iterated_kernel(method: MethodDescriptor, settings: Settings = DEFAULT) -> K
     return powers[key]
 
 
-def _nested_cache_evaluator(method: MethodDescriptor, f: TestFunction,
-                            settings: Settings, x_top: float):
-    """Iterate by caching each level on a log-spaced grid with linear interpolation."""
-    kernel = method.kernel
-    n = settings.iterate_cache_points
-    if kernel.flavor is Flavor.MULTIPLICATIVE:
-        abscissae = np.exp(np.linspace(math.log(1.0 + 1e-3), math.log(x_top), n))
-    else:
-        abscissae = np.exp(np.linspace(math.log(1e-3), math.log(x_top), n))
-    current = f
-    for _ in range(method.iterations - 1):
-        ev = _make_evaluator(kernel, current, Variant.FORWARD, settings)
-        cached = np.array([ev(float(t)) if t > kernel.support_origin() else 0.0
-                           for t in abscissae], dtype=complex)
-
-        def interp_eval(x, _a=abscissae, _c=cached):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape, dtype=complex)
-            out.real = np.interp(x, _a, _c.real, left=0.0, right=_c.real[-1])
-            out.imag = np.interp(x, _a, _c.imag, left=0.0, right=_c.imag[-1])
-            return out
-
-        current = TestFunction(label=current.label + "|mean", evaluator=interp_eval,
-                               bound=current.bound * kernel.l1_norm(),
-                               support_flavor=current.support_flavor,
-                               osc_scale=current.osc_scale)
-    return _make_evaluator(kernel, current, method.variant, settings)
-
-
 def estimate_limit(method: MethodDescriptor, f: TestFunction,
-                   settings: Settings = DEFAULT, tol: Optional[float] = None,
-                   iterate_strategy: str = "auto") -> SummationResult:
+                   settings: Settings = DEFAULT, tol: Optional[float] = None) -> SummationResult:
     """Plateau-detected limit of the (possibly iterated) operator along the ladder."""
     _check_domain(method.kernel, f)
     tol_limit = tol if tol is not None else settings.tol_limit(f.bound)
-
-    nested = method.iterations > 1 and (
-        iterate_strategy == "nested"
-        or (iterate_strategy == "auto" and method.kernel.additive_form() is None))
-    if nested:
-        kern_eff = method.kernel
-        l1_eff = method.kernel.l1_norm() ** method.iterations
-    else:
-        kern_eff = iterated_kernel(method, settings)
-        l1_eff = kern_eff.l1_norm()
+    kern_eff = iterated_kernel(method, settings)
+    l1_eff = kern_eff.l1_norm()
     # the kernel's norm quadrature ran above: only the operator's work counts
     start_evals = counter.count
-    if nested:
-        x_top = settings.ladder_x0 * settings.ladder_ratio ** settings.ladder_max_steps
-        evaluator = _nested_cache_evaluator(method, f, settings, x_top)
-    else:
-        evaluator = _make_evaluator(kern_eff, f, method.variant, settings)
+    evaluator = _make_evaluator(kern_eff, f, method.variant, settings)
 
     cap = 10.0 * f.bound * max(l1_eff, 1.0) + 1e-12
     window = settings.plateau_window

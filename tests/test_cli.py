@@ -173,11 +173,28 @@ def test_config_file_overlay(runner, tmp_path):
                                "--kernel", "catalog:power_law(1)",
                                "--function", "one"])
     assert res.exit_code == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_knob": 1}))
-    res = runner.invoke(main, ["--config", str(bad), "sum",
+
+
+# a ladder that does not grow, or a one-point plateau window, reports
+# "converged" at once (sin x M gave 0.2985 where the limit is 0); iterates
+# run as kernel powers, so the nested-cache grid size is an unknown key
+@pytest.mark.parametrize("bad", [
+    {"no_such_knob": 1},
+    {"iterate_cache_points": 4096},
+    {"ladder_ratio": 1.0},
+    {"ladder_ratio": 0.5},
+    {"plateau_window": 1},
+    {"plateau_window": 2.5},
+    {"ladder_x0": 0.0},
+    {"ladder_max_steps": 0},
+    {"ladder_max_steps": 3.0},
+])
+def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    res = runner.invoke(main, ["--config", str(path), "sum",
                                "--kernel", "catalog:power_law(1)",
-                               "--function", "one"])
+                               "--function", "sin"])
     assert res.exit_code == 1
 
 

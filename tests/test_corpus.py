@@ -115,3 +115,12 @@ def test_run_matrix_detects_wrong_value():
     report = run_matrix([case], DEFAULT)
     assert not report.passed
     assert "wrong" in report.to_dict()["outcomes"][0]["case_id"]
+
+
+def test_run_matrix_counts_evaluations_in_workers():
+    cases = {c.case_id: c for c in builtin_cases()}
+    pair = [cases["bridge_alt"], cases["bridge_blocks"]]
+    serial = run_matrix(pair, DEFAULT, jobs=1)
+    parallel = run_matrix(pair, DEFAULT, jobs=2)
+    assert serial.evaluations > 0
+    assert parallel.evaluations == serial.evaluations

@@ -13,7 +13,8 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from halfsum.kernels import (Flavor, counterexample_multiplicative, exponential,
-                             normalize, power_law, sampled_kernel, to_additive)
+                             normalize, power, power_law, sampled_kernel,
+                             to_additive)
 from halfsum.quadrature import counter
 
 SIN_ADD = corpus_map()[("sin", Flavor.ADDITIVE)]
@@ -111,6 +112,13 @@ def test_embed_rejects_bad_input():
         embed_sequence([1.0, float("inf")])
 
 
+def test_embed_sequence_rejects_index_past_int64():
+    f = embed_sequence(lambda n: (-1.0) ** n, "alt")
+    for x in (2.0 ** 63, float("inf"), float("nan")):
+        with pytest.raises(QuadratureFailed):
+            f(np.array([3.0, x]))
+
+
 def test_discrete_cesaro():
     assert abs(discrete_cesaro(lambda n: (-1.0) ** n, 10)) < 1e-15
     assert abs(discrete_cesaro([1.0, 2.0, 3.0, 4.0], 4) - 2.5) < 1e-15
@@ -157,6 +165,14 @@ def test_cell_moments_chunking_does_not_change_sums(monkeypatch):
     got = [chunked.value_to(x) for x in (30.0, 100.5)] + [chunked.range_value(3.25, 90.75)]
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_cell_moments_endpoints_never_decrease():
+    ones = lambda n: np.ones(np.shape(n))
+    moments = engine._CellMoments(ones, 1, -1.5)
+    moments.value_to(50.5)
+    with pytest.raises(QuadratureFailed):
+        moments.value_to(20.0)
 
 
 def test_finite_sequence_stops_at_last_term():
@@ -269,12 +285,29 @@ def test_estimate_dual_variant():
     assert abs(res.estimate - 1.0) < 2e-4
 
 
-def test_iterates_power_vs_nested():
-    m = method_holder(2)
-    a = estimate_limit(m, SETTLE_MUL, DEFAULT, iterate_strategy="power")
-    b = estimate_limit(m, SETTLE_MUL, DEFAULT, iterate_strategy="nested")
-    assert a.status is Status.CONVERGED and b.status is Status.CONVERGED
-    assert abs(a.estimate - b.estimate) < 2 * DEFAULT.tol_limit(SETTLE_MUL.bound)
+def test_dual_missed_edges_match_fresh_values(monkeypatch):
+    # on a ratio-3 ladder the dual's segment edges x 2^k fall between the
+    # edges already summed, so _cum integrates them from the nearest cached
+    # edge; a fresh evaluator sums every edge from 1.  A lower edge cap keeps
+    # the sin moment integrals short.
+    monkeypatch.setattr(engine._MultDualClosed, "EDGE_CAP", 2.0 ** 20)
+    missed = []
+    for backend in (engine._CellMoments, engine._SmoothMoments):
+        original = backend.range_value
+
+        def counted(self, a, b, _original=original):
+            missed.append((a, b))
+            return _original(self, a, b)
+
+        monkeypatch.setattr(backend, "range_value", counted)
+    settings = DEFAULT.replace(ladder_ratio=3.0, ladder_max_steps=6)
+    method = method_Mr(1.0, Variant.DUAL)
+    for f in (corpus_map()[("alt", Flavor.MULTIPLICATIVE)], SIN_MUL):
+        missed.clear()
+        res = estimate_limit(method, f, settings)
+        assert len(res.trace) == 7 and missed, f.label
+        for x, v in res.trace:
+            assert abs(v - apply_dual(method.kernel, f, x, settings)) < 1e-8, (f.label, x)
 
 
 def test_k_estimator_labels():
@@ -291,6 +324,34 @@ def test_method_descriptor_validation():
         method_Mr(-1.0)
     with pytest.raises(InvalidArgument):
         method_holder(0)
+
+
+# ---------------------------------------------------------------------------
+# iterates are kernel powers
+
+def test_sampled_power_matches_chained_convolutions():
+    # power() convolves the sampled kernel once on its own grid; chain_apply
+    # applies it twice on a dense grid of the function
+    u = np.linspace(0.0, 30.0, 400)
+    k = normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+    squared = power(k, 2)
+    xs = [3.0, 8.0, 20.0]
+    for label in ("one", "sin", "settle"):
+        f = corpus_map()[(label, Flavor.ADDITIVE)]
+        chained = chain_apply([k, k], f, xs)
+        for x, want in zip(xs, chained):
+            assert abs(apply_forward(squared, f, x) - want) < 1e-5, (label, x)
+
+
+def test_sampled_iterate_converges():
+    # t^-1 on [1, e^8], the kernel of M_1, as 300 samples, iterated twice
+    t = np.exp(np.linspace(0.0, 8.0, 300))
+    kernel = normalize(sampled_kernel(t, 1.0 / t, Flavor.MULTIPLICATIVE))
+    method = MethodDescriptor(kernel, Variant.FORWARD, 2, "sampled H_2")
+    res = estimate_limit(method, SETTLE_MUL, DEFAULT)
+    assert res.status is Status.CONVERGED
+    assert abs(res.estimate - 0.3) < 2 * DEFAULT.tol_limit(SETTLE_MUL.bound)
+    assert res.evaluations > 0
 
 
 # ---------------------------------------------------------------------------
