@@ -8,12 +8,18 @@ transported kernel applied to f o exp at log x, and ``_make_evaluator`` is
 the one place that chooses the coordinate.  Sampled multiplicative kernels,
 and closed forms on functions that oscillate in log t, run the additive
 evaluator at log x.  Closed forms on sequences and on functions that
-oscillate in t stay in t: the operator decomposes into moment integrals of
-the function, accumulated incrementally along the evaluation ladder.  One
-moment backend per distinct kernel rate returns all the moments of that rate
-at once; for embedded sequences it is one exact cell pass, which stops at the
-last term of a finite sequence.  The forward and dual expansions in the
-moments are one sum, ``_expand_moments``, and differ only in a sign.
+oscillate in t stay in t, in one evaluator for both variants,
+``_MultClosed``.  It cuts the window at the dyadic points 2^m and expands
+the kernel on each piece by the binomial theorem about the segment's origin
+2^m, which turns the piece into moment integrals of the function in
+tau = t / 2^m; the forward and dual expansions are one sum,
+``_expand_moments``, and differ only in a sign.  The moments of a whole
+segment [2^m, 2^(m+1)] do not depend on x, so one table of them serves every
+evaluation point, and a point integrates at most one partial piece of its
+own, ending or starting at x.  One moment backend per distinct kernel rate
+returns all the moments of that rate at once: exact cell sums for embedded
+sequences, which stop at the last term of a finite sequence, and otherwise
+panel quadrature that evaluates the function once per node.
 
 A method iterated k times is the method of the kernel's k-th convolution
 power (``iterated_kernel``): closed forms stay ``ExpPoly`` products, sampled
@@ -30,7 +36,7 @@ stable spread across two doubling windows, and everything else is
 from __future__ import annotations
 
 import enum
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -44,8 +50,6 @@ from .kernels import (Flavor, Kernel, additive_values, exponential, power,
                       power_law, to_additive)
 from .quadrature import (RunningIntegral, counter, integrate_adaptive,
                          trapezoid_convolution)
-
-LOG2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +203,13 @@ def _logpow_antiderivs(p: int, s, t: np.ndarray) -> np.ndarray:
 
 
 class _CellMoments:
-    """Exact cumulative cell sums  sum_n a_n int_n^{n+1} (log t)^j t^s dt, j = 0..p.
+    """Exact cell sums  sum_n a_n int (log tau)^j tau^s dtau, j = 0..p, tau = t / 2^m.
 
     One pass serves every moment of a kernel rate: each cell's a_n, and each
     edge's antiderivatives, are evaluated once, and the p+1 sums are one
     product of the antiderivative differences with the sequence values.
-    Chunked so that arbitrarily distant endpoints never materialize the whole
-    index range at once; a finite sequence stops the sums at its last term.
+    Chunked so that long pieces never materialize the whole index range at
+    once; a finite sequence stops the sums at its last term.
     """
 
     CHUNK = 1 << 18
@@ -213,106 +217,74 @@ class _CellMoments:
     def __init__(self, seq, p: int, s: complex):
         self.seq = seq
         self.p = p
-        self.s = _real_if_exact(s)
+        self.s = s
         self.last = seq.length if isinstance(seq, _FiniteSequence) else math.inf
-        self.n_done = 1          # cells [1, n_done) summed
-        self.total = np.zeros(p + 1, dtype=complex)
 
-    def _cells(self, lo: int, hi: int) -> np.ndarray:
+    def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
+        """int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t for j = 0..p, tau = t / 2^m."""
         total = np.zeros(self.p + 1, dtype=complex)
-        n, hi = lo, min(hi, self.last + 1)
-        while n < hi:
-            m = min(n + self.CHUNK, hi)
-            a = np.asarray(self.seq(np.arange(n, m, dtype=np.int64)))
-            g = _logpow_antiderivs(self.p, self.s, np.arange(n, m + 1, dtype=float))
-            total += np.diff(g) @ a
-            counter.add(m - n)
-            n = m
+        n, end = math.floor(lo), min(math.ceil(hi), self.last + 1)
+        while n < end:
+            k = min(n + self.CHUNK, end)
+            a = np.asarray(self.seq(np.arange(n, k, dtype=np.int64)))
+            tau = np.arange(n, k + 1, dtype=float)
+            tau[0], tau[-1] = max(n, lo), min(k, hi)     # the piece may cut the end cells
+            tau *= 2.0 ** -m
+            total += np.diff(_logpow_antiderivs(self.p, self.s, tau)) @ a
+            counter.add(k - n)
+            n = k
         return total
-
-    def _partial_cell(self, lo: float, hi: float) -> np.ndarray:
-        """Contribution of the (single) cell slice [lo, hi) inside one index cell."""
-        if hi <= lo:
-            return np.zeros(self.p + 1, dtype=complex)
-        a = np.asarray(self.seq(np.array([int(math.floor(lo))])))[0]
-        g = _logpow_antiderivs(self.p, self.s, np.array([lo, hi]))
-        return a * (g[:, 1] - g[:, 0])
-
-    def value_to(self, x: float) -> np.ndarray:
-        """int_1^x f(t) (log t)^j t^s dt for j = 0..p; endpoints never decrease."""
-        n_x = int(math.floor(x))
-        if n_x < self.n_done:
-            raise QuadratureFailed("cell-sum endpoints must be nondecreasing")
-        self.total = self.total + self._cells(self.n_done, n_x)
-        self.n_done = n_x
-        if x > n_x >= 1:
-            return self.total + self._partial_cell(float(n_x), x)
-        return self.total
-
-    def range_value(self, a: float, b: float) -> np.ndarray:
-        """int_a^b, stateless (no cumulative cache): cost is O(b - a)."""
-        a = max(a, 1.0)
-        if b <= a:
-            return np.zeros(self.p + 1, dtype=complex)
-        na, nb = int(math.floor(a)), int(math.floor(b))
-        if na == nb:
-            return self._partial_cell(a, b)
-        return (self._partial_cell(a, float(na + 1)) + self._cells(na + 1, nb)
-                + self._partial_cell(float(nb), b))
 
 
 class _SmoothMoments:
-    """Cumulative moment integrals int_1^x f(t) (log t)^j t^s dt, j = 0..p, of a smooth f.
+    """Moment integrals int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t, j = 0..p, of a smooth f.
 
-    One running integral per j, in t with weight (log t)^j t^s.
+    One fresh running integral in t per piece, from lo, evaluates f once per
+    node for all p+1 moments.
     """
 
-    def __init__(self, f: TestFunction, p: int, s: complex, settings: Settings):
-        s = _real_if_exact(s)
-        self.tol = settings.tol_quad
+    def __init__(self, f: TestFunction, p: int, s: complex):
+        self.f = f
+        self.p = p
+        self.s = s
 
-        # one expression per branch: numpy then reuses the product's
-        # temporaries in place, which a named f value would prevent
-        def g(t, j):
-            if j:
-                return f(t) * np.log(t) ** j * t ** s
-            return f(t) * t ** s
+    def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
+        f, p, s = self.f, self.p, self.s
 
-        self.integrals = [RunningIntegral(functools.partial(g, j=j), 1.0,
-                                          tol_density=1e-11, panel=3.0)
-                          for j in range(p + 1)]
+        def g(t):
+            col = f(t) * t ** s
+            if not p:
+                return col[None]
+            return np.log(t * 2.0 ** -m) ** np.arange(p + 1)[:, None] * col
 
-    def value_to(self, x: float) -> np.ndarray:
-        """Moments to x; endpoints never decrease."""
-        return np.array([ri.value_to(x) for ri in self.integrals])
-
-    def range_value(self, a: float, b: float) -> np.ndarray:
-        """int_a^b by adaptive quadrature, for endpoints behind the running integrals."""
-        return np.array([integrate_adaptive(ri.f, a, b, self.tol, order=12,
-                                            initial_panels=max(4, int((b - a) / 2.0)))
-                         for ri in self.integrals])
+        # tau^s dtau = 2^(-m(s+1)) t^s dt: the quadrature runs on the weight
+        # t^s, with the per-length tolerance of an integral from t = 1, and
+        # the constant factor is applied to its result
+        moments = RunningIntegral(g, lo, tol_density=1e-11, panel=3.0).value_to(hi)
+        return 2.0 ** (-m * (s + 1)) * moments
 
 
-def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, settings: Settings) -> dict:
+def _moment_backends(form: ExpPoly, f: TestFunction, sign: int) -> dict:
     """One moment backend per distinct rate mu of ``form``, with s = -sign * mu - 1.
 
-    The backend of rate mu returns the moments for j = 0..p at once, p the
-    highest power carried at that rate: exact cell sums for embedded
-    sequences, running quadrature otherwise.
+    The backend of rate mu returns the moments for j = 0..p of a piece of a
+    dyadic segment at once, p the highest power carried at that rate: exact
+    cell sums for embedded sequences, panel quadrature otherwise.
     """
     top: dict[complex, int] = {}
     for t in form:
         top[t.rate] = max(top.get(t.rate, 0), t.power)
-    if f.sequence is not None:
-        return {mu: _CellMoments(f.sequence, p, -sign * mu - 1.0) for mu, p in top.items()}
-    return {mu: _SmoothMoments(f, p, -sign * mu - 1.0, settings) for mu, p in top.items()}
+    backend, source = ((_CellMoments, f.sequence) if f.sequence is not None
+                       else (_SmoothMoments, f))
+    return {mu: backend(source, p, _real_if_exact(-sign * mu - 1.0)) for mu, p in top.items()}
 
 
 def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> complex:
-    """sum_terms c x^(sign mu) sum_j C(p,j) (sign w)^(p-j) (-sign)^j m_j(mu), w = log x.
+    """sum_terms c e^(sign mu w) sum_j C(p,j) (sign w)^(p-j) (-sign)^j m_j(mu), w = log(x / 2^m).
 
-    The kernel in additive form at u = sign (log x - log t), expanded by the
-    binomial theorem: sign +1 is the forward window, sign -1 the dual one.  The
+    The kernel in additive form at u = sign log(x/t) = sign (w - log tau),
+    tau = t / 2^m, expanded by the binomial theorem about the segment's
+    origin 2^m: sign +1 is the forward window, sign -1 the dual one.  The
     moments m_j(mu) of rate mu are those of ``_moment_backends(..., sign)``.
     """
     val = 0.0 + 0.0j
@@ -325,100 +297,82 @@ def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> comple
     return val
 
 
-class _MultForwardClosed:
-    """Forward operator for a closed-form multiplicative kernel.
+def _dyadic_pieces(a: float):
+    """[a, 2^(m+1)], [2^(m+1), 2^(m+2)], ... as (lo, hi, m), with 2^m <= a < 2^(m+1)."""
+    m = math.frexp(a)[1] - 1
+    lo = a
+    while True:
+        hi = 2.0 ** (m + 1)
+        yield lo, hi, m
+        lo, m = hi, m + 1
 
-    Expands psi(x/t) into moment integrals of f, accumulated incrementally:
-    U f(x) = sum_terms c x^mu sum_j C(p,j) (log x)^(p-j) (-1)^j M_{j,mu}(x),
-    with M_{j,mu}(x) = int_1^x f(t) (log t)^j t^(-mu-1) dt.
+
+class _MultClosed:
+    """Operator of a closed-form multiplicative kernel in t, either variant.
+
+    The window is cut at the dyadic points 2^m, and each piece is the
+    moment expansion ``_expand_moments`` about its segment's origin, so the
+    binomial factors stay bounded by the segment instead of growing with x.
+    The moments of whole segments [2^m, 2^(m+1)] do not depend on x and are
+    kept in a table shared by every evaluation point; only a partial piece
+    ending (forward) or starting (dual) at x is integrated per point.
+
+    The forward window sums the pieces of [1, x].  The dual one sums the
+    pieces of [x, inf) until either the kernel tail is negligible or the
+    pieces pass ``EDGE_CAP``; the unresolved remainder is completed by the
+    exact remaining kernel mass times the function's recent weighted average
+    (exact for functions that settle, negligible for functions whose local
+    means die out).  A dual window that starts past ``EDGE_CAP`` raises
+    ``QuadratureFailed``.
     """
 
-    def __init__(self, form: ExpPoly, f: TestFunction, settings: Settings):
-        self.form = form
-        self.backends = _moment_backends(form, f, 1, settings)
+    EDGE_CAP = 3.2e7          # furthest edge the dual's segment sums reach
 
-    def __call__(self, x: float) -> complex:
-        moments = {mu: backend.value_to(x) for mu, backend in self.backends.items()}
-        return complex(_expand_moments(self.form, math.log(x), 1, moments))
-
-
-class _MultDualClosed:
-    """Dual operator for a closed-form multiplicative kernel.
-
-    Integrates over geometric segments [x 2^k, x 2^(k+1)] until either the
-    kernel tail is negligible or the segments pass ``EDGE_CAP``; the
-    unresolved remainder is completed by the exact remaining kernel mass
-    times the function's recent weighted average (exact for functions that
-    settle, negligible for functions whose local means die out).  A window
-    that starts past ``EDGE_CAP`` raises ``QuadratureFailed``.
-
-    Segment values come from cumulative moment integrals
-    N_{j,mu}(e) = int_1^e f(t) (log t)^j t^(mu-1) dt evaluated at the segment
-    edges.  Along the standard ladder the edges are powers of two, so the
-    cumulative integrals advance monotonically and are shared across every
-    ladder point instead of being recomputed per evaluation.
-    """
-
-    EDGE_CAP = 3.2e7          # furthest edge the shared cumulative integrals reach
-    SEG_BUDGET = 64           # max geometric segments (log scale)
-
-    def __init__(self, form: ExpPoly, f: TestFunction, settings: Settings):
+    def __init__(self, form: ExpPoly, f: TestFunction, variant: Variant,
+                 settings: Settings):
         self.form = form
         self.f = f
         self.settings = settings
-        self.backends = _moment_backends(form, f, -1, settings)
-        self.memo: dict[tuple, np.ndarray] = {}
-        self.max_edge: dict[complex, float] = {}
+        self.sign = 1 if variant is Variant.FORWARD else -1
+        self.backends = _moment_backends(form, f, self.sign)
+        self.table: dict[int, dict] = {}
 
-    # -- cumulative moment plumbing -----------------------------------------
-
-    def _cum(self, rate, edge: float) -> np.ndarray:
-        memo_key = (rate, edge)
-        if memo_key in self.memo:
-            return self.memo[memo_key]
-        backend = self.backends[rate]
-        if edge >= self.max_edge.get(rate, 1.0):
-            val = backend.value_to(edge)
-            self.max_edge[rate] = edge
+    def _piece(self, x: float, lo: float, hi: float, m: int) -> complex:
+        """int over t in [lo, hi], inside [2^m, 2^(m+1)], of f(t) psi((x/t)^sign) dt/t."""
+        whole = lo == 2.0 ** m and hi == 2.0 * lo
+        if whole and m in self.table:
+            moments = self.table[m]
         else:
-            # missed intermediate edge: integrate from the nearest cached one
-            base_e = max((e for (r, e) in self.memo if r == rate and e <= edge), default=1.0)
-            val = self.memo.get((rate, base_e), 0.0) + backend.range_value(base_e, edge)
-        self.memo[memo_key] = val
-        return val
-
-    def _segment_from_moments(self, x: float, a: float, b: float) -> complex:
-        """int over t in [a, b] of f(t) psi(t/x) dt/t via cached moments."""
-        moments = {mu: self._cum(mu, b) - self._cum(mu, a) for mu in self.backends}
-        return _expand_moments(self.form, math.log(x), -1, moments)
-
-    # -- evaluation ----------------------------------------------------------
+            moments = {mu: b.segment(lo, hi, m) for mu, b in self.backends.items()}
+            if whole:
+                self.table[m] = moments
+        return _expand_moments(self.form, math.log(x / 2.0 ** m), self.sign, moments)
 
     def __call__(self, x: float) -> complex:
+        if self.sign > 0:
+            pieces = itertools.takewhile(lambda piece: piece[0] < x, _dyadic_pieces(1.0))
+            return complex(sum((self._piece(x, lo, min(hi, x), m) for lo, hi, m in pieces),
+                               0.0 + 0.0j))
         if x > self.EDGE_CAP:
-            raise QuadratureFailed(f"dual window at x={x:g} starts past the moment "
-                                   f"integrals' reach {self.EDGE_CAP:g}",
+            raise QuadratureFailed(f"dual window at x={x:g} starts past the segment "
+                                   f"sums' reach {self.EDGE_CAP:g}",
                                    interval=(x, 2.0 * x))
         tol = self.settings.tol_quad * (1.0 + self.f.bound)
         total = 0.0 + 0.0j
         seg_sum: list[complex] = []
         seg_weight: list[complex] = []
-        k = 0
-        while k < self.SEG_BUDGET:
-            v_lo, v_hi = k * LOG2, (k + 1) * LOG2
+        for k, (lo, hi, m) in enumerate(_dyadic_pieces(x)):
+            v_lo, v_hi = math.log(lo / x), math.log(hi / x)
             if self.form.abs_tail_bound(v_lo) * self.f.bound < tol:
                 break
-            # exact power-of-two edges so the moment memo is shared across x
-            a, b = x * (2.0 ** k), x * (2.0 ** (k + 1))
-            if b > self.EDGE_CAP and k >= 2:
+            if hi > self.EDGE_CAP and k >= 2:
                 break
-            s = self._segment_from_moments(x, a, b)
+            s = self._piece(x, lo, hi, m)
             seg_sum.append(s)
             seg_weight.append(self.form.integral(v_lo, v_hi))
             total += s
-            k += 1
         # complete the unresolved kernel tail with the recent weighted average
-        rem = self.form.tail_integral(k * LOG2)
+        rem = self.form.tail_integral(v_lo)
         if abs(rem) > 0 and seg_sum:
             s_recent = sum(seg_sum[-2:])
             w_recent = sum(seg_weight[-2:])
@@ -520,9 +474,7 @@ def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
     form = kernel.additive_form()
     if kernel.flavor is Flavor.MULTIPLICATIVE:
         if form is not None and (f.sequence is not None or f.osc_scale != "log"):
-            if variant is Variant.FORWARD:
-                return _MultForwardClosed(form, f, settings)
-            return _MultDualClosed(form, f, settings)
+            return _MultClosed(form, f, variant, settings)
         additive = _make_evaluator(to_additive(kernel), transport_function(f),
                                    variant, settings)
         return lambda x: additive(math.log(x))

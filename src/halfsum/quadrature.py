@@ -55,7 +55,12 @@ counter = EvalCounter()
 
 
 def _panel_values(f, lo, hi, order):
-    """GL estimates at ``order`` and ``order // 2`` nodes for each panel."""
+    """GL estimates at ``order`` and ``order // 2`` nodes for each panel.
+
+    ``f`` returns one value per node, or one row per column with one value
+    per node (a leading column axis); the three results then carry the same
+    leading axis, with the panels on the last one.
+    """
     xh, wh = _gl(order)
     xl, wl = _gl(order // 2)
     mid = 0.5 * (lo + hi)
@@ -66,8 +71,9 @@ def _panel_values(f, lo, hi, order):
     vals = f(np.concatenate([pts_h.ravel(), pts_l.ravel()]))
     counter.add(pts_h.size + pts_l.size)
     vals = np.asarray(vals, dtype=complex)
-    vh = vals[: pts_h.size].reshape(n_pan, order)
-    vl = vals[pts_h.size:].reshape(n_pan, order // 2)
+    cols = vals.shape[:-1]
+    vh = vals[..., : pts_h.size].reshape(cols + (n_pan, order))
+    vl = vals[..., pts_h.size:].reshape(cols + (n_pan, order // 2))
     est_h = half * (vh @ wh)
     est_l = half * (vl @ wl)
     est_abs = half * (np.abs(vh) @ wh)
@@ -127,7 +133,10 @@ class RunningIntegral:
     so far, so evaluating along an increasing ladder costs the top segment
     only once.  Each chunk starts from panels of the fixed length ``panel``;
     panels whose embedded error estimate misses the per-length target are
-    bisected, for at most 24 rounds per chunk.
+    bisected, for at most 24 rounds per chunk.  An integrand that returns
+    several columns (rows of values, one per node) integrates them all from
+    one evaluation per node, and the total is then the array of their
+    integrals.
     """
 
     def __init__(self, f, origin: float, tol_density: float = 1e-12, *,
@@ -161,18 +170,20 @@ class RunningIntegral:
             # the accepted slack is ~1e-11 of the absolute moment, which the
             # evaluation prefactor suppresses far below tol_quad
             bad = err > self.tol_density * np.maximum(hi - lo, 1e-30) + 1e-11 * est_abs
+            # a panel of a vector integrand is bisected when any column misses
+            bad = bad.reshape(-1, lo.size).any(axis=0)
             if not bad.any():
-                self.total += est.sum()
+                self.total += est.sum(axis=-1)
                 self.x = hi_edge
                 return
-            self.total += est[~bad].sum()
+            self.total += est[..., ~bad].sum(axis=-1)
             mid = 0.5 * (lo[bad] + hi[bad])
             lo = np.concatenate([lo[bad], mid])
             hi = np.concatenate([mid, hi[bad]])
         # refinement stalled: accept the current estimate; its error estimate
         # is discarded, so nothing downstream records the stall
         est, _, _ = _panel_values(self.f, lo, hi, self.order)
-        self.total += est.sum()
+        self.total += est.sum(axis=-1)
         self.x = hi_edge
 
 

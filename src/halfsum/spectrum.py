@@ -91,10 +91,7 @@ def fourier_transform(kernel: Kernel, xi: float) -> complex:
     """Transform of the zero-extended additive kernel at frequency xi."""
     if kernel.flavor is not Flavor.ADDITIVE:
         raise FlavorMismatch("fourier_transform expects an additive kernel")
-    form = kernel.additive_form()
-    if form is not None:
-        return form.transform(float(xi))
-    return complex(_sampled_transform(kernel.body, float(xi))[0])
+    return complex(transform_grid(kernel, np.array([float(xi)]))[0])
 
 
 def mellin_transform(kernel: Kernel, x: float) -> complex:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfsum.errors import QuadratureFailed
-from halfsum.quadrature import (RunningIntegral, fourier_piecewise_linear,
+from halfsum.quadrature import (RunningIntegral, counter, fourier_piecewise_linear,
                                 integrate_adaptive)
 
 
@@ -43,6 +43,25 @@ def test_running_integral_matches_batch():
     direct = integrate_adaptive(lambda t: np.cos(t) * np.exp(-0.01 * t),
                                 0.0, 500.0, 1e-11)
     assert abs(partials[-1] - direct) < 1e-8
+
+
+def test_running_integral_integrates_columns_from_one_evaluation():
+    # the oscillating column sets the panels; the smooth one rides along at
+    # the same nodes, and every column must meet its target before a panel
+    # is accepted
+    rate = -0.1 + 40j
+    hard = lambda t: np.sin(40 * t) * np.exp(-0.1 * t)
+    start = counter.count
+    alone = RunningIntegral(hard, 0.0, tol_density=1e-12).value_to(30.0)
+    alone_evals = counter.count - start
+    start = counter.count
+    both = RunningIntegral(lambda t: np.stack([np.cos(t), hard(t)]), 0.0,
+                           tol_density=1e-12).value_to(30.0)
+    assert counter.count - start == alone_evals
+    assert both.shape == (2,)
+    assert abs(both[1] - alone) < 1e-15
+    assert abs(both[0] - np.sin(30.0)) < 1e-12
+    assert abs(both[1] - ((np.exp(rate * 30.0) - 1) / rate).imag) < 1e-12
 
 
 def test_running_integral_rejects_backward():

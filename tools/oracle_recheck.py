@@ -126,6 +126,16 @@ def main():
             closed = mp.gammainc(j + 1, 0, a * mp.log(n_top)) / a**(j + 1)
             check(f"cell moment closed form j={j} s={s}", got, closed, mp.mpf("1e-40"))
 
+    # --- dual M*_2 on a_n = (-1)^n: sum_{n>=x} (-1)^n x^2 (n^-2 - (n+1)^-2) ---
+    # the values frozen in tests/test_engine.py, as doubles
+    for x, want in frozen("test_engine.py", "DUAL_M2_ALT").items():
+        xm = mp.mpf(x)
+        got = mp.nsum(lambda n: (-1)**n * xm**2 * (n**-2 - (n + 1)**-2), [xm, mp.inf])
+        check(f"dual M*_2 on alt at {x}", got, want, 2e-16 * abs(got))
+        # x even: sum_{n>=x} (-1)^n n^-2 = (zeta(2, x/2) - zeta(2, (x+1)/2)) / 4
+        closed = xm**2 * (mp.zeta(2, xm / 2) - mp.zeta(2, (xm + 1) / 2)) / 2 - 1
+        check(f"dual M*_2 on alt closed form at {x}", got, closed, mp.mpf("1e-40"))
+
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
         return 1
