@@ -240,7 +240,9 @@ class _SmoothMoments:
     """Moment integrals int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t, j = 0..p, of a smooth f.
 
     One fresh running integral in t per piece, from lo, evaluates f once per
-    node for all p+1 moments.
+    node for all p+1 moments, on the running integral's default G10/K21
+    panels of length 12: the integrand is smooth, so each panel bisects only
+    where f oscillates faster than its 21 nodes resolve.
     """
 
     def __init__(self, f: TestFunction, p: int, s: complex):
@@ -260,7 +262,7 @@ class _SmoothMoments:
         # tau^s dtau = 2^(-m(s+1)) t^s dt: the quadrature runs on the weight
         # t^s, with the per-length tolerance of an integral from t = 1, and
         # the constant factor is applied to its result
-        moments = RunningIntegral(g, lo, tol_density=1e-11, panel=3.0).value_to(hi)
+        moments = RunningIntegral(g, lo, tol_density=1e-11).value_to(hi)
         return 2.0 ** (-m * (s + 1)) * moments
 
 

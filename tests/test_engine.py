@@ -313,6 +313,23 @@ def test_dual_keeps_its_accuracy_as_x_grows():
         assert abs(apply_dual(kernel, f, float(x)) - want) < 1e-11, x
 
 
+# M*_1 on sin at x = 4, 7.5, 64, 1000, 2^14: sin x - x Ci(x) at 50 digits
+# (mpmath), frozen as doubles; tools/oracle_recheck.py recomputes them
+DUAL_M1_SIN = {
+    4.0: -0.1928757037602066,
+    7.5: 0.07075095249023183,
+    64.0: 0.006561768543959499,
+    1000.0: 0.0005640294413202782,
+    16384.0: -5.0573884874099977e-05,
+}
+
+
+def test_dual_mean_of_sin_matches_frozen_values():
+    kernel = method_Mr(1.0, Variant.DUAL).kernel
+    for x, want in DUAL_M1_SIN.items():
+        assert abs(apply_dual(kernel, SIN_MUL, x) - want) < 1e-10, x
+
+
 def test_k_estimator_labels():
     k_add = k_estimator(Flavor.ADDITIVE)
     k_mul = k_estimator(Flavor.MULTIPLICATIVE)

@@ -64,6 +64,29 @@ def test_running_integral_integrates_columns_from_one_evaluation():
     assert abs(both[1] - ((np.exp(rate * 30.0) - 1) / rate).imag) < 1e-12
 
 
+def test_running_integral_fails_where_refinement_stalls():
+    # a jump at pi/3 defeats every panel rule; the stall must surface as a
+    # failure that names the panel holding the jump, not as a silent estimate
+    # (two Gauss-Legendre rules with no node in (0, 0.047) of the unit panel
+    # agree exactly there and return 1.0 after 18 evaluations)
+    ri = RunningIntegral(lambda t: (t > np.pi / 3).astype(float), 0.0, tol_density=1e-12)
+    with pytest.raises(QuadratureFailed) as err:
+        ri.value_to(2.0)
+    lo, hi = err.value.interval
+    assert lo <= np.pi / 3 <= hi
+
+
+def test_running_integral_of_smooth_decaying_oscillation():
+    # int_1^X sin t / t^2 dt = [Ci(t) - sin(t) / t]_1^X on long G10/K21 panels
+    from scipy.special import sici
+    top = 2.0 ** 22
+    want = (sici(top)[1] - np.sin(top) / top) - (sici(1.0)[1] - np.sin(1.0))
+    start = counter.count
+    got = RunningIntegral(lambda t: np.sin(t) / t ** 2, 1.0, tol_density=1e-11).value_to(top)
+    assert counter.count - start <= 7.5e6
+    assert abs(got - want) < 1e-13
+
+
 def test_running_integral_rejects_backward():
     ri = RunningIntegral(lambda t: t, 0.0)
     ri.value_to(10.0)

@@ -136,6 +136,13 @@ def main():
         closed = xm**2 * (mp.zeta(2, xm / 2) - mp.zeta(2, (xm + 1) / 2)) / 2 - 1
         check(f"dual M*_2 on alt closed form at {x}", got, closed, mp.mpf("1e-40"))
 
+    # --- dual M*_1 on sin: int_x^inf sin(t) x t^-2 dt = sin x - x Ci(x) ----
+    # the values frozen in tests/test_engine.py, as doubles
+    for x, want in frozen("test_engine.py", "DUAL_M1_SIN").items():
+        xm = mp.mpf(x)
+        closed = mp.sin(xm) - xm * mp.ci(xm)
+        check(f"dual M*_1 on sin at {x}", closed, want, 2e-16 * abs(closed))
+
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
         return 1
