@@ -5,21 +5,27 @@ window ending at x; the dual integrates over the window starting at x with
 the reflected kernel argument.  Under the log substitution u = log t a
 multiplicative operator applied to f is the additive operator of the
 transported kernel applied to f o exp at log x, and ``_make_evaluator`` is
-the one place that chooses the coordinate.  Sampled multiplicative kernels,
-and closed forms on functions that oscillate in log t, run the additive
-evaluator at log x.  Closed forms on sequences and on functions that
-oscillate in t stay in t, in one evaluator for both variants,
-``_MultClosed``.  It cuts the window at the dyadic points 2^m and expands
-the kernel on each piece by the binomial theorem about the segment's origin
-2^m, which turns the piece into moment integrals of the function in
-tau = t / 2^m; the forward and dual expansions are one sum,
-``_expand_moments``, and differ only in a sign.  The moments of a whole
-segment [2^m, 2^(m+1)] do not depend on x, so one table of them serves every
-evaluation point, and a point integrates at most one partial piece of its
-own, ending or starting at x.  One moment backend per distinct kernel rate
-returns all the moments of that rate at once: exact cell sums for embedded
-sequences, which stop at the last term of a finite sequence, and otherwise
-panel quadrature that evaluates the function once per node.
+the one place that chooses the coordinate.
+
+Every additive operator, and every multiplicative one that runs at log x
+(sampled kernels, and closed forms on functions that oscillate in log t),
+is one evaluator for both variants, ``_AddWindow``: one adaptive quadrature
+of the window per point, with the kernel read through ``additive_values``,
+so closed forms and sampled kernels differ only in their cut and in the
+panel edges a sampled grid adds.
+
+Closed forms on sequences and on functions that oscillate in t stay in t,
+in one evaluator for both variants, ``_MultClosed``.  It cuts the window at
+the dyadic points 2^m and expands the kernel on each piece by the binomial
+theorem about the segment's origin 2^m, which turns the piece into moment
+integrals of the function in tau = t / 2^m; the forward and dual expansions
+are one sum, ``_expand_moments``, and differ only in a sign.  The moments of
+a whole segment [2^m, 2^(m+1)] do not depend on x, so one table of them
+serves every evaluation point, and a point integrates at most one partial
+piece of its own, ending or starting at x.  One moment backend per distinct
+kernel rate returns all the moments of that rate at once: exact cell sums
+for embedded sequences, which stop at the last term of a finite sequence,
+and otherwise panel quadrature that evaluates the function once per node.
 
 A method iterated k times is the method of the kernel's k-th convolution
 power (``iterated_kernel``): closed forms stay ``ExpPoly`` products, sampled
@@ -384,44 +390,17 @@ class _MultClosed:
 
 
 # ---------------------------------------------------------------------------
-# additive paths
+# additive window
 
-class _AddClosed:
-    """Operator of a closed-form additive kernel, either variant, by quadrature.
+class _AddWindow:
+    """Operator of an additive kernel, closed-form or sampled, by quadrature.
 
     The forward window integrates f(x - s) phi(s) over [0, min(x, cut)], the
     dual window f(x + s) phi(s) over [0, cut], with cut the point past which
-    the kernel's absolute tail is negligible.
-    """
-
-    def __init__(self, form: ExpPoly, f: TestFunction, variant: Variant,
-                 settings: Settings):
-        self.form = form
-        self.f = f
-        self.forward = variant is Variant.FORWARD
-        self.settings = settings
-        eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
-        self.cut = form.support_cutoff(eps)
-
-    def __call__(self, x: float) -> complex:
-        f, form = self.f, self.form
-        if self.forward:
-            g = lambda s: f(x - s) * form(s)
-            upper = min(x, self.cut)
-        else:
-            g = lambda s: f(x + s) * form(s)
-            upper = self.cut
-        tol = self.settings.tol_quad * (1.0 + f.bound)
-        return integrate_adaptive(g, 0.0, upper, tol, order=12,
-                                  max_evals=self.settings.max_evals)
-
-
-class _SampledOperator:
-    """Trapezoid evaluation against a sampled additive kernel grid (either variant).
-
-    The window f(w + sign s) phi(s) runs over s in [0, reach]: sign -1 and
-    reach w for the forward variant, sign +1 and no reach limit for the dual.
-    Past the last sample the kernel's geometric tail is integrated.
+    the kernel's absolute tail is negligible: the closed form's tail bound,
+    or a sampled kernel's geometric tail model past its last sample.  phi is
+    ``additive_values``, so a sampled kernel is its linear interpolant, and
+    its grid nodes are panel edges: each panel sees one linear piece.
     """
 
     def __init__(self, kernel: Kernel, f: TestFunction, variant: Variant,
@@ -430,28 +409,32 @@ class _SampledOperator:
         self.f = f
         self.forward = variant is Variant.FORWARD
         self.settings = settings
+        eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
+        form = kernel.additive_form()
+        if form is not None:
+            self.cut = form.support_cutoff(eps)
+            self.breaks = None
+        else:
+            body = kernel.body
+            self.breaks = body.grid
+            # the tail model's absolute integral past grid[-1] + c is
+            # |tail_value| e^(-rate c) / rate, which is eps at this c
+            self.cut = body.grid[-1]
+            if body.tail_rate > 0:
+                excess = abs(body.tail_value) / (body.tail_rate * eps)
+                self.cut += math.log(max(excess, 1.0)) / body.tail_rate
 
-    def __call__(self, w: float) -> complex:
-        f, body = self.f, self.kernel.body
-        grid, vals = body.grid, body.values
-        sign, reach = (-1.0, w) if self.forward else (1.0, math.inf)
-        upper = min(reach, grid[-1])
-        n = int(np.searchsorted(grid, upper, side="right"))
-        g = grid[:n]
-        fv = f(w + sign * g) * vals[:n]
-        counter.add(g.size)
-        total = complex(np.trapezoid(fv, g))
-        if n < grid.size and upper > g[-1]:
-            # partial last cell
-            v_end = additive_values(self.kernel, np.array([upper]))[0]
-            total += 0.5 * (upper - g[-1]) * (fv[-1] + f(np.array([w + sign * upper]))[0] * v_end)
-        if reach > grid[-1] and body.tail_rate > 0:
-            stretch = min(reach - grid[-1], 40.0 / body.tail_rate)
-            tail = lambda s: (f(np.atleast_1d(w + sign * grid[-1] + sign * s))
-                              * body.tail_value * np.exp(-body.tail_rate * s))
-            total += integrate_adaptive(tail, 0.0, stretch,
-                                        self.settings.tol_quad, order=12)
-        return total
+    def __call__(self, x: float) -> complex:
+        f, kernel = self.f, self.kernel
+        if self.forward:
+            g = lambda s: f(x - s) * additive_values(kernel, s)
+            upper = min(x, self.cut)
+        else:
+            g = lambda s: f(x + s) * additive_values(kernel, s)
+            upper = self.cut
+        tol = self.settings.tol_quad * (1.0 + f.bound)
+        return integrate_adaptive(g, 0.0, upper, tol, order=12, breaks=self.breaks,
+                                  max_evals=self.settings.max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +456,13 @@ def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
     the additive operator at log x.
     """
     _check_domain(kernel, f)
+    if kernel.flavor is Flavor.ADDITIVE:
+        return _AddWindow(kernel, f, variant, settings)
     form = kernel.additive_form()
-    if kernel.flavor is Flavor.MULTIPLICATIVE:
-        if form is not None and (f.sequence is not None or f.osc_scale != "log"):
-            return _MultClosed(form, f, variant, settings)
-        additive = _make_evaluator(to_additive(kernel), transport_function(f),
-                                   variant, settings)
-        return lambda x: additive(math.log(x))
-    if form is not None:
-        return _AddClosed(form, f, variant, settings)
-    return _SampledOperator(kernel, f, variant, settings)
+    if form is not None and (f.sequence is not None or f.osc_scale != "log"):
+        return _MultClosed(form, f, variant, settings)
+    additive = _AddWindow(to_additive(kernel), transport_function(f), variant, settings)
+    return lambda x: additive(math.log(x))
 
 
 def apply_forward(kernel: Kernel, f: TestFunction, x: float,

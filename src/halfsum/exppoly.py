@@ -134,12 +134,6 @@ class ExpPoly:
             out += t.coef * math.factorial(t.power) / (z - t.rate) ** (t.power + 1)
         return out if out.ndim else complex(out)
 
-    def transform_derivative_bound(self) -> float:
-        """Bound on |d/dxi transform| = int t |f(t)| dt, term-by-term."""
-        return float(sum(abs(t.coef) * math.factorial(t.power + 1)
-                         / (-t.rate.real) ** (t.power + 2)
-                         for t in self.terms))
-
     def convolve(self, other: "ExpPoly") -> "ExpPoly":
         """Half-line convolution, exact via partial fractions."""
         out: list[Term] = []

@@ -33,7 +33,7 @@ from .config import DEFAULT, Settings
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                      InvalidArgument, InvalidKernel, QuadratureFailed)
 from .exppoly import ExpPoly, Term
-from .quadrature import integrate_adaptive, trapezoid_convolution
+from .quadrature import _is_uniform, integrate_adaptive, trapezoid_convolution
 
 
 class Flavor(enum.Enum):
@@ -149,8 +149,9 @@ def evaluate(kernel: Kernel, t):
 def additive_values(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     """Kernel values at an array of additive coordinates ``u`` (zero for u < 0).
 
-    A closed form evaluates its expression; a sampled kernel gives the linear
-    interpolant of its grid and, past the last sample, its geometric tail.
+    A closed form evaluates its expression; a sampled kernel gives zero before
+    its first sample, the linear interpolant of its grid, and past the last
+    sample its geometric tail.
     """
     body = kernel.body
     if isinstance(body, ClosedForm):
@@ -241,9 +242,13 @@ def finite_mixture(components, flavor: Flavor) -> Kernel:
 
 def sampled_kernel(abscissae, values, flavor: Flavor,
                    settings: Settings = DEFAULT) -> Kernel:
-    """Build a kernel from grid samples in native coordinates."""
+    """Build a kernel from grid samples in native coordinates.
+
+    Samples equally spaced in additive coordinates are kept as they are;
+    others are resampled onto max(512, 4n) equally spaced points.
+    """
     t = np.asarray(abscissae, dtype=float)
-    v = np.asarray(values, dtype=complex)
+    v = np.array(values, dtype=complex)      # a copy: uniform samples are kept
     if t.size < 4 or t.size != v.size:
         raise InvalidKernel("sampled kernel needs at least 4 matching samples")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
@@ -258,27 +263,25 @@ def sampled_kernel(abscissae, values, flavor: Flavor,
         if t[0] < 0.0:
             raise InvalidKernel("additive samples must start at t >= 0")
         u = t
-    # resample to a uniform grid in additive coordinates
-    n = max(512, 4 * u.size)
-    grid = np.linspace(u[0], u[-1], n)
-    vals = np.empty(n, dtype=complex)
-    vals.real = np.interp(grid, u, v.real)
-    vals.imag = np.interp(grid, u, v.imag)
-    if u[0] > 0:
-        lead = np.arange(0.0, u[0], grid[1] - grid[0]) if u[0] > (grid[1] - grid[0]) else np.array([0.0])
-        grid = np.concatenate([lead, grid])
-        vals = np.concatenate([np.zeros(lead.size, dtype=complex), vals])
+    # the kernel is zero left of grid[0], so no lead is padded before it
+    if _is_uniform(u):
+        grid, vals = np.linspace(u[0], u[-1], u.size), v
+    else:
+        grid = np.linspace(u[0], u[-1], max(512, 4 * u.size))
+        vals = np.empty(grid.size, dtype=complex)
+        vals.real = np.interp(grid, u, v.real)
+        vals.imag = np.interp(grid, u, v.imag)
     tail_value, tail_rate = _fit_tail(grid, vals)
     return Kernel(flavor, Sampled(grid, vals, tail_value, tail_rate))
 
 
 def _fit_tail(grid: np.ndarray, values: np.ndarray):
-    """Least-squares geometric decay through the last 10% of samples."""
-    n = max(4, grid.size // 10)
+    """Least-squares geometric decay through the last tenth of the samples (at least two)."""
+    n = max(2, grid.size // 10)
     u = grid[-n:]
     mag = np.abs(values[-n:])
     good = mag > 1e-300
-    if good.sum() < 3:
+    if good.sum() < 2:
         return 0.0 + 0.0j, 0.0
     slope, icept = np.polyfit(u[good], np.log(mag[good]), 1)
     if slope >= -1e-12:

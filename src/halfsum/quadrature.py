@@ -6,11 +6,12 @@ Four tools:
   pair, with pairwise bisection of panels whose embedded error estimate is
   too large.  Handles integrands whose oscillation scale is unknown a priori
   (the panels refine until the oscillation is resolved or the budget runs
-  out).  It keeps Gauss-Legendre because its integrands need not be smooth:
-  in the additive window f(x - s) at x >= 2^28 the argument rounds to
-  ulp(x), so the integrand is a staircase in s on which no rule's error
-  estimate falls below tolerance, and a rule built for long smooth panels
-  only bisects for longer.
+  out).  Optional breakpoints become panel edges, so each linear piece of a
+  sampled kernel fills whole panels.  It keeps Gauss-Legendre because its
+  integrands need not be smooth: in the additive window f(x - s) at
+  x >= 2^28 the argument rounds to ulp(x), so the integrand is a staircase
+  in s on which no rule's error estimate falls below tolerance, and a rule
+  built for long smooth panels only bisects for longer.
 * :class:`RunningIntegral` — cumulative integral along an increasing sequence
   of endpoints, with checkpointing, for partial means evaluated along a
   geometric ladder.  Its integrands are smooth moment weights, so it takes
@@ -127,23 +128,26 @@ def _panel_values(f, lo, hi, rule: _PanelRule):
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float, *,
-                       order: int = 12, initial_panels: int | None = None,
+                       order: int = 12, breaks: np.ndarray | None = None,
                        max_evals: int | None = None) -> complex:
     """Integrate complex-valued ``f`` (vectorized) over [a, b].
 
-    Panels take the ``order``- and ``order // 2``-point Gauss-Legendre pair.
-    ``tol`` is an absolute tolerance on the whole interval.  Raises
-    :class:`QuadratureFailed` with the worst subinterval when the evaluation
-    budget is exhausted before the error estimate drops below ``tol``.
+    Panels take the ``order``- and ``order // 2``-point Gauss-Legendre pair,
+    starting from min(256, max(4, (b - a) / 2)) equal panels; the points of
+    ``breaks`` inside (a, b), where the integrand may have a kink, are added
+    as panel edges.  ``tol`` is an absolute tolerance on the whole interval.
+    Raises :class:`QuadratureFailed` with the worst subinterval when the
+    evaluation budget is exhausted before the error estimate drops below
+    ``tol``.
     """
     if b <= a:
         return 0.0 + 0.0j
     rule = _gauss_legendre_pair(order)
     length = b - a
-    if initial_panels is None:
-        initial_panels = int(min(256, max(4, length / 2)))
     budget = max_evals if max_evals is not None else 40_000_000
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, int(min(256, max(4, length / 2))) + 1)
+    if breaks is not None:
+        edges = np.union1d(edges, breaks[(breaks > a) & (breaks < b)])
     lo, hi = edges[:-1], edges[1:]
     total = 0.0 + 0.0j
     err_done = 0.0

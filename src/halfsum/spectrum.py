@@ -224,31 +224,18 @@ def dual_transform_identity_check(kernel: Kernel, settings: Settings = DEFAULT,
                                   n_points: int = 81) -> ReflectionReport:
     """Check that reflecting the kernel flips the sign of the frequency.
 
-    The reflected kernel lives on the negative half-line; its transform is
-    compared against the original transform evaluated at -xi.  For
-    closed-form kernels the reflected side is computed by independent
-    adaptive quadrature.  For sampled kernels both sides go through
-    ``_sampled_transform`` (the reflected side on conjugated samples), so
-    ``max_deviation`` then checks only that the routine is consistent under
-    conjugation, not the reflection identity itself.
+    The reflected kernel lives on the negative half-line; its transform,
+    ``transform_numeric`` at -xi, is compared against the original transform
+    ``transform_grid`` at -xi.  For closed-form kernels the two are
+    independent (adaptive quadrature against the analytic formula).  A
+    sampled kernel has one transform, so both sides are the same values and
+    ``max_deviation`` is 0: it checks nothing about the identity there.
     """
     if kernel.flavor is not Flavor.ADDITIVE:
         raise FlavorMismatch("dual_transform_identity_check expects an additive kernel")
     xi = np.linspace(-settings.freq_window, settings.freq_window, n_points)
     # int_-inf^0 phi(-s) e^{-i xi s} ds  =  int_0^inf phi(t) e^{+i xi t} dt
-    form = kernel.additive_form()
-    if form is not None:
-        lhs = np.empty(xi.shape, dtype=complex)
-        cut = form.support_cutoff(0.1 * settings.tol_quad)
-        for i, x in enumerate(xi):
-            lhs[i] = integrate_adaptive(
-                lambda u, x=x: form(u) * np.exp(1j * x * u), 0.0, cut,
-                settings.tol_quad, order=16)
-    else:
-        body = kernel.body
-        lhs = np.conj(_sampled_transform(
-            Sampled(body.grid, np.conj(body.values), np.conj(body.tail_value),
-                    body.tail_rate), xi))
+    lhs = transform_numeric(kernel, -xi, settings)
     rhs = transform_grid(kernel, -xi)
     dev = float(np.max(np.abs(lhs - rhs)))
     return ReflectionReport(xi, lhs, rhs, dev)

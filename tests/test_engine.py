@@ -349,11 +349,15 @@ def test_method_descriptor_validation():
 # ---------------------------------------------------------------------------
 # iterates are kernel powers
 
+def _sampled_exp():
+    u = np.linspace(0.0, 30.0, 400)
+    return normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+
+
 def test_sampled_power_matches_chained_convolutions():
     # power() convolves the sampled kernel once on its own grid; chain_apply
     # applies it twice on a dense grid of the function
-    u = np.linspace(0.0, 30.0, 400)
-    k = normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+    k = _sampled_exp()
     squared = power(k, 2)
     xs = [3.0, 8.0, 20.0]
     for label in ("one", "sin", "settle"):
@@ -363,15 +367,45 @@ def test_sampled_power_matches_chained_convolutions():
             assert abs(apply_forward(squared, f, x) - want) < 1e-5, (label, x)
 
 
-def test_sampled_iterate_converges():
-    # t^-1 on [1, e^8], the kernel of M_1, as 300 samples, iterated twice
+def _sampled_m1():
+    """t^-1 on [1, e^8], the kernel of M_1, as 300 samples."""
     t = np.exp(np.linspace(0.0, 8.0, 300))
-    kernel = normalize(sampled_kernel(t, 1.0 / t, Flavor.MULTIPLICATIVE))
-    method = MethodDescriptor(kernel, Variant.FORWARD, 2, "sampled H_2")
+    return normalize(sampled_kernel(t, 1.0 / t, Flavor.MULTIPLICATIVE))
+
+
+def test_sampled_iterate_converges():
+    method = MethodDescriptor(_sampled_m1(), Variant.FORWARD, 2, "sampled H_2")
     res = estimate_limit(method, SETTLE_MUL, DEFAULT)
     assert res.status is Status.CONVERGED
     assert abs(res.estimate - 0.3) < 2 * DEFAULT.tol_limit(SETTLE_MUL.bound)
     assert res.evaluations > 0
+
+
+# ---------------------------------------------------------------------------
+# sampled kernels run the same window as closed forms
+
+def test_sampled_window_matches_closed_form_on_fast_oscillation():
+    # sin(t^2) at x = 1000 turns about 300 times per unit of s: a sum over
+    # the kernel's grid nodes alone misses the closed form by 9.4e-2
+    f = corpus_map()[("sin_sq", Flavor.ADDITIVE)]
+    k = _sampled_exp()
+    for x in (10.0, 1000.0):
+        assert abs(apply_forward(k, f, x) - apply_forward(exponential(1.0), f, x)) < 1e-5, x
+
+
+def test_sampled_dual_matches_closed_form():
+    # int_0^inf sin(x + s) e^{-s} ds against the sampled e^{-s}
+    k = _sampled_exp()
+    for x in (3.0, 10.0, 100.0):
+        assert abs(apply_dual(k, SIN_ADD, x) - apply_dual(exponential(1.0), SIN_ADD, x)) < 1e-6, x
+
+
+@pytest.mark.parametrize("label, limit", [("sin", 0.0), ("blocks", 0.5)])
+def test_sampled_mean_converges_on_functions_periodic_in_t(label, limit):
+    f = corpus_map()[(label, Flavor.MULTIPLICATIVE)]
+    res = estimate_limit(MethodDescriptor(_sampled_m1(), Variant.FORWARD, 1, "sampled M_1"), f)
+    assert res.status is Status.CONVERGED
+    assert abs(res.estimate - limit) < 2 * res.tolerance_used
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,23 @@ def test_sampled_kernel_roundtrip():
     assert abs(evaluate(k, 2.0) - np.exp(-2.0)) < 1e-4
 
 
+def test_sampled_kernel_keeps_uniform_samples():
+    t = np.linspace(0.0, 30.0, 400)
+    k = sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE)
+    assert k.body.grid.size == 400
+    assert np.array_equal(k.body.values, np.exp(-t))
+    # non-uniform samples are resampled onto a uniform grid
+    k = sampled_kernel(t ** 1.5, np.exp(-t), Flavor.ADDITIVE)
+    assert k.body.grid.size == 1600
+    assert np.ptp(np.diff(k.body.grid)) < 1e-9
+
+
+def test_sampled_kernel_fits_a_tail_to_four_samples():
+    k = sampled_kernel([0.0, 1.0, 2.0, 3.0], [0.1, 1.0, 0.5, 0.25], Flavor.ADDITIVE)
+    assert k.body.tail_value == 0.25
+    assert abs(k.body.tail_rate - np.log(2.0)) < 1e-12
+
+
 def test_sampled_kernel_rejects_growth():
     t = np.linspace(0.0, 10.0, 512)
     with pytest.raises(InvalidKernel):

@@ -120,6 +120,13 @@ def test_sampled_transform_branches_agree():
     assert np.max(np.abs(transform_grid(k, uniform) - direct)) < 1e-12
 
 
+def test_sampled_transform_at_zero_is_the_mass():
+    # samples that start past the origin: the kernel is zero left of them
+    t = np.linspace(0.3, 40.0, 1589)
+    k = normalize(sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE))
+    assert abs(transform_grid(k, np.array([0.0]))[0] - k.mass()) < 1e-12
+
+
 def test_sampled_mellin_transform():
     k = _sampled(lambda u: 2.0 * np.exp(-2.0 * u), 512, Flavor.MULTIPLICATIVE)
     for x in (-5.0, 0.0, 3.0):
