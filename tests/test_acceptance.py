@@ -57,7 +57,7 @@ def test_criterion_1_transform_formula():
 
 
 def test_criterion_2_composition_law():
-    with Budget(30):
+    with Budget(10):
         kernels = {"e1": exponential(1.0), "e2": exponential(2.0),
                    "p1": to_additive(power_law(1.0))}
         cm = corpus_map()

@@ -12,10 +12,11 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             k_estimator, method_Mr, method_holder, nested_apply,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument, QuadratureFailed
-from halfsum.kernels import (Flavor, counterexample_multiplicative, exponential,
+from halfsum.kernels import (Flavor, additive_values, counterexample_additive,
+                             counterexample_multiplicative, exponential,
                              normalize, power, power_law, sampled_kernel,
                              to_additive)
-from halfsum.quadrature import counter
+from halfsum.quadrature import counter, trapezoid_convolution
 
 SIN_ADD = corpus_map()[("sin", Flavor.ADDITIVE)]
 SIN_MUL = corpus_map()[("sin", Flavor.MULTIPLICATIVE)]
@@ -419,6 +420,57 @@ def test_chain_apply_matches_nested():
     nested = nested_apply(k2, k1, SIN_ADD, xs)
     direct = chain_apply([combined], SIN_ADD, xs)
     assert np.max(np.abs(nested - direct)) < 1e-6
+
+
+def _full_grid_chain(kernels, f, xs, grid_points):
+    """Every kernel convolved by FFT over the whole grid, then read at xs."""
+    grid = np.linspace(0.0, max(xs), grid_points + 1)
+    values = f(grid)
+    for k in kernels:
+        values = trapezoid_convolution(values, additive_values(k, grid), grid[1])
+    return np.interp(xs, grid, values)
+
+
+@pytest.mark.parametrize("labels", [("e1",), ("sampled",), ("e1", "ce"), ("sampled", "e2")])
+@pytest.mark.parametrize("function", ["sin", "char_1"])
+def test_chain_apply_probe_sums_match_full_grid(labels, function):
+    named = {"e1": exponential(1.0), "e2": exponential(2.0),
+             "ce": counterexample_additive(1.0), "sampled": _sampled_exp()}
+    kernels = [named[label] for label in labels]
+    f = corpus_map()[(function, Flavor.ADDITIVE)]
+    xs = np.array([1.0, 3.0, 7.0, 15.0, 31.0])
+    got = chain_apply(kernels, f, xs, grid_points=2 ** 14)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - _full_grid_chain(kernels, f, xs, 2 ** 14))) < 1e-12
+
+
+def test_chain_apply_absolute_accuracy():
+    # U_exp(1) sin at x is (sin x - cos x + e^-x) / 2; the probes 1, 3, 7, 15
+    # fall between grid nodes
+    xs = np.array([1.0, 3.0, 7.0, 15.0, 31.0])
+    want = (np.sin(xs) - np.cos(xs) + np.exp(-xs)) / 2
+    assert np.max(np.abs(chain_apply([exponential(1.0)], SIN_ADD, xs) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("kernels, xs, grid_points", [
+    ([exponential(1.0)], [-1.0], 2 ** 10),
+    ([exponential(1.0)], [0.0], 2 ** 10),
+    ([exponential(1.0)], [2.0, np.nan], 2 ** 10),
+    ([exponential(1.0)], [np.inf], 2 ** 10),
+    ([exponential(1.0)], [], 2 ** 10),
+    ([], [2.0], 2 ** 10),
+    ([exponential(1.0)], [2.0], 0),
+])
+def test_chain_apply_rejects_invalid_input(kernels, xs, grid_points):
+    with pytest.raises(InvalidArgument):
+        chain_apply(kernels, SIN_ADD, xs, grid_points=grid_points)
+
+
+def test_test_function_dtype_follows_its_values():
+    x = np.linspace(0.0, 5.0, 11)
+    assert SIN_ADD(x).dtype == np.float64
+    assert ONE_ADD(x).dtype == np.float64
+    assert corpus_map()[("char_1", Flavor.ADDITIVE)](x).dtype == np.complex128
 
 
 def test_chain_apply_keeps_sampled_tail():

@@ -100,3 +100,26 @@ def test_evaluation_zero_on_negative_axis():
     vals = p(np.array([-2.0, -0.1, 0.0, 1.0]))
     assert vals[0] == 0 and vals[1] == 0 and vals[2] == 1.0
     assert abs(vals[3] - math.exp(-1)) < 1e-15
+
+
+def test_real_terms_evaluate_in_float64():
+    x = np.linspace(0.0, 30.0, 3001)
+    p = ExpPoly([Term(2.0 + 0j, 1, -0.5 + 0j), Term(-1.0, 0, -3.0)])
+    vals = p(x)
+    assert vals.dtype == np.float64
+    assert isinstance(p(1.5), np.float64)
+    # the same sum in complex arithmetic; real and complex exp may differ in
+    # their last bit
+    want = sum(complex(t.coef) * x ** t.power * np.exp(complex(t.rate) * x) for t in p)
+    assert not np.any(want.imag)
+    assert np.max(np.abs(vals - want.real)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_complex_terms_stay_complex():
+    # the additive counterexample kernel has a complex rate
+    c = 2.0
+    p = ExpPoly([Term(c, 0, -1.0 + 0j), Term(-c / (1.0 + 1j), 0, -1.0 + 1j)])
+    x = np.linspace(0.0, 10.0, 101)
+    vals = p(x)
+    assert vals.dtype == np.complex128
+    assert np.max(np.abs(vals - (c * np.exp(-x) - c / (1.0 + 1j) * np.exp((-1.0 + 1j) * x)))) < 1e-15

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from halfsum.errors import QuadratureFailed
-from halfsum.quadrature import (RunningIntegral, counter, fourier_piecewise_linear,
-                                integrate_adaptive)
+from halfsum.quadrature import (RunningIntegral, _is_uniform, counter,
+                                fourier_piecewise_linear, integrate_adaptive,
+                                trapezoid_convolution)
 
 
 def test_polynomial_is_exact():
@@ -138,3 +139,42 @@ def test_filon_array_matches_single_frequencies():
         for i in range(0, xi.size, max(1, xi.size // 50)):
             one = fourier_piecewise_linear(grid, values, xi[i:i + 1])
             assert abs(got[i] - one[0]) < 1e-12
+
+
+def test_filon_narrow_uniform_bracket_takes_chirp_z():
+    # 129 frequencies 2e-10 wide around 1: their steps are equal only to the
+    # rounding of the points, which still counts as uniform
+    grid = np.linspace(0.0, 10.0, 1001)
+    values = np.exp(-grid) * (1 + 0.5j)
+    xi = np.linspace(1.0 - 1e-10, 1.0 + 1e-10, 129)
+    assert _is_uniform(xi)
+    got = fourier_piecewise_linear(grid, values, xi)
+    for i in (0, 64, 128):
+        assert abs(got[i] - fourier_piecewise_linear(grid, values, xi[i:i + 1])[0]) < 1e-12
+
+
+def _convolution_operands():
+    h = 20.0 / 4096
+    t = np.arange(4097) * h
+    return np.sin(t), np.exp(-t), h
+
+
+def test_trapezoid_convolution_probe_sums_match_fft():
+    a, b, h = _convolution_operands()
+    nodes = np.array([[0, 1, 7], [2048, 4095, 4096]])
+    for x, y in ((a, b), (a * (1 - 0.5j), b), (a, b * 1j)):
+        full = trapezoid_convolution(x, y, h)
+        probes = trapezoid_convolution(x, y, h, at=nodes)
+        assert probes.shape == nodes.shape and probes.dtype == full.dtype
+        assert np.max(np.abs(probes - full[nodes])) < 1e-12
+
+
+def test_trapezoid_convolution_real_matches_complex():
+    a, b, h = _convolution_operands()
+    real = trapezoid_convolution(a, b, h)
+    cplx = trapezoid_convolution(a.astype(complex), b.astype(complex), h)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx)) <= 1e-15 * np.max(np.abs(cplx))
+    # int_0^t sin(t - s) e^-s ds = (sin t - cos t + e^-t) / 2
+    t = np.arange(a.size) * h
+    assert np.max(np.abs(real - (np.sin(t) - np.cos(t) + np.exp(-t)) / 2)) < 1e-5

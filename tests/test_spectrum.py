@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halfsum import spectrum
 from halfsum.config import DEFAULT
 from halfsum.errors import FlavorMismatch, InvalidArgument
 from halfsum.kernels import (Flavor, counterexample_additive,
@@ -66,6 +67,27 @@ def test_classify_locates_planted_zero():
         assert profile.verdict.kind == "zero_found"
         assert abs(profile.verdict.zero_at - alpha) < 1e-6
         assert profile.verdict.zero_modulus < 1e-9
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_refinement_batches_its_probes(sampled, monkeypatch):
+    kernel = counterexample_additive(1.0)
+    if sampled:
+        kernel = _sampled(kernel.body.form, 256)
+    # 60 ternary steps took 121 single-frequency calls; equally spaced
+    # sub-grids of 129 frequencies narrow the bracket as far in 6 calls
+    calls = []
+    monkeypatch.setattr(spectrum, "transform_grid",
+                        lambda k, xi: calls.append(np.size(xi)) or transform_grid(k, xi))
+    at, modulus = spectrum._refine_minimum(kernel, 0.9, 1.1, DEFAULT.refine_max_iter)
+    assert calls == [129] * 6
+    assert abs(modulus - abs(transform_grid(kernel, np.array([at]))[0])) < 1e-15
+    if not sampled:
+        assert abs(at - 1.0) < 0.2 * (2.0 / 3.0) ** DEFAULT.refine_max_iter
+        assert modulus < DEFAULT.zero_epsilon
+    calls.clear()
+    classify_wiener(kernel)
+    assert len(calls) <= 1 + 6 + DEFAULT.grid_pass_limit
 
 
 def test_classify_mixture_certifies_window():
