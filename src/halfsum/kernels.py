@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                      InvalidArgument, InvalidKernel, QuadratureFailed)
-from .exppoly import ExpPoly, Term
+from .exppoly import ExpPoly, Term, _real_if_exact
 from .quadrature import _is_uniform, integrate_adaptive, trapezoid_convolution
 
 
@@ -53,7 +53,9 @@ class Sampled:
     """Grid samples in additive coordinates plus a geometric tail model.
 
     ``grid`` is uniform in additive coordinates; the kernel beyond the grid is
-    modeled as ``tail_value * exp(-tail_rate * (u - grid[-1]))``.
+    modeled as ``tail_value * exp(-tail_rate * (u - grid[-1]))``.  Real
+    samples are float64 and a real tail value a float, so a real kernel's
+    values, convolutions and windows stay in real arithmetic.
     """
 
     grid: np.ndarray
@@ -156,9 +158,7 @@ def additive_values(kernel: Kernel, u: np.ndarray) -> np.ndarray:
     body = kernel.body
     if isinstance(body, ClosedForm):
         return body.form(u)
-    out = np.empty(u.shape, dtype=complex)
-    out.real = np.interp(u, body.grid, body.values.real, left=0.0, right=0.0)
-    out.imag = np.interp(u, body.grid, body.values.imag, left=0.0, right=0.0)
+    out = np.interp(u, body.grid, body.values, left=0.0, right=0.0)
     beyond = u > body.grid[-1]
     if beyond.any() and body.tail_rate > 0:
         out[beyond] = body.tail_value * np.exp(-body.tail_rate * (u[beyond] - body.grid[-1]))
@@ -245,10 +245,12 @@ def sampled_kernel(abscissae, values, flavor: Flavor,
     """Build a kernel from grid samples in native coordinates.
 
     Samples equally spaced in additive coordinates are kept as they are;
-    others are resampled onto max(512, 4n) equally spaced points.
+    others are resampled onto max(512, 4n) equally spaced points.  Real
+    samples stay real (float64), complex ones complex128.
     """
     t = np.asarray(abscissae, dtype=float)
-    v = np.array(values, dtype=complex)      # a copy: uniform samples are kept
+    v = np.asarray(values)
+    v = v.astype(np.result_type(v, float))    # a copy: uniform samples are kept
     if t.size < 4 or t.size != v.size:
         raise InvalidKernel("sampled kernel needs at least 4 matching samples")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
@@ -268,9 +270,7 @@ def sampled_kernel(abscissae, values, flavor: Flavor,
         grid, vals = np.linspace(u[0], u[-1], u.size), v
     else:
         grid = np.linspace(u[0], u[-1], max(512, 4 * u.size))
-        vals = np.empty(grid.size, dtype=complex)
-        vals.real = np.interp(grid, u, v.real)
-        vals.imag = np.interp(grid, u, v.imag)
+        vals = np.interp(grid, u, v)
     tail_value, tail_rate = _fit_tail(grid, vals)
     return Kernel(flavor, Sampled(grid, vals, tail_value, tail_rate))
 
@@ -282,12 +282,12 @@ def _fit_tail(grid: np.ndarray, values: np.ndarray):
     mag = np.abs(values[-n:])
     good = mag > 1e-300
     if good.sum() < 2:
-        return 0.0 + 0.0j, 0.0
+        return 0.0, 0.0
     slope, icept = np.polyfit(u[good], np.log(mag[good]), 1)
     if slope >= -1e-12:
         raise InvalidKernel("sampled kernel tail does not decay; cannot certify integrability")
     rate = -slope
-    return complex(values[-1]), float(rate)
+    return _real_if_exact(values[-1]), float(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
         raise DegenerateKernel(f"kernel mass {m!r} below mass_epsilon")
     if abs(m - 1.0) <= settings.tol_quad:
         return kernel
-    scale = 1.0 / m
+    scale = _real_if_exact(1.0 / m)
     # keys that start with "_" cache values of the unscaled kernel
     meta = {k: v for k, v in kernel.meta.items() if not k.startswith("_")}
     meta["normalization_scale"] = scale
@@ -339,7 +339,7 @@ def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
     try:
         tail_value, tail_rate = _fit_tail(grid, conv)
     except InvalidKernel:
-        tail_value, tail_rate = 0.0 + 0.0j, 0.0
+        tail_value, tail_rate = 0.0, 0.0
     return Kernel(k1.flavor, Sampled(grid, conv, tail_value, tail_rate))
 
 
@@ -444,8 +444,8 @@ def kernel_from_dict(raw: dict, settings: Settings = DEFAULT) -> Kernel:
         samples = np.asarray(body["samples"], dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ConfigError("samples must be rows of [t, re, im]")
-        return sampled_kernel(samples[:, 0], samples[:, 1] + 1j * samples[:, 2],
-                              flavor, settings)
+        values = samples[:, 1] + 1j * samples[:, 2] if samples[:, 2].any() else samples[:, 1]
+        return sampled_kernel(samples[:, 0], values, flavor, settings)
     raise ConfigError("kernel body needs either 'catalog' or 'samples'")
 
 

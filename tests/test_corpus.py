@@ -44,6 +44,18 @@ def test_corpus_map_lookup():
     assert ("alt", Flavor.ADDITIVE) not in m
 
 
+def test_bit_form_sequences_equal_their_arithmetic_forms():
+    # alt and blocks are written with bit operations; each must give the
+    # float64 values of its arithmetic form, bit for bit
+    n = np.arange(1, 2 ** 20 + 1)
+    m = corpus_map()
+    for label, old in (("alt", (-1.0) ** n), ("blocks", ((n - 1) % 4 < 2).astype(float))):
+        f = m[(label, Flavor.MULTIPLICATIVE)]
+        new = np.asarray(f.sequence(n), dtype=float)
+        assert new.tobytes() == old.tobytes(), label
+        assert f(n + 0.5).tobytes() == old.tobytes(), label
+
+
 def test_method_catalog_is_normalized():
     for label, method in method_catalog().items():
         assert abs(method.kernel.mass() - 1.0) < 1e-6, label

@@ -7,9 +7,9 @@ import pytest
 
 from halfsum.errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                             InvalidArgument, InvalidKernel)
-from halfsum.kernels import (ClosedForm, Flavor, convolve, counterexample_additive,
-                             counterexample_multiplicative, evaluate,
-                             exponential, finite_mixture, from_catalog,
+from halfsum.kernels import (ClosedForm, Flavor, additive_values, convolve,
+                             counterexample_additive, counterexample_multiplicative,
+                             evaluate, exponential, finite_mixture, from_catalog,
                              kernel_from_dict, normalize, parse_kernel_arg,
                              power, power_law, sampled_kernel, to_additive)
 
@@ -137,6 +137,25 @@ def test_sampled_kernel_fits_a_tail_to_four_samples():
     k = sampled_kernel([0.0, 1.0, 2.0, 3.0], [0.1, 1.0, 0.5, 0.25], Flavor.ADDITIVE)
     assert k.body.tail_value == 0.25
     assert abs(k.body.tail_rate - np.log(2.0)) < 1e-12
+
+
+def test_sampled_kernel_dtype_follows_its_samples():
+    # real samples stay real through normalization, convolution and powers,
+    # so their grids take the real FFT; complex samples stay complex
+    t = np.linspace(0.0, 40.0, 512)
+    k = normalize(sampled_kernel(t, 2.0 * np.exp(-t), Flavor.ADDITIVE))
+    assert k.body.values.dtype == np.float64 and isinstance(k.body.tail_value, float)
+    u = np.array([-1.0, 3.3, 45.0])
+    assert additive_values(k, u).dtype == np.float64
+    assert convolve(k, exponential(1.0)).body.values.dtype == np.float64
+    assert power(k, 2).body.values.dtype == np.float64
+    spec = {"flavor": "additive", "body": {"samples": [[x, np.exp(-x), 0.0] for x in t]}}
+    assert kernel_from_dict(spec).body.values.dtype == np.float64
+    z = sampled_kernel(t, (1.0 + 0.5j) * np.exp(-t), Flavor.ADDITIVE)
+    assert z.body.values.dtype == np.complex128
+    assert additive_values(z, u).dtype == np.complex128
+    resampled = sampled_kernel(t ** 1.5, np.exp(-t), Flavor.ADDITIVE)
+    assert resampled.body.values.dtype == np.float64
 
 
 def test_sampled_kernel_rejects_growth():

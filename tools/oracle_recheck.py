@@ -143,6 +143,13 @@ def main():
         closed = mp.sin(xm) - xm * mp.ci(xm)
         check(f"dual M*_1 on sin at {x}", closed, want, 2e-16 * abs(closed))
 
+    # --- dual M*_1 on sin(10 t): sin(10 x) - 10 x Ci(10 x) -----------------
+    # by t = s / 10 the integral is the one above at 10 x
+    for x, want in frozen("test_engine.py", "DUAL_M1_SIN10").items():
+        y = 10 * mp.mpf(x)
+        closed = mp.sin(y) - y * mp.ci(y)
+        check(f"dual M*_1 on sin(10t) at {x}", closed, want, 2e-16 * abs(closed))
+
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
         return 1
