@@ -106,7 +106,7 @@ def _result_payload(result) -> dict:
 @click.argument("kernel_spec")
 @click.pass_context
 def classify(ctx, kernel_spec):
-    """Zero-set verdict for a kernel's transform on the frequency window."""
+    """Zero-set verdict for a kernel's transform (whole line for closed forms)."""
     settings = ctx.obj["settings"]
     kernel = normalize(_parse_kernel(kernel_spec, settings), settings)
     try:
@@ -115,8 +115,6 @@ def classify(ctx, kernel_spec):
         _fail(str(exc))
     payload = profile.verdict.to_dict()
     payload["min_modulus"] = profile.min_modulus
-    if profile.analytic:
-        payload["analytic_family"] = profile.analytic
     _echo_json(payload)
     sys.exit(EXIT_OK if payload["kind"] != "inconclusive" else EXIT_INCONCLUSIVE)
 

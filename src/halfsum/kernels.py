@@ -358,22 +358,11 @@ def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
     return out
 
 
-_TRANSPORT_IDS = {"power_law": "exponential",
-                  "counterexample_multiplicative": "counterexample_additive"}
-
-
 def to_additive(kernel: Kernel) -> Kernel:
-    """Carry a multiplicative kernel onto [0, inf) via u = log t (mass preserved)."""
+    """Carry a multiplicative kernel onto [0, inf) via u = log t; only the flavor changes."""
     if kernel.flavor is not Flavor.MULTIPLICATIVE:
         raise FlavorMismatch("to_additive expects a multiplicative kernel")
-    body = kernel.body
-    if isinstance(body, ClosedForm):
-        cid = _TRANSPORT_IDS.get(body.catalog_id, f"transported_{body.catalog_id}")
-        params = dict(body.params)
-        if body.catalog_id == "power_law":
-            params = {"rate": params["r"]}
-        return Kernel(Flavor.ADDITIVE, ClosedForm(cid, params, body.form))
-    return Kernel(Flavor.ADDITIVE, body)
+    return Kernel(Flavor.ADDITIVE, kernel.body)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +377,19 @@ _CATALOG = {
 
 
 def from_catalog(name: str, args) -> Kernel:
-    if name not in _CATALOG:
+    """A catalog kernel from its parameters, in order or as a dict by name."""
+    if not isinstance(name, str) or name not in _CATALOG:
         raise ConfigError(f"unknown catalog kernel {name!r}; "
                           f"known: {sorted(_CATALOG)}")
     ctor, names = _CATALOG[name]
-    if len(args) != len(names):
-        raise ConfigError(f"catalog kernel {name} takes parameters {names}, got {tuple(args)}")
+    if isinstance(args, dict) and set(args) == set(names):
+        args = [args[p] for p in names]
+    if isinstance(args, dict) or len(args) != len(names):
+        raise ConfigError(f"catalog kernel {name} takes parameters {names}, got {args!r}")
+    try:
+        args = [float(a) for a in args]
+    except (TypeError, ValueError):
+        raise ConfigError(f"catalog kernel {name} needs numeric parameters, got {args!r}") from None
     return ctor(*args)
 
 
@@ -419,34 +415,53 @@ def kernel_from_dict(raw: dict, settings: Settings = DEFAULT) -> Kernel:
     except ValueError:
         raise ConfigError(f"unknown flavor {raw['flavor']!r}") from None
     body = raw["body"]
+    if not isinstance(body, dict):
+        raise ConfigError("kernel body must be an object")
+    if body.get("catalog") == "finite_mixture":
+        comps = _params(body).get("components", [])
+        if not isinstance(comps, list):
+            raise ConfigError("finite_mixture components must be a list")
+        return finite_mixture([_mixture_component(c) for c in comps], flavor)
     if "catalog" in body:
-        name = body["catalog"]
-        params = body.get("params", {})
-        if name == "finite_mixture":
-            comps = []
-            for comp in params.get("components", []):
-                coef = comp.get("coef", [1.0, 0.0])
-                inner = from_catalog(comp["catalog"], list(comp.get("params", {}).values()))
-                comps.append((complex(coef[0], coef[1]), inner))
-            return finite_mixture(comps, flavor)
-        if name not in _CATALOG:
-            raise ConfigError(f"unknown catalog kernel {name!r}")
-        ctor, names = _CATALOG[name]
-        try:
-            kern = ctor(*[params[p] for p in names])
-        except KeyError as exc:
-            raise ConfigError(f"catalog kernel {name} missing parameter {exc}") from None
+        kern = _catalog_entry(body)
         if kern.flavor is not flavor:
-            raise ConfigError(f"catalog kernel {name} has flavor {kern.flavor.value}, "
+            raise ConfigError(f"catalog kernel {body['catalog']} has flavor {kern.flavor.value}, "
                               f"spec says {flavor.value}")
         return kern
     if "samples" in body:
-        samples = np.asarray(body["samples"], dtype=float)
+        try:
+            samples = np.asarray(body["samples"], dtype=float)
+        except (TypeError, ValueError):
+            samples = np.empty(0)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ConfigError("samples must be rows of [t, re, im]")
         values = samples[:, 1] + 1j * samples[:, 2] if samples[:, 2].any() else samples[:, 1]
         return sampled_kernel(samples[:, 0], values, flavor, settings)
     raise ConfigError("kernel body needs either 'catalog' or 'samples'")
+
+
+def _params(entry: dict) -> dict:
+    params = entry.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"catalog parameters must be an object, got {params!r}")
+    return params
+
+
+def _catalog_entry(entry) -> Kernel:
+    """The kernel of ``{"catalog": name, "params": {name: value, ...}}``."""
+    if not isinstance(entry, dict) or "catalog" not in entry:
+        raise ConfigError(f"catalog entry needs a 'catalog' name, got {entry!r}")
+    return from_catalog(entry["catalog"], _params(entry))
+
+
+def _mixture_component(entry):
+    kern = _catalog_entry(entry)
+    coef = entry.get("coef", [1.0, 0.0])
+    try:
+        re, im = coef if isinstance(coef, list) else None
+        return complex(float(re), float(im)), kern
+    except (TypeError, ValueError):
+        raise ConfigError(f"mixture coefficient must be [re, im], got {coef!r}") from None
 
 
 def parse_kernel_arg(text: str, settings: Settings = DEFAULT) -> Kernel:

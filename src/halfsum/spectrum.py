@@ -5,13 +5,13 @@ extension; for a multiplicative kernel it is the character transform
 ``int_1^inf psi(t) t^{-ix} dt/t``, which equals the Fourier transform of the
 log-transported kernel.  A kernel whose transform never vanishes on the real
 line defines a method equivalent to the weakest (translation) method, so the
-classifier's job is to either certify a window free of zeros or to locate a
-zero.
+classifier's job is to either certify that the transform has no zero or to
+locate one.
 
-Certification is honest about its limits: analytic nonvanishing proofs exist
-only for the exponential / power-law families; everything else gets a window
-certificate from a Lipschitz bound (the kernel's first absolute moment), or
-``inconclusive`` when no bound is available.
+Every closed form of either flavor has a rational transform, and the roots of
+its numerator settle the question on the whole real line.  A sampled kernel
+gets a window certificate from a Lipschitz bound (its first absolute moment),
+or ``inconclusive`` when the grid cannot be made fine enough.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, TransformFailed, QuadratureFailed
 from .exppoly import ExpPoly
-from .kernels import ClosedForm, Flavor, Kernel, Sampled, to_additive
+from .kernels import Flavor, Kernel, Sampled, to_additive
 from .quadrature import fourier_piecewise_linear, integrate_adaptive
 
 
@@ -51,9 +52,7 @@ class SpectrumProfile:
     frequencies: np.ndarray
     values: np.ndarray
     min_modulus: float
-    lipschitz_bound: Optional[float]
     verdict: Verdict
-    analytic: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +128,50 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
 # ---------------------------------------------------------------------------
 # classification
 
-_ANALYTIC_NONVANISHING = {
-    # |rate/(rate + i xi)| = rate / sqrt(rate^2 + xi^2) > 0 everywhere
-    "exponential": lambda params, width: params["rate"] / np.hypot(params["rate"], width),
-    "power_law": lambda params, width: params["r"] / np.hypot(params["r"], width),
-}
-
-
 def _require_normalized(kernel: Kernel, settings: Settings):
     if abs(kernel.mass() - 1.0) > 100 * settings.tol_quad:
         raise InvalidArgument("classify_wiener expects a normalized kernel")
+
+
+def _rational_verdict(form: ExpPoly, settings: Settings) -> Verdict:
+    """Whole-line verdict from the roots of N, where the transform is N(z)/Q(z) in z = i*xi.
+
+    Q = prod (z - mu)^m has no root on the axis Re z = 0, so F vanishes on the
+    real line exactly at the roots of N there.  Smith's inclusion disks (J. ACM
+    17, 1970) widened by rounding hold the roots; each group of overlapping
+    disks holds as many roots as disks.  When every group misses the axis,
+    |a_n| prod(gap) / prod (W + |mu|)^m bounds |F| from below on |xi| <= W.
+    """
+    rounding = 64 * np.finfo(float).eps   # relative error allowed per coefficient of N
+    pole = {mu: 1 + max(t.power for t in form if t.rate == mu) for mu in {t.rate for t in form}}
+    deg = sum(pole.values())
+    num, size = np.zeros(deg, dtype=complex), np.zeros(deg)   # size bounds |num|
+    for t in form:
+        rest = [mu for mu, m in pole.items() for _ in range(m - (t.power + 1) * (mu == t.rate))]
+        w = t.coef * math.factorial(t.power)
+        num[:deg - t.power] += w * P.polyfromroots(rest)
+        size[:deg - t.power] += abs(w) * P.polyfromroots(-np.abs(rest))
+    # leading coefficients that cancel down to rounding are zero; N(0) = Q(0) != 0
+    num = num[:max(np.flatnonzero(np.abs(num) > rounding * size), default=0) + 1]
+    z = np.asarray(P.polyroots(num), dtype=complex)
+    apart = z[:, None] - z
+    radius = z.size * (np.abs(P.polyval(z, num)) + rounding * P.polyval(np.abs(z), size)) \
+        / np.abs(num[-1] * np.prod(apart + np.eye(z.size), axis=1))
+    touch, group = np.abs(apart) <= radius[:, None] + radius, np.arange(z.size)
+    for _ in range(z.size):
+        group = np.where(touch, group, z.size).min(axis=1)
+    reach = np.array([np.min(np.abs(z.real) - radius, where=group == g, initial=np.inf)
+                      for g in group])   # per root: its group's distance from the axis
+    if np.all(reach > 0):   # |Q(i xi)| <= qmax on the window
+        qmax = math.prod((settings.freq_window + abs(mu)) ** m for mu, m in pole.items())
+        return Verdict("nonvanishing_on_window", margin=float(abs(num[-1]) * np.prod(reach) / qmax))
+    # a group that meets the axis is a zero at its mean, if |F| is small there
+    at = np.array([z[group == g].mean().imag for g in np.unique(group[reach <= 0])])
+    modulus = np.abs(form.transform(at))
+    k = int(np.argmin(modulus))
+    if modulus[k] < settings.zero_epsilon:
+        return Verdict("zero_found", zero_at=float(at[k]), zero_modulus=float(modulus[k]))
+    return Verdict("inconclusive")
 
 
 # frequencies per refinement round: each round narrows the bracket 64-fold,
@@ -166,58 +199,47 @@ def _refine_minimum(kernel: Kernel, lo: float, hi: float, iters: int):
     return xi[k], mods[k]
 
 
-def classify_wiener(kernel: Kernel, settings: Settings = DEFAULT,
-                    n_points: int = 1001) -> SpectrumProfile:
-    """Zero-set verdict for the kernel transform on [-freq_window, freq_window]."""
-    _require_normalized(kernel, settings)
+def _window_verdict(kernel: Kernel, xi: np.ndarray, values: np.ndarray, settings: Settings):
+    """Verdict for a sampled kernel on the window, and the grid it ends on."""
     width = settings.freq_window
-    xi = np.linspace(-width, width, n_points)
-    values = transform_grid(kernel, xi)
-    mods = np.abs(values)
-    min_mod = float(mods.min())
+    i0 = int(np.argmin(np.abs(values)))
+    at, modulus = _refine_minimum(kernel, xi[max(0, i0 - 1)], xi[min(xi.size - 1, i0 + 1)],
+                                  settings.refine_max_iter)
+    if modulus < settings.zero_epsilon:
+        return xi, values, Verdict("zero_found", zero_at=float(at), zero_modulus=float(modulus))
     lip = kernel.first_moment()
-
-    body = kernel.body
-    if isinstance(body, ClosedForm) and body.catalog_id in _ANALYTIC_NONVANISHING:
-        margin = float(_ANALYTIC_NONVANISHING[body.catalog_id](body.params, width))
-        return SpectrumProfile(xi, values, min_mod, lip,
-                               Verdict("nonvanishing_on_window", margin=margin),
-                               analytic=body.catalog_id)
-
-    # try to pin down a zero near the grid minimum first
-    i0 = int(np.argmin(mods))
-    step = xi[1] - xi[0]
-    lo = xi[max(0, i0 - 1)]
-    hi = xi[min(n_points - 1, i0 + 1)]
-    zero_at, zero_mod = _refine_minimum(kernel, lo, hi, settings.refine_max_iter)
-    if zero_mod < settings.zero_epsilon:
-        return SpectrumProfile(xi, values, min_mod, lip,
-                               Verdict("zero_found", zero_at=float(zero_at),
-                                       zero_modulus=float(zero_mod)))
-
     if lip is None or lip <= 0:
         # no Lipschitz certificate possible; never claim nonvanishing
-        return SpectrumProfile(xi, values, min_mod, lip, Verdict("inconclusive"))
-
-    for _ in range(settings.grid_pass_limit):
-        margin = min_mod - lip * step / 2.0
+        return xi, values, Verdict("inconclusive")
+    for passes in range(settings.grid_pass_limit + 1):
+        min_mod = float(np.abs(values).min())
+        margin = min_mod - lip * (xi[1] - xi[0]) / 2.0
         if margin > 0:
-            return SpectrumProfile(xi, values, min_mod, lip,
-                                   Verdict("nonvanishing_on_window", margin=float(margin)))
-        wanted = min_mod / (2.0 * lip)
-        n_new = int(min(200_001, np.ceil(2 * width / max(wanted, 1e-9)) + 1))
-        if n_new <= xi.size:
-            break
+            return xi, values, Verdict("nonvanishing_on_window", margin=float(margin))
+        n_new = int(min(200_001, np.ceil(2 * width / max(min_mod / (2.0 * lip), 1e-9)) + 1))
+        if passes == settings.grid_pass_limit or n_new <= xi.size:
+            return xi, values, Verdict("inconclusive")
         xi = np.linspace(-width, width, n_new)
         values = transform_grid(kernel, xi)
-        mods = np.abs(values)
-        min_mod = float(mods.min())
-        step = xi[1] - xi[0]
-    margin = min_mod - lip * step / 2.0
-    if margin > 0:
-        return SpectrumProfile(xi, values, min_mod, lip,
-                               Verdict("nonvanishing_on_window", margin=float(margin)))
-    return SpectrumProfile(xi, values, min_mod, lip, Verdict("inconclusive"))
+
+
+def classify_wiener(kernel: Kernel, settings: Settings = DEFAULT,
+                    n_points: int = 1001) -> SpectrumProfile:
+    """Zero-set verdict for the kernel transform, and its values on [-freq_window, freq_window].
+
+    Closed forms of either flavor get a verdict on the whole real line.
+    """
+    if n_points < 2:
+        raise InvalidArgument(f"classify_wiener needs at least 2 frequencies, got {n_points}")
+    _require_normalized(kernel, settings)
+    xi = np.linspace(-settings.freq_window, settings.freq_window, n_points)
+    values = transform_grid(kernel, xi)
+    form = kernel.additive_form()
+    if form is not None:
+        verdict = _rational_verdict(form, settings)
+    else:
+        xi, values, verdict = _window_verdict(kernel, xi, values, settings)
+    return SpectrumProfile(xi, values, float(np.abs(values).min()), verdict)
 
 
 # ---------------------------------------------------------------------------

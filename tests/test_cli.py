@@ -24,7 +24,7 @@ def test_classify_nonvanishing(runner):
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["kind"] == "nonvanishing_on_window"
-    assert payload["analytic_family"] == "exponential"
+    assert 0 < payload["margin"] <= payload["min_modulus"]
 
 
 def test_classify_zero_found(runner):
@@ -40,6 +40,29 @@ def test_classify_bad_kernel_spec(runner):
     assert res.exit_code == 1
     res = runner.invoke(main, ["classify", "gibberish"])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("body", [
+    {"catalog": "finite_mixture", "params": {"components": [{"params": {"rate": 1}}]}},
+    {"catalog": "exponential", "params": {"rate": "x"}},
+    {"samples": [[0.0, 1.0, 0.0], [1.0, 0.5]]},
+    ["catalog", "samples"],
+])
+def test_classify_malformed_spec_file(runner, tmp_path, body):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"flavor": "additive", "body": body}))
+    res = runner.invoke(main, ["classify", f"file:{path}"])
+    assert res.exit_code == 1
+    assert "error:" in res.output
+    assert not isinstance(res.exception, (KeyError, IndexError, ValueError, TypeError))
+
+
+@pytest.mark.parametrize("spec", ["catalog:exponential(1)", "catalog:counterexample_additive(1)"])
+def test_spectrum_needs_two_points(runner, spec):
+    for points in ("0", "1"):
+        res = runner.invoke(main, ["spectrum", spec, "--points", points])
+        assert res.exit_code == 1
+        assert "error:" in res.output
 
 
 def test_spectrum_csv(runner, tmp_path):

@@ -108,8 +108,7 @@ def test_power_is_iterated_convolution():
 def test_to_additive_transport():
     k = to_additive(power_law(2.0))
     assert k.flavor is Flavor.ADDITIVE
-    assert k.body.catalog_id == "exponential"
-    assert abs(k.body.params["rate"] - 2.0) < 1e-15
+    assert k.body.catalog_id == "power_law" and k.body.params == {"r": 2.0}
     assert abs(k.mass() - 1.0) < 1e-12
     with pytest.raises(FlavorMismatch):
         to_additive(exponential(1.0))
@@ -223,6 +222,48 @@ def test_kernel_spec_errors(tmp_path):
     with pytest.raises(ConfigError):
         kernel_from_dict({"flavor": "multiplicative",
                           "body": {"catalog": "exponential", "params": {"rate": 1}}})
+
+
+@pytest.mark.parametrize("body", [
+    # a mixture component without a catalog name
+    {"catalog": "finite_mixture",
+     "params": {"components": [{"coef": [1.0, 0.0], "params": {"rate": 1.0}}]}},
+    # a one-number mixture coefficient
+    {"catalog": "finite_mixture",
+     "params": {"components": [{"catalog": "exponential", "coef": [1.0],
+                                "params": {"rate": 1.0}}]}},
+    # ragged sample rows
+    {"samples": [[0.0, 1.0, 0.0], [1.0, 0.5], [2.0, 0.2, 0.0], [3.0, 0.1, 0.0]]},
+    # a non-numeric parameter
+    {"catalog": "exponential", "params": {"rate": "x"}},
+    # a misnamed parameter, plain and in a mixture component
+    {"catalog": "exponential", "params": {"r": 1.0}},
+    {"catalog": "finite_mixture",
+     "params": {"components": [{"catalog": "exponential", "params": {"r": 1.0}}]}},
+    # a body that is not an object
+    "exponential",
+    ["catalog", "samples"],
+])
+def test_malformed_kernel_spec_is_a_config_error(body):
+    with pytest.raises(ConfigError):
+        kernel_from_dict({"flavor": "additive", "body": body})
+
+
+def test_mixture_spec_components_by_parameter_name():
+    # components name their parameters as plain catalog bodies do
+    comp = {"catalog": "counterexample_additive", "params": {"alpha": 2.0}}
+    spec = {"flavor": "additive", "body": {"catalog": "finite_mixture", "params": {
+        "components": [dict(comp, coef=[0.25, 0.0]),
+                       {"catalog": "exponential", "coef": [0.75, 0.0], "params": {"rate": 3.0}}]}}}
+    k = kernel_from_dict(spec)
+    want = finite_mixture([(0.25, counterexample_additive(2.0)), (0.75, exponential(3.0))],
+                          Flavor.ADDITIVE)
+    x = np.linspace(0.0, 10.0, 11)
+    assert np.max(np.abs(evaluate(k, x) - evaluate(want, x))) == 0.0
+    # the mixture's own record reads back to the same kernel
+    again = kernel_from_dict({"flavor": "additive", "body": {"catalog": "finite_mixture",
+                                                             "params": k.body.params}})
+    assert np.max(np.abs(evaluate(again, x) - evaluate(k, x))) == 0.0
 
 
 def test_moments():

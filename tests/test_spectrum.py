@@ -6,9 +6,10 @@ import pytest
 from halfsum import spectrum
 from halfsum.config import DEFAULT
 from halfsum.errors import FlavorMismatch, InvalidArgument
-from halfsum.kernels import (Flavor, counterexample_additive,
+from halfsum.kernels import (Flavor, convolve, counterexample_additive,
                              counterexample_multiplicative, exponential,
-                             finite_mixture, normalize, power_law, sampled_kernel)
+                             finite_mixture, normalize, power, power_law,
+                             sampled_kernel)
 from halfsum.spectrum import (classify_wiener, dual_transform_identity_check,
                               fourier_transform, mellin_transform,
                               transform_grid, transform_numeric)
@@ -55,8 +56,8 @@ def test_numeric_transform_multiplicative_cross_check():
 def test_classify_exponential_is_analytic():
     profile = classify_wiener(exponential(1.0))
     assert profile.verdict.kind == "nonvanishing_on_window"
-    assert profile.analytic == "exponential"
-    assert profile.verdict.margin > 0
+    # N = 1 and |Q| = |1 + i xi| <= 1 + W on the window |xi| <= W
+    assert abs(profile.verdict.margin - 1.0 / (1.0 + DEFAULT.freq_window)) < 1e-15
     # analytic margin is a true lower bound on the grid
     assert profile.min_modulus >= profile.verdict.margin - 1e-12
 
@@ -95,8 +96,58 @@ def test_classify_mixture_certifies_window():
                        Flavor.ADDITIVE)
     profile = classify_wiener(k)
     assert profile.verdict.kind == "nonvanishing_on_window"
-    assert profile.analytic is None
-    assert profile.verdict.margin > 0
+    assert 0 < profile.verdict.margin <= profile.min_modulus
+
+
+# Whole-line verdicts of closed forms, keyed by the expression that builds the
+# kernel: (kind, zero_at, tolerance on zero_at).  tools/oracle_recheck.py
+# rechecks each row from hand-written rational transforms at 50 digits.
+WIENER_VERDICTS = {
+    "exponential(1)": ("nonvanishing_on_window", None, None),
+    "power_law(2)": ("nonvanishing_on_window", None, None),
+    "power(power_law(1), 2)": ("nonvanishing_on_window", None, None),
+    "power(exponential(1), 3)": ("nonvanishing_on_window", None, None),
+    "convolve(exponential(1), exponential(2))": ("nonvanishing_on_window", None, None),
+    "mixture(exponential(1), exponential(3))": ("nonvanishing_on_window", None, None),
+    "counterexample_additive(0.5)": ("zero_found", 0.5, 1e-12),
+    "counterexample_additive(1)": ("zero_found", 1.0, 1e-12),
+    "counterexample_additive(3)": ("zero_found", 3.0, 1e-12),
+    "counterexample_multiplicative(2)": ("zero_found", 2.0, 1e-12),
+    "power(counterexample_additive(2), 2)": ("zero_found", 2.0, 1e-6),
+    "power(counterexample_additive(1), 3)": ("zero_found", 1.0, 1e-6),
+}
+
+KERNEL_NAMES = {
+    "exponential": exponential, "power_law": power_law, "power": power,
+    "convolve": convolve, "counterexample_additive": counterexample_additive,
+    "counterexample_multiplicative": counterexample_multiplicative,
+    # the equal-weight mixture of additive kernels
+    "mixture": lambda *ks: finite_mixture([(1.0 / len(ks), k) for k in ks], Flavor.ADDITIVE),
+}
+
+
+@pytest.mark.parametrize("expr", list(WIENER_VERDICTS))
+def test_closed_form_verdict_from_the_rational_transform(expr, monkeypatch):
+    kind, zero_at, tol = WIENER_VERDICTS[expr]
+    calls = []
+    monkeypatch.setattr(spectrum, "transform_grid",
+                        lambda k, xi: calls.append(np.size(xi)) or transform_grid(k, xi))
+    profile = classify_wiener(eval(expr, dict(KERNEL_NAMES)))
+    assert calls == [1001]      # the exported grid only: no refinement
+    assert profile.verdict.kind == kind
+    if zero_at is None:
+        assert 0 < profile.verdict.margin <= profile.min_modulus
+    else:
+        assert abs(profile.verdict.zero_at - zero_at) < tol
+        assert profile.verdict.zero_modulus < DEFAULT.zero_epsilon
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_classify_needs_two_frequencies(sampled):
+    kernel = _sampled(lambda u: np.exp(-u), 256) if sampled else exponential(1.0)
+    for n in (0, 1):
+        with pytest.raises(InvalidArgument):
+            classify_wiener(kernel, n_points=n)
 
 
 def test_classify_requires_normalized():

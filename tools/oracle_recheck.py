@@ -41,7 +41,93 @@ def frozen(test_file, name):
     raise KeyError(f"{name} not found in {test_file}")
 
 
+# --- rational transforms in z = i*xi, written out by hand ------------------
+# A transform is a pair (factors of N, Q) of coefficient lists, lowest degree
+# first, standing for N(z)/Q(z).  N is kept as a product of factors so that a
+# power's repeated root is found as a simple root of each factor:
+# mp.polyroots converges only linearly to a multiple root.
+
+def _mul(a, b):
+    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    while len(out) > 1 and out[-1] == 0:    # exact cancellation lowers the degree
+        out.pop()
+    return out
+
+
+def _expand(factors):
+    out = [mp.mpc(1)]
+    for f in factors:
+        out = _mul(out, f)
+    return out
+
+
+def _exponential(r):
+    # r e^{-r u}  ->  r / (r + z)
+    r = mp.mpf(r)
+    return [[r]], [r, 1]
+
+
+def _counterexample(alpha):
+    # C [1/(1+z) - (1/(1+i alpha)) / (1+z-i alpha)],  C = (1+alpha^2)/alpha^2
+    a = mp.mpf(alpha)
+    c, b = (1 + a**2) / a**2, 1 / (1 + 1j * a)
+    num = _add(_mul([c], [1 - 1j * a, 1]), _mul([-c * b], [1, 1]))
+    return [num], _mul([1, 1], [1 - 1j * a, 1])
+
+
+def _product(f, g):
+    return f[0] + g[0], _mul(f[1], g[1])
+
+
+def _power(f, k):
+    out = f
+    for _ in range(k - 1):
+        out = _product(out, f)
+    return out
+
+
+def _mixture(*fs):
+    # the equal-weight average over a common denominator
+    num, den = [mp.mpc(0)], [mp.mpc(1)]
+    for factors, q in fs:
+        num, den = _add(_mul(num, q), _mul(_expand(factors), den)), _mul(den, q)
+    return [[x / len(fs) for x in num]], den
+
+
+RATIONAL = {"exponential": _exponential, "power_law": _exponential,
+            "counterexample_additive": _counterexample,
+            "counterexample_multiplicative": _counterexample,
+            "power": _power, "convolve": _product, "mixture": _mixture}
+
+
+def check_wiener_verdicts():
+    """Kind and zero of every whole-line verdict frozen in tests/test_spectrum.py."""
+    for expr, (kind, zero_at, _) in frozen("test_spectrum.py", "WIENER_VERDICTS").items():
+        factors, den = eval(expr, dict(RATIONAL))
+        check(f"{expr} transform at 0", _expand(factors)[0] / den[0], 1, mp.mpf("1e-40"))
+        roots = [r for f in factors for r in mp.polyroots(f[::-1])]
+        on_axis = [r for r in roots if abs(mp.re(r)) < mp.mpf("1e-40")]
+        found = "zero_found" if on_axis else "nonvanishing_on_window"
+        print(f"[{'ok' if found == kind else 'FAIL'}] {expr}: {found}, "
+              f"{len(roots)} roots, {len(on_axis)} on the axis")
+        if found != kind:
+            FAILURES.append(f"{expr} kind")
+        for r in on_axis:
+            check(f"{expr} zero", mp.im(r), zero_at, mp.mpf("1e-40"))
+
+
 def main():
+    check_wiener_verdicts()
+
     # --- power-mean kernel transform: int_0^inf r e^{-ru} e^{-i x u} du ---
     for r in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2), mp.mpf(5)):
         for x in (mp.mpf("-7.3"), mp.mpf(0), mp.mpf("0.25"), mp.mpf(42)):
