@@ -67,6 +67,8 @@ def main(ctx, config_path, tol, max_ladder, output_fmt, jobs):
             if max_ladder < 1:
                 raise HalfsumError("--max-ladder must be at least 1")
             settings = settings.replace(ladder_max_steps=max_ladder)
+        if jobs < 1:
+            raise HalfsumError("--jobs must be at least 1")
     except HalfsumError as exc:
         _fail(str(exc))
     ctx.obj = {"settings": settings, "output": output_fmt, "jobs": jobs}

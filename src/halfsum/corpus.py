@@ -11,6 +11,7 @@ by a kernel whose transform vanishes at the test character's frequency.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -285,8 +286,9 @@ def run_matrix(cases: list[VerificationCase], settings: Settings = DEFAULT,
                jobs: int = 1) -> VerificationReport:
     """Evaluate every case and collect an append-only pass/fail report.
 
-    Cases are independent, so ``jobs > 1`` farms them out to worker processes;
-    each case counts its evaluations where it runs, and the report sums them.
+    Cases are independent, so ``jobs > 1`` farms them out to worker processes,
+    no more than there are cases or cores; each case counts its evaluations
+    where it runs, and the report sums them.
     """
     functions = corpus_map()
     methods = method_catalog()
@@ -300,9 +302,10 @@ def run_matrix(cases: list[VerificationCase], settings: Settings = DEFAULT,
                 raise ConfigError(f"case {case.case_id!r}: unknown method {m!r}")
 
     t_start = time.time()
-    if jobs > 1 and len(cases) > 1:
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_case, cases, [settings] * len(cases)))
     else:
         runs = [_run_case(case, settings) for case in cases]

@@ -54,7 +54,7 @@ from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly, _real_if_exact
 from .kernels import (Flavor, Kernel, additive_values, exponential, power,
                       power_law, to_additive)
-from .quadrature import (RunningIntegral, counter, integrate_adaptive,
+from .quadrature import (GAUSS_LEGENDRE_12, counter, integrate_adaptive,
                          trapezoid_convolution)
 
 
@@ -235,10 +235,10 @@ class _CellMoments:
 class _SmoothMoments:
     """Moment integrals int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t, j = 0..p, of a smooth f.
 
-    One fresh running integral in t per piece, from lo, evaluates f once per
-    node for all p+1 moments, on the running integral's default G10/K21
-    panels of length 12: the integrand is smooth, so each panel bisects only
-    where f oscillates faster than its 21 nodes resolve.
+    One panel integral in t per piece evaluates f once per node for all p+1
+    moments, on G10/K21 panels of length 12: the integrand is smooth, so
+    each panel bisects only where f oscillates faster than its 21 nodes
+    resolve.
     """
 
     def __init__(self, f: TestFunction, p: int, s: complex):
@@ -258,7 +258,7 @@ class _SmoothMoments:
         # tau^s dtau = 2^(-m(s+1)) t^s dt: the quadrature runs on the weight
         # t^s, with the per-length tolerance of an integral from t = 1, and
         # the constant factor is applied to its result
-        moments = RunningIntegral(g, lo, tol_density=1e-11).value_to(hi)
+        moments = integrate_adaptive(g, lo, hi, 1e-11 * (hi - lo), panel=12.0)
         return 2.0 ** (-m * (s + 1)) * moments
 
 
@@ -423,8 +423,9 @@ class _AddWindow:
             g = lambda s: f(x + s) * additive_values(kernel, s)
             upper = self.cut
         tol = self.settings.tol_quad * (1.0 + f.bound)
-        return integrate_adaptive(g, 0.0, upper, tol, order=12, breaks=self.breaks,
-                                  max_evals=self.settings.max_evals)
+        # Gauss-Legendre: G10/K21 bisects f(x - s)'s ulp(x) staircase at x >= 2^28
+        return integrate_adaptive(g, 0.0, upper, tol, rule=GAUSS_LEGENDRE_12,
+                                  breaks=self.breaks, max_evals=self.settings.max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +546,8 @@ def uniform_continuity_bound(kernel: Kernel, delta: float,
         raise InvalidArgument("continuity bound needs a closed-form kernel")
     cut = form.support_cutoff(0.01 * settings.tol_quad)
     shift = integrate_adaptive(lambda t: np.abs(form(t) - form(t + delta)),
-                               0.0, cut, settings.tol_quad, order=12)
-    head = integrate_adaptive(lambda t: np.abs(form(t)), 0.0, delta,
-                              settings.tol_quad, order=12)
+                               0.0, cut, settings.tol_quad)
+    head = integrate_adaptive(lambda t: np.abs(form(t)), 0.0, delta, settings.tol_quad)
     return float(shift.real + head.real)
 
 

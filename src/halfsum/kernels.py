@@ -101,8 +101,7 @@ class Kernel:
         if isinstance(self.body, ClosedForm):
             form = self.body.form
             cut = form.support_cutoff(1e-14)
-            val = integrate_adaptive(lambda u: (u ** k) * np.abs(form(u)),
-                                     0.0, cut, 1e-12, order=16)
+            val = integrate_adaptive(lambda u: (u ** k) * np.abs(form(u)), 0.0, cut, 1e-12)
             return float(val.real)
         b = self.body
         val = float(np.trapezoid(b.grid ** k * np.abs(b.values), b.grid))
@@ -234,10 +233,11 @@ def finite_mixture(components, flavor: Flavor) -> Kernel:
         if inner is None:
             raise InvalidKernel("finite_mixture components must be closed-form")
         form = form + inner.scaled(coef)
-        specs.append({"coef": [coef.real, coef.imag],
-                      "catalog": getattr(kern.body, "catalog_id", "?"),
-                      "params": dict(getattr(kern.body, "params", {}))})
-    return Kernel(flavor, ClosedForm("finite_mixture", {"components": specs}, form))
+        specs.append({"coef": [coef.real, coef.imag], "catalog": kern.body.catalog_id,
+                      "params": dict(kern.body.params)})
+    # the record must rebuild the kernel, which only catalog components can
+    params = {"components": specs} if all(_is_catalog(k) for _, k in components) else {}
+    return Kernel(flavor, ClosedForm("finite_mixture", params, form))
 
 
 def sampled_kernel(abscissae, values, flavor: Flavor,
@@ -305,7 +305,12 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
     meta["normalization_scale"] = scale
     body = kernel.body
     if isinstance(body, ClosedForm):
-        new = ClosedForm(body.catalog_id, dict(body.params), body.form.scaled(scale))
+        params = dict(body.params)
+        if "components" in params:   # a mixture's record scales with its form
+            comps = params["components"]
+            coefs = [complex(*c["coef"]) * scale for c in comps]
+            params["components"] = [dict(c, coef=[w.real, w.imag]) for c, w in zip(comps, coefs)]
+        new = ClosedForm(body.catalog_id, params, body.form.scaled(scale))
     else:
         new = Sampled(body.grid, body.values * scale, body.tail_value * scale,
                       body.tail_rate)
@@ -374,6 +379,13 @@ _CATALOG = {
     "counterexample_additive": (counterexample_additive, ("alpha",)),
     "counterexample_multiplicative": (counterexample_multiplicative, ("alpha",)),
 }
+
+
+def _is_catalog(kern: Kernel) -> bool:
+    """Whether ``kern`` is the kernel its catalog name and parameters build."""
+    body = kern.body
+    return (body.catalog_id in _CATALOG
+            and from_catalog(body.catalog_id, body.params).flavor is kern.flavor)
 
 
 def from_catalog(name: str, args) -> Kernel:

@@ -1,23 +1,17 @@
 """Vectorized panel quadrature for real or complex integrands.
 
-Four tools:
+Three tools:
 
-* :func:`integrate_adaptive` — panels under the 12- and 6-point Gauss-Legendre
-  pair, with pairwise bisection of panels whose embedded error estimate is
-  too large.  Handles integrands whose oscillation scale is unknown a priori
-  (the panels refine until the oscillation is resolved or the budget runs
-  out).  Optional breakpoints become panel edges, so each linear piece of a
-  sampled kernel fills whole panels.  It keeps Gauss-Legendre because its
-  integrands need not be smooth: in the additive window f(x - s) at
-  x >= 2^28 the argument rounds to ulp(x), so the integrand is a staircase
-  in s on which no rule's error estimate falls below tolerance, and a rule
-  built for long smooth panels only bisects for longer.
-* :class:`RunningIntegral` — cumulative integral along an increasing sequence
-  of endpoints, with checkpointing, for partial means evaluated along a
-  geometric ladder.  Its integrands are smooth moment weights, so it takes
-  the Gauss-Kronrod G10/K21 rule, whose nested 10-point error estimate
-  certifies 12-node accuracy on panels about 4x longer than the embedded
-  6-point Gauss-Legendre estimate does.  Its chunks of panels fit in L2.
+* :func:`integrate_adaptive` — the one adaptive loop: panels under an
+  embedded rule pair, each bisected until its error estimate meets its
+  share of the tolerance or the evaluation budget runs out.  Two rules:
+  Gauss-Kronrod G10/K21 by default, whose nested 10-point estimate
+  certifies 21-node accuracy on long smooth panels, and the 12/6-point
+  Gauss-Legendre pair for the additive window only: at x >= 2^28 its
+  f(x - s) rounds the argument to ulp(x), a staircase in s on which no
+  estimate meets tolerance, and G10/K21 bisects it for 6.6e7 evaluations
+  where the pair takes 8 508.  :class:`RunningIntegral` wraps the loop as
+  a cumulative integral along increasing endpoints.
 * :func:`fourier_piecewise_linear` — exact Fourier integral of a piecewise
   linear interpolant on a uniform grid (Filon-type), used for transforms of
   sampled kernels.  It takes a whole frequency array at once: equally spaced
@@ -35,7 +29,6 @@ convolved in real arithmetic, complex data in complex arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -52,16 +45,11 @@ class _PanelRule(NamedTuple):
     low: np.ndarray
 
 
-@functools.cache
-def _gauss_legendre_pair(order: int) -> _PanelRule:
-    """The ``order``- and ``order // 2``-point Gauss-Legendre rules on one node array.
-
-    Each weight vector is zero on the other rule's nodes.
-    """
-    xh, wh = np.polynomial.legendre.leggauss(order)
-    xl, wl = np.polynomial.legendre.leggauss(order // 2)
-    return _PanelRule(np.concatenate([xh, xl]), np.concatenate([wh, np.zeros(xl.size)]),
-                     np.concatenate([np.zeros(xh.size), wl]))
+def _gauss_legendre_12_6() -> _PanelRule:
+    """The 12- and 6-point Gauss-Legendre rules on one node array, each zero on the other's nodes."""
+    (xh, wh), (xl, wl) = (np.polynomial.legendre.leggauss(n) for n in (12, 6))
+    return _PanelRule(np.concatenate([xh, xl]), np.concatenate([wh, 0 * wl]),
+                     np.concatenate([0 * wh, wl]))
 
 
 # Gauss-Kronrod G10/K21 (QUADPACK qk21, Piessens et al. 1983): the Kronrod
@@ -93,6 +81,7 @@ def _gauss_kronrod_21() -> _PanelRule:
 
 
 _GK21 = _gauss_kronrod_21()
+GAUSS_LEGENDRE_12 = _gauss_legendre_12_6()
 
 
 class EvalCounter:
@@ -132,76 +121,98 @@ def _panel_values(f, lo, hi, rule: _PanelRule):
     return est, np.abs(est - est_low), est_abs
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float, *,
-                       order: int = 12, breaks: np.ndarray | None = None,
-                       max_evals: int | None = None) -> complex:
-    """Integrate real- or complex-valued ``f`` (vectorized) over [a, b].
+# panels per block of refinement; 4096 x 21 nodes (672 KiB a column) stay in
+# L2, where 50 000 panels took 49-50 ns per node on sin(t) t^-2 against
+# 38-43 ns (2-core Xeon)
+_CHUNK_PANELS = 4096
 
-    Panels take the ``order``- and ``order // 2``-point Gauss-Legendre pair,
-    starting from min(256, max(4, (b - a) / 2)) equal panels; the points of
-    ``breaks`` inside (a, b), where the integrand may have a kink, are added
-    as panel edges.  ``tol`` is an absolute tolerance on the whole interval.
-    Raises :class:`QuadratureFailed` with the worst subinterval when the
-    evaluation budget is exhausted before the error estimate drops below
-    ``tol``.
+
+def _edge_blocks(a, b, panel, breaks):
+    """Initial panel edges over [a, b], one block of at most ``_CHUNK_PANELS`` panels at a time.
+
+    Panels are ``panel`` long (the last block's shortened to fit), each
+    block built when it is reached, or else min(256, max(4, (b - a) / 2))
+    equal panels with the points of ``breaks`` inside (a, b) as more edges.
+    """
+    if panel is None:
+        edges = np.linspace(a, b, int(min(256, max(4, (b - a) / 2))) + 1)
+        if breaks is not None:
+            edges = np.union1d(edges, breaks[(breaks > a) & (breaks < b)])
+        for i in range(0, edges.size - 1, _CHUNK_PANELS):
+            yield edges[i:i + _CHUNK_PANELS + 1]
+        return
+    while a < b:
+        top = min(a + panel * _CHUNK_PANELS, b)
+        yield np.linspace(a, top, max(1, math.ceil((top - a) / panel)) + 1)
+        a = top
+
+
+def _panel_where(lo, hi, score) -> tuple[float, float]:
+    i = int(np.argmax(score.reshape(-1, lo.size).max(axis=0)))   # largest in any column
+    return float(lo[i]), float(hi[i])
+
+
+def integrate_adaptive(f, a: float, b: float, tol: float, *, rule: _PanelRule = _GK21,
+                       breaks: np.ndarray | None = None, panel: float | None = None,
+                       max_evals: int = 40_000_000):
+    """Integrate real- or complex-valued ``f`` (vectorized) over [a, b] to absolute ``tol``.
+
+    Panels start as :func:`_edge_blocks` lays them out (``breaks`` are
+    points where the integrand may have a kink) and are bisected under
+    ``rule`` one block at a time.  ``f`` may return one row of values per
+    column: every column is then integrated from the same nodes, a panel
+    is bisected when any column misses, and the result is an array.
+    Raises :class:`QuadratureFailed` naming a panel when a rejected panel's
+    values are not finite, or when ``max_evals`` evaluations are spent and
+    the error estimates left exceed ``tol``.
     """
     if b <= a:
         return 0.0 + 0.0j
-    rule = _gauss_legendre_pair(order)
     length = b - a
-    budget = max_evals if max_evals is not None else 40_000_000
-    edges = np.linspace(a, b, int(min(256, max(4, length / 2))) + 1)
-    if breaks is not None:
-        edges = np.union1d(edges, breaks[(breaks > a) & (breaks < b)])
-    lo, hi = edges[:-1], edges[1:]
-    total = 0.0 + 0.0j
-    err_done = 0.0
-    used = 0
-    while lo.size:
-        est, err, est_abs = _panel_values(f, lo, hi, rule)
-        used += lo.size * rule.nodes.size
-        # accept panels that meet their length-proportional error share, or
-        # whose mismatch is already at the relative rounding floor
-        share = tol * (hi - lo) / length
-        ok = err <= np.maximum(share, 1e-18) + 1e-14 * est_abs
-        total += est[ok].sum()
-        err_done += err[ok].sum()
-        lo, hi, est, err = lo[~ok], hi[~ok], est[~ok], err[~ok]
-        if not lo.size:
-            break
-        if used > budget:
-            if err_done + err.sum() <= tol:
-                total += est.sum()
-                return total
-            worst = int(np.argmax(err))
-            raise QuadratureFailed(
-                f"quadrature budget exhausted (err ~ {err.sum():.3e} > tol {tol:.3e})",
-                interval=(float(lo[worst]), float(hi[worst])))
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
+    total, err_done, used = 0.0 + 0.0j, 0.0, 0
+    for edges in _edge_blocks(a, b, panel, breaks):
+        lo, hi = edges[:-1], edges[1:]
+        while lo.size:
+            est, err, est_abs = _panel_values(f, lo, hi, rule)
+            used += lo.size * rule.nodes.size
+            # the relative term accepts a panel whose mismatch is rounding
+            # noise of its absolute integral, which for a large-magnitude
+            # integrand never falls to the absolute target; that slack is
+            # ~1e-11 of the absolute moment, which the evaluation prefactor
+            # suppresses far below tol_quad.  A NaN error is never accepted.
+            ok = err <= np.maximum(tol * (hi - lo) / length, 1e-18) + 1e-11 * est_abs
+            if ok.ndim > 1:
+                ok = ok.reshape(-1, lo.size).all(axis=0)
+            # compress keeps rows C-ordered, so each row sums pairwise
+            total += est.compress(ok, axis=-1).sum(axis=-1)
+            err_done += err.compress(ok, axis=-1).sum()
+            if ok.all():
+                break
+            miss = ~ok
+            lo, hi, err = lo[miss], hi[miss], err.compress(miss, axis=-1)
+            err_left = err.sum()
+            if not math.isfinite(err_left):
+                raise QuadratureFailed("integrand is not finite on a panel",
+                                       interval=_panel_where(lo, hi, ~np.isfinite(err)))
+            if used > max_evals:
+                if err_done + err_left > tol:
+                    raise QuadratureFailed(
+                        f"quadrature budget exhausted (err ~ {err_left:.3e} > tol {tol:.3e})",
+                        interval=_panel_where(lo, hi, err))
+                total += est.compress(miss, axis=-1).sum(axis=-1)
+                err_done += err_left
+                break
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     return total
-
-
-# panels per chunk of a running integral and bisection rounds per chunk before
-# it fails; 4096 x 21 nodes (672 KiB a column) stay in L2, where 50 000 panels
-# took 49-50 ns per node on sin(t) t^-2 against 38-43 ns (2-core Xeon)
-_CHUNK_PANELS = 4096
-_REFINE_ROUNDS = 24
 
 
 class RunningIntegral:
     """Cumulative integral of a vectorized integrand from a fixed origin.
 
-    ``value_to(x)`` integrates incrementally from the furthest point reached
-    so far, so evaluating along an increasing ladder costs the top segment
-    only once.  Each chunk starts from panels of the fixed length ``panel``
-    under the G10/K21 Gauss-Kronrod rule; panels whose error estimate misses
-    the per-length target are bisected, for at most 24 rounds per chunk,
-    after which :class:`QuadratureFailed` names the worst panel left.  An
-    integrand that returns several columns (rows of values, one per node)
-    integrates them all from one evaluation per node, and the total is then
-    the array of their integrals.
+    ``value_to(x)`` integrates only the stretch past the furthest point
+    reached so far, on panels of length ``panel``, to ``tol_density`` per
+    unit length.
     """
 
     def __init__(self, f, origin: float, tol_density: float = 1e-12, *,
@@ -210,48 +221,17 @@ class RunningIntegral:
         self.x = float(origin)
         self.total = 0.0 + 0.0j
         self.panel = panel
-        self.tol_density = tol_density   # absolute error target per unit length
+        self.tol_density = tol_density
 
     def value_to(self, x: float) -> complex:
         x = float(x)
         if x < self.x - 1e-12:
             raise QuadratureFailed("RunningIntegral endpoints must be nondecreasing")
-        while self.x < x - 1e-14:
-            step = min(self.panel * _CHUNK_PANELS, x - self.x)
-            self._advance_chunk(self.x + step)
+        if self.x < x - 1e-14:
+            self.total += integrate_adaptive(self.f, self.x, x, self.tol_density * (x - self.x),
+                                             panel=self.panel)
+            self.x = x
         return self.total
-
-    def _advance_chunk(self, upto: float):
-        lo_edge, hi_edge = self.x, upto
-        n = max(1, int(np.ceil((hi_edge - lo_edge) / self.panel)))
-        edges = np.linspace(lo_edge, hi_edge, n + 1)
-        lo, hi = edges[:-1], edges[1:]
-        chunk = 0.0 + 0.0j
-        for _ in range(_REFINE_ROUNDS):
-            est, err, est_abs = _panel_values(self.f, lo, hi, _GK21)
-            # the relative term accepts a panel whose K21 - G10 difference is
-            # rounding noise of its absolute integral, which for a
-            # large-magnitude integrand never falls to the absolute target;
-            # that slack is ~1e-11 of the absolute moment, which the
-            # evaluation prefactor suppresses far below tol_quad
-            bad = err > self.tol_density * np.maximum(hi - lo, 1e-30) + 1e-11 * est_abs
-            # a panel of a vector integrand is bisected when any column misses
-            bad = bad.reshape(-1, lo.size).any(axis=0)
-            # compress keeps rows C-ordered, so each row sums pairwise
-            chunk += est.compress(~bad, axis=-1).sum(axis=-1)
-            if not bad.any():
-                self.total += chunk
-                self.x = hi_edge
-                return
-            err = np.where(bad, err.reshape(-1, lo.size).max(axis=0), -1.0)
-            worst = int(np.argmax(err))
-            worst_panel, worst_err = (float(lo[worst]), float(hi[worst])), err[worst]
-            mid = 0.5 * (lo[bad] + hi[bad])
-            lo = np.concatenate([lo[bad], mid])
-            hi = np.concatenate([mid, hi[bad]])
-        raise QuadratureFailed(
-            f"running integral refinement stalled after {_REFINE_ROUNDS} rounds "
-            f"(panel error ~ {worst_err:.3e})", interval=worst_panel)
 
 
 # Filon weights use their Taylor series for |xi h| below _SERIES_W, where the

@@ -118,7 +118,7 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
             try:
                 out[i] = integrate_adaptive(
                     lambda u, x=x: form(u) * np.exp(-1j * x * u), 0.0, cut, tol,
-                    order=16, max_evals=settings.max_evals)
+                    max_evals=settings.max_evals)
             except QuadratureFailed as exc:
                 raise TransformFailed(f"transform quadrature failed at xi={x}: {exc}") from exc
         return out

@@ -189,6 +189,13 @@ def test_global_option_validation(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_positive(runner, jobs):
+    res = runner.invoke(main, ["--jobs", jobs, "verify"])
+    assert res.exit_code == 1
+    assert "error:" in res.output
+
+
 def test_config_file_overlay(runner, tmp_path):
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({"ladder_max_steps": 20}))

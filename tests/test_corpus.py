@@ -136,3 +136,33 @@ def test_run_matrix_counts_evaluations_in_workers():
     parallel = run_matrix(pair, DEFAULT, jobs=2)
     assert serial.evaluations > 0
     assert parallel.evaluations == serial.evaluations
+
+
+def test_run_matrix_starts_no_more_workers_than_cases_or_cores(monkeypatch):
+    # a pool that records its size and maps serially: no process is started
+    import concurrent.futures
+    import os
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cases = [VerificationCase(f"one_{i}", "one", Flavor.MULTIPLICATIVE, ("M",),
+                              "all_agree", 1.0) for i in range(3)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run_matrix(cases, DEFAULT, jobs=5000).passed
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_matrix(cases, DEFAULT, jobs=5000).passed
+    run_matrix(cases[:1], DEFAULT, jobs=5000)
+    assert sizes == [3, 2]

@@ -12,6 +12,7 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             k_estimator, method_Mr, method_holder, nested_apply,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument, QuadratureFailed
+from halfsum.exppoly import ExpPoly, Term
 from halfsum.kernels import (Flavor, additive_values, counterexample_additive,
                              counterexample_multiplicative, exponential,
                              normalize, power, power_law, sampled_kernel,
@@ -87,6 +88,40 @@ def test_domain_guards():
         apply_forward(exponential(1.0), SIN_ADD, -1.0)
     with pytest.raises(FlavorMismatch):
         apply_forward(exponential(1.0), ONE_MUL, 2.0)
+
+
+# the characters chi_omega and ladder points of the exact window references
+# (tools/oracle_recheck.py recomputes the references at 50 digits)
+CHARACTER_OMEGAS = (0.5, 1.0, 2.0)
+CHARACTER_XS = (4.0, 37.5, 1024.0, 2.0 ** 20, 2.0 ** 30)
+
+
+def character_reference(form: ExpPoly, omega: float, u: float, variant: Variant) -> complex:
+    """The exact window of a closed-form kernel phi on chi_omega at u.
+
+    Forward: e^{i omega u} int_0^u phi(s) e^{-i omega s} ds; dual:
+    e^{i omega u} int_0^inf phi(s) e^{i omega s} ds.  phi(s) e^{-+i omega s}
+    is phi's ExpPoly with every rate shifted by -+i omega.
+    """
+    sign = -1 if variant is Variant.FORWARD else 1
+    shifted = ExpPoly([Term(t.coef, t.power, t.rate + sign * 1j * omega) for t in form])
+    inner = shifted.integral(0.0, u) if variant is Variant.FORWARD else shifted.mass()
+    return np.exp(1j * omega * u) * inner
+
+
+@pytest.mark.parametrize("name", sorted(method_catalog()))
+def test_character_windows_match_the_exact_formula(name):
+    # both window paths: additive methods in x, multiplicative ones in
+    # u = log x, where chi_omega(t) = t^{i omega} is e^{i omega u}
+    method = method_catalog()[name]
+    kernel = iterated_kernel(method)
+    for omega in CHARACTER_OMEGAS:
+        f = corpus_map()[(f"char_{omega:g}", kernel.flavor)]
+        window = engine._make_evaluator(kernel, f, method.variant, DEFAULT)
+        for x in CHARACTER_XS:
+            u = x if kernel.flavor is Flavor.ADDITIVE else np.log(x)
+            want = character_reference(kernel.additive_form(), omega, u, method.variant)
+            assert abs(window(x) - want) <= DEFAULT.tol_quad * (1 + f.bound), (omega, x)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,22 @@ def test_mixture_spec_components_by_parameter_name():
     assert np.max(np.abs(evaluate(again, x) - evaluate(k, x))) == 0.0
 
 
+def test_mixture_record_rebuilds_its_kernel():
+    # normalizing scales the recorded coefficients with the form
+    mix = normalize(finite_mixture([(2, exponential(1.0)), (2, exponential(2.0))],
+                                   Flavor.ADDITIVE))
+    again = kernel_from_dict({"flavor": "additive", "body": {"catalog": "finite_mixture",
+                                                             "params": mix.body.params}})
+    assert abs(again.mass() - 1.0) < 1e-12
+    x = np.linspace(0.0, 10.0, 11)
+    assert np.max(np.abs(evaluate(again, x) - evaluate(mix, x))) <= 1e-16
+    # a component no catalog entry builds (a product, a transported power
+    # law) leaves no record rather than a wrong one
+    for comp in (power(exponential(1.0), 2), to_additive(power_law(2.0))):
+        mixed = finite_mixture([(0.5, comp), (0.5, exponential(2.0))], Flavor.ADDITIVE)
+        assert mixed.body.params == {}
+
+
 def test_moments():
     k = exponential(1.0)
     assert abs(k.l1_norm() - 1.0) < 1e-9

@@ -65,16 +65,32 @@ def test_running_integral_integrates_columns_from_one_evaluation():
     assert abs(both[1] - ((np.exp(rate * 30.0) - 1) / rate).imag) < 1e-12
 
 
-def test_running_integral_fails_where_refinement_stalls():
-    # a jump at pi/3 defeats every panel rule; the stall must surface as a
-    # failure that names the panel holding the jump, not as a silent estimate
-    # (two Gauss-Legendre rules with no node in (0, 0.047) of the unit panel
-    # agree exactly there and return 1.0 after 18 evaluations)
-    ri = RunningIntegral(lambda t: (t > np.pi / 3).astype(float), 0.0, tol_density=1e-12)
-    with pytest.raises(QuadratureFailed) as err:
-        ri.value_to(2.0)
-    lo, hi = err.value.interval
-    assert lo <= np.pi / 3 <= hi
+def test_jump_is_bisected_to_rounding_width():
+    # the panel holding a jump at pi/3 is bisected until its nodes round onto
+    # its edges, where both rules see one value and agree, so the jump is
+    # integrated exactly; no round cap stops it first (the 12/6-point
+    # Gauss-Legendre pair, with no node within 0.047 of a panel's edge,
+    # accepted a panel with the jump there and returned 0.953125)
+    step = lambda t: (t > np.pi / 3).astype(float)
+    start = counter.count
+    assert abs(integrate_adaptive(step, 0.0, 2.0, 1e-12) - (2 - np.pi / 3)) < 1e-12
+    assert counter.count - start < 5000
+    ri = RunningIntegral(step, 0.0, tol_density=1e-12)
+    assert abs(ri.value_to(2.0) - (2 - np.pi / 3)) < 1e-12
+
+
+def test_non_finite_integrand_fails_at_once():
+    # a NaN panel is never accepted, and the first round that rejects one
+    # names it instead of bisecting it until the budget runs out
+    holed = lambda t: np.where(t < 1.5, 1.0, np.nan)
+    for run in (lambda: integrate_adaptive(holed, 0.0, 2.0, 1e-12),
+                lambda: RunningIntegral(holed, 0.0).value_to(2.0)):
+        start = counter.count
+        with pytest.raises(QuadratureFailed) as err:
+            run()
+        assert counter.count - start <= 200
+        lo, hi = err.value.interval
+        assert lo < 2.0 and hi > 1.5
 
 
 def test_running_integral_of_smooth_decaying_oscillation():

@@ -19,7 +19,8 @@ import mpmath as mp
 mp.mp.dps = 50
 
 FAILURES = []
-TESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS = os.path.join(ROOT, "tests")
 
 
 def check(name, got, want, tol):
@@ -125,8 +126,49 @@ def check_wiener_verdicts():
             check(f"{expr} zero", mp.im(r), zero_at, mp.mpf("1e-40"))
 
 
+# --- every closed-form catalog method in additive coordinates, by hand ------
+# terms (c, p, lam) of phi(s) = sum c s^p e^{-lam s}; the multiplicative
+# methods (M, H, P) act in u = log x
+_C1 = 2    # (1 + alpha^2) / alpha^2 of the planted-zero kernel at alpha = 1
+METHOD_KERNELS = {
+    "M": [(1, 0, 1)], "M_1/2": [(0.5, 0, 0.5)], "M_2": [(2, 0, 2)],
+    "H_1": [(1, 0, 1)], "H_2": [(1, 1, 1)], "H_3": [(0.5, 2, 1)],
+    "M*_1/2": [(0.5, 0, 0.5)], "M*_1": [(1, 0, 1)], "M*_2": [(2, 0, 2)], "P": [(1, 0, 1)],
+    "S_exp1": [(1, 0, 1)], "S_exp2": [(2, 0, 2)], "S*_exp1": [(1, 0, 1)], "K": [(1, 0, 1)],
+    "S_ce1": [(_C1, 0, 1), (-_C1 / mp.mpc(1, 1), 0, mp.mpc(1, -1))],
+}
+
+
+def check_character_references():
+    """The exact character windows of tests/test_engine.py at 50 digits.
+
+    Forward: e^{i w u} int_0^u phi(s) e^{-i w s} ds, whose terms are lower
+    incomplete gamma functions; dual: e^{i w u} int_0^inf phi(s) e^{i w s} ds.
+    """
+    sys.path[:0] = [os.path.join(ROOT, "src"), TESTS]
+    import numpy as np
+    import test_engine as te
+    from halfsum.corpus import method_catalog
+    from halfsum.engine import Variant, iterated_kernel
+    from halfsum.kernels import Flavor
+    for name, method in sorted(method_catalog().items()):
+        kernel = iterated_kernel(method)
+        dual = method.variant is Variant.DUAL
+        for omega in te.CHARACTER_OMEGAS:
+            z = mp.mpc(0, -omega if dual else omega)
+            for x in te.CHARACTER_XS:
+                u = x if kernel.flavor is Flavor.ADDITIVE else float(np.log(x))
+                got = te.character_reference(kernel.additive_form(), omega, u, method.variant)
+                um = mp.mpf(u)
+                inner = sum(c * (mp.gamma(p + 1) if dual else mp.gammainc(p + 1, 0, (lam + z) * um))
+                            / (lam + z) ** (p + 1) for c, p, lam in METHOD_KERNELS[name])
+                want = mp.expj(omega * um) * inner
+                check(f"{name} on char_{omega:g} at {x:g}", got, want, mp.mpf("1e-13"))
+
+
 def main():
     check_wiener_verdicts()
+    check_character_references()
 
     # --- power-mean kernel transform: int_0^inf r e^{-ru} e^{-i x u} du ---
     for r in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2), mp.mpf(5)):
