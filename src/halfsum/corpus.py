@@ -30,6 +30,16 @@ from .quadrature import counter
 # ---------------------------------------------------------------------------
 # function catalog
 
+# noise(t) bounds: the argument's rounding (half an ulp of t) times |f'|, plus
+# the evaluation's own rounding, which for a value of modulus <= 1 stays under
+# one ulp of 1 (tools/oracle_recheck.py checks them against 50-digit values)
+_ULP_1 = np.spacing(1.0)
+
+
+def _ulp(t):
+    return np.spacing(np.abs(t)) + _ULP_1
+
+
 def _const(c: complex, flavor: Flavor, label: str) -> TestFunction:
     return TestFunction(label=label,
                         evaluator=lambda x, _c=c: np.full(np.shape(x), _c),
@@ -43,6 +53,7 @@ def _char_additive(alpha: float) -> TestFunction:
                         evaluator=lambda x, a=alpha: np.exp(1j * a * x),
                         bound=1.0, support_flavor=Flavor.ADDITIVE,
                         osc_scale="linear",
+                        noise=lambda t, a=alpha: 2 * a * np.spacing(np.abs(t)) + _ULP_1,
                         known_values=(("K", None, "no generalized limit; pure character"),))
 
 
@@ -67,17 +78,19 @@ def builtin_corpus() -> list[TestFunction]:
                      classical_limit=0.3, osc_scale="log",
                      known_values=(("*", 0.3, "classical limit"),)),
         TestFunction("sin", lambda x: np.sin(x), 1.0, add, osc_scale="linear",
-                     known_values=(("S_exp1", None, "oscillating: (sin x - cos x)/2 + e^-x/2"),)),
+                     known_values=(("S_exp1", None, "oscillating: (sin x - cos x)/2 + e^-x/2"),),
+                     noise=_ulp),
         TestFunction("sin", lambda x: np.sin(x), 1.0, mul, osc_scale="linear",
                      known_values=(("M", 0.0, "(cos 1 - cos x)/x -> 0"),
                                    ("M_2", 0.0, "(2/x^2)(sin t - t cos t) -> 0"),
                                    ("H_2", 0.0, "second mean of an O(1/x) mean"),
                                    ("M*_1", 0.0, "x * int_x^inf sin(t)/t^2 dt -> 0"),)),
-        TestFunction("cos", lambda x: np.cos(x), 1.0, add, osc_scale="linear"),
+        TestFunction("cos", lambda x: np.cos(x), 1.0, add, osc_scale="linear", noise=_ulp),
         TestFunction("cos", lambda x: np.cos(x), 1.0, mul, osc_scale="linear",
                      known_values=(("M", 0.0, "(sin x - sin 1)/x -> 0"),)),
         TestFunction("sin_sq", lambda x: np.sin(x ** 2), 1.0, add, osc_scale="linear",
-                     known_values=(("S_exp1", 0.0, "Fresnel-tail decay"),)),
+                     known_values=(("S_exp1", 0.0, "Fresnel-tail decay"),),
+                     noise=lambda t: 3 * np.abs(t) * np.spacing(np.abs(t))),
     ]
     for alpha in (0.5, 1.0, 2.0):
         out.append(_char_additive(alpha))

@@ -12,7 +12,9 @@ Every additive operator, and every multiplicative one that runs at log x
 is one evaluator for both variants, ``_AddWindow``: one adaptive quadrature
 of the window per point, with the kernel read through ``additive_values``,
 so closed forms and sampled kernels differ only in their cut and in the
-panel edges a sampled grid adds.
+panel edges a sampled grid adds.  A function that declares its rounding
+noise gets a quadrature target floored at that noise, so windows far out,
+where f(x - s) rounds its argument to ulp(x), stop bisecting the rounding.
 
 Closed forms on sequences and on functions that oscillate in t stay in t,
 in one evaluator for both variants, ``_MultClosed``.  It cuts the window at
@@ -54,8 +56,7 @@ from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly, _real_if_exact
 from .kernels import (Flavor, Kernel, additive_values, exponential, power,
                       power_law, to_additive)
-from .quadrature import (GAUSS_LEGENDRE_12, counter, integrate_adaptive,
-                         trapezoid_convolution)
+from .quadrature import counter, integrate_adaptive, trapezoid_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,13 @@ class TestFunction:
     (the abscissa itself) or ``log``.  A closed-form multiplicative operator
     integrates in that coordinate.
     ``sequence`` is set for step embeddings and unlocks exact cell sums.
+    ``noise(t)``, when set, bounds the absolute error of the double-precision
+    value at an argument near t, from the argument's rounding and from the
+    evaluation itself, and does not decrease in |t|.  The additive window
+    floors its quadrature target there (``_AddWindow``); a function without
+    it has no floor, and at x >~ 2^28, where f(x - s) rounds its argument
+    to ulp(x), its windows may spend up to the ``max_evals`` budget (6e7)
+    per point bisecting that rounding.
     Calling it returns the evaluator's values as float64 when they are real
     and as complex128 when they are complex.
     """
@@ -94,6 +102,7 @@ class TestFunction:
     known_values: tuple = ()
     osc_scale: str = "linear"
     sequence: Optional[Callable] = None
+    noise: Optional[Callable] = None
 
     def __call__(self, x):
         vals = np.asarray(self.evaluator(np.asarray(x, dtype=float)))
@@ -391,6 +400,15 @@ class _AddWindow:
     or a sampled kernel's geometric tail model past its last sample.  phi is
     ``additive_values``, so a sampled kernel is its linear interpolant, and
     its grid nodes are panel edges: each panel sees one linear piece.
+
+    A function with ``noise`` floors the quadrature target at its noise n
+    at the window's far end times ||phi||_1: past x ~ 2^26 f(x -+ s) rounds
+    its argument to ulp(x), and no error estimate on that staircase falls
+    much below n.  When the floor passes the target, a closed form's window
+    is split where n times phi's absolute tail falls to half the target.
+    The head runs on panels of at most 21 (tol / n)^2, (n / tol)^2 nodes per
+    unit of s, so its K21 sums average the rounding down to about the
+    target; the tail's rounding is below half the target outright.
     """
 
     def __init__(self, kernel: Kernel, f: TestFunction, variant: Variant,
@@ -400,7 +418,7 @@ class _AddWindow:
         self.forward = variant is Variant.FORWARD
         self.settings = settings
         eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
-        form = kernel.additive_form()
+        self.form = form = kernel.additive_form()
         if form is not None:
             self.cut = form.support_cutoff(eps)
             self.breaks = None
@@ -419,13 +437,26 @@ class _AddWindow:
         if self.forward:
             g = lambda s: f(x - s) * additive_values(kernel, s)
             upper = min(x, self.cut)
+            far = x
         else:
             g = lambda s: f(x + s) * additive_values(kernel, s)
             upper = self.cut
+            far = x + upper
         tol = self.settings.tol_quad * (1.0 + f.bound)
-        # Gauss-Legendre: G10/K21 bisects f(x - s)'s ulp(x) staircase at x >= 2^28
-        return integrate_adaptive(g, 0.0, upper, tol, rule=GAUSS_LEGENDRE_12,
-                                  breaks=self.breaks, max_evals=self.settings.max_evals)
+        noise = 0.0 if f.noise is None else float(f.noise(far))
+        target = max(tol, noise * kernel.l1_norm()) if noise else tol
+        if target == tol or self.form is None:
+            return integrate_adaptive(g, 0.0, upper, target, breaks=self.breaks,
+                                      max_evals=self.settings.max_evals)
+        head = min(upper, self.form.support_cutoff(0.5 * tol / noise))
+        share = target * head / upper
+        value = integrate_adaptive(g, 0.0, head, share,
+                                   panel=min(head / 4, 21.0 * (tol / noise) ** 2),
+                                   max_evals=self.settings.max_evals)
+        if head < upper:
+            value += integrate_adaptive(g, head, upper, target - share,
+                                        max_evals=self.settings.max_evals)
+        return value
 
 
 # ---------------------------------------------------------------------------

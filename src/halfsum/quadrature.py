@@ -2,16 +2,13 @@
 
 Three tools:
 
-* :func:`integrate_adaptive` — the one adaptive loop: panels under an
-  embedded rule pair, each bisected until its error estimate meets its
-  share of the tolerance or the evaluation budget runs out.  Two rules:
-  Gauss-Kronrod G10/K21 by default, whose nested 10-point estimate
-  certifies 21-node accuracy on long smooth panels, and the 12/6-point
-  Gauss-Legendre pair for the additive window only: at x >= 2^28 its
-  f(x - s) rounds the argument to ulp(x), a staircase in s on which no
-  estimate meets tolerance, and G10/K21 bisects it for 6.6e7 evaluations
-  where the pair takes 8 508.  :class:`RunningIntegral` wraps the loop as
-  a cumulative integral along increasing endpoints.
+* :func:`integrate_adaptive` — the one adaptive loop: Gauss-Kronrod
+  G10/K21 panels, whose nested 10-point estimate certifies 21-node accuracy
+  on long smooth panels, each bisected until its error estimate meets its
+  share of the tolerance or the evaluation budget runs out.  Rejected
+  panels are bisected in blocks of at most ``_CHUNK_PANELS``, so memory
+  stays flat however far a refinement goes.  :class:`RunningIntegral`
+  wraps the loop as a cumulative integral along increasing endpoints.
 * :func:`fourier_piecewise_linear` — exact Fourier integral of a piecewise
   linear interpolant on a uniform grid (Filon-type), used for transforms of
   sampled kernels.  It takes a whole frequency array at once: equally spaced
@@ -30,27 +27,11 @@ convolved in real arithmetic, complex data in complex arithmetic.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import QuadratureFailed
-
-class _PanelRule(NamedTuple):
-    """Nodes on [-1, 1] with a high-order and an embedded low-order weight vector."""
-
-    nodes: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-
-
-def _gauss_legendre_12_6() -> _PanelRule:
-    """The 12- and 6-point Gauss-Legendre rules on one node array, each zero on the other's nodes."""
-    (xh, wh), (xl, wl) = (np.polynomial.legendre.leggauss(n) for n in (12, 6))
-    return _PanelRule(np.concatenate([xh, xl]), np.concatenate([wh, 0 * wl]),
-                     np.concatenate([0 * wh, wl]))
-
 
 # Gauss-Kronrod G10/K21 (QUADPACK qk21, Piessens et al. 1983): the Kronrod
 # nodes from the right end to the centre with their weights, and the weights
@@ -72,16 +53,15 @@ _G10_WEIGHTS = (0.066671344308688137593568809893332, 0.1494513491505805931457763
                 0.295524224714752870173892994651338)
 
 
-def _gauss_kronrod_21() -> _PanelRule:
+def _gauss_kronrod_21():
+    """The 21 nodes on [-1, 1], their K21 weights, and the G10 weights (zero off its nodes)."""
     x, wk, wg = (np.array(c) for c in (_K21_NODES, _K21_WEIGHTS, _G10_WEIGHTS))
-    low = np.zeros(21)
-    low[1::2] = np.concatenate([wg, wg[::-1]])
-    return _PanelRule(np.concatenate([-x[:-1], x[::-1]]),
-                     np.concatenate([wk[:-1], wk[::-1]]), low)
+    g10 = np.zeros(21)
+    g10[1::2] = np.concatenate([wg, wg[::-1]])
+    return np.concatenate([-x[:-1], x[::-1]]), np.concatenate([wk[:-1], wk[::-1]]), g10
 
 
-_GK21 = _gauss_kronrod_21()
-GAUSS_LEGENDRE_12 = _gauss_legendre_12_6()
+_GK21_NODES, _K21, _G10 = _gauss_kronrod_21()
 
 
 class EvalCounter:
@@ -100,24 +80,24 @@ class EvalCounter:
 counter = EvalCounter()
 
 
-def _panel_values(f, lo, hi, rule: _PanelRule):
-    """High-order estimate, its error estimate and the absolute integral per panel.
+def _panel_values(f, lo, hi):
+    """G10/K21 estimate, its error estimate and the absolute integral per panel.
 
-    The error estimate is the difference between the rule's two weight
-    vectors applied to the same node values.  ``f`` returns one value per
-    node, or one row per column with one value per node (a leading column
-    axis); the three results then carry the same leading axis, with the
-    panels on the last one.
+    The error estimate is the difference between the K21 and the embedded
+    G10 weights applied to the same node values.  ``f`` returns one value
+    per node, or one row per column with one value per node (a leading
+    column axis); the three results then carry the same leading axis, with
+    the panels on the last one.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * rule.nodes[None, :]
+    pts = mid[:, None] + half[:, None] * _GK21_NODES[None, :]
     vals = np.asarray(f(pts.ravel()))
     counter.add(pts.size)
     vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    est = half * (vals @ rule.high)
-    est_low = half * (vals @ rule.low)
-    est_abs = half * (np.abs(vals) @ rule.high)
+    est = half * (vals @ _K21)
+    est_low = half * (vals @ _G10)
+    est_abs = half * (np.abs(vals) @ _K21)
     return est, np.abs(est - est_low), est_abs
 
 
@@ -152,58 +132,78 @@ def _panel_where(lo, hi, score) -> tuple[float, float]:
     return float(lo[i]), float(hi[i])
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float, *, rule: _PanelRule = _GK21,
+def integrate_adaptive(f, a: float, b: float, tol: float, *,
                        breaks: np.ndarray | None = None, panel: float | None = None,
                        max_evals: int = 40_000_000):
     """Integrate real- or complex-valued ``f`` (vectorized) over [a, b] to absolute ``tol``.
 
     Panels start as :func:`_edge_blocks` lays them out (``breaks`` are
-    points where the integrand may have a kink) and are bisected under
-    ``rule`` one block at a time.  ``f`` may return one row of values per
-    column: every column is then integrated from the same nodes, a panel
-    is bisected when any column misses, and the result is an array.
-    Raises :class:`QuadratureFailed` naming a panel when a rejected panel's
-    values are not finite, or when ``max_evals`` evaluations are spent and
-    the error estimates left exceed ``tol``.
+    points where the integrand may have a kink).  A panel is accepted when
+    its G10/K21 error estimate meets its share of ``tol``, which depends on
+    the panel alone, and is bisected otherwise; rejected panels wait in
+    blocks of at most ``_CHUNK_PANELS / 2`` and are refined depth first, so
+    no evaluation sees more than ``_CHUNK_PANELS`` panels.  ``f`` may return
+    one row of values per column: every column is then integrated from the
+    same nodes, a panel is bisected when any column misses, and the result
+    is an array.  No block is evaluated that would take the evaluations
+    past ``max_evals``; there the panels left are accepted if their error
+    estimates fit in ``tol``.  Raises :class:`QuadratureFailed` naming a
+    panel when a rejected panel's values are not finite, and naming the
+    block it stopped at when the budget leaves more error, or a stretch of
+    [a, b] not yet evaluated.
     """
     if b <= a:
         return 0.0 + 0.0j
     length = b - a
     total, err_done, used = 0.0 + 0.0j, 0.0, 0
-    for edges in _edge_blocks(a, b, panel, breaks):
-        lo, hi = edges[:-1], edges[1:]
-        while lo.size:
-            est, err, est_abs = _panel_values(f, lo, hi, rule)
-            used += lo.size * rule.nodes.size
-            # the relative term accepts a panel whose mismatch is rounding
-            # noise of its absolute integral, which for a large-magnitude
-            # integrand never falls to the absolute target; that slack is
-            # ~1e-11 of the absolute moment, which the evaluation prefactor
-            # suppresses far below tol_quad.  A NaN error is never accepted.
-            ok = err <= np.maximum(tol * (hi - lo) / length, 1e-18) + 1e-11 * est_abs
-            if ok.ndim > 1:
-                ok = ok.reshape(-1, lo.size).all(axis=0)
-            # compress keeps rows C-ordered, so each row sums pairwise
-            total += est.compress(ok, axis=-1).sum(axis=-1)
-            err_done += err.compress(ok, axis=-1).sum()
-            if ok.all():
-                break
-            miss = ~ok
-            lo, hi, err = lo[miss], hi[miss], err.compress(miss, axis=-1)
-            err_left = err.sum()
-            if not math.isfinite(err_left):
-                raise QuadratureFailed("integrand is not finite on a panel",
-                                       interval=_panel_where(lo, hi, ~np.isfinite(err)))
-            if used > max_evals:
-                if err_done + err_left > tol:
-                    raise QuadratureFailed(
-                        f"quadrature budget exhausted (err ~ {err_left:.3e} > tol {tol:.3e})",
-                        interval=_panel_where(lo, hi, err))
-                total += est.compress(miss, axis=-1).sum(axis=-1)
-                err_done += err_left
-                break
+    fresh = _edge_blocks(a, b, panel, breaks)
+    edges = next(fresh, None)
+    # rejected panels awaiting bisection: (lo, hi, estimate, error estimate)
+    pending: list[tuple] = []
+    while pending or edges is not None:
+        if pending:
+            lo, hi = pending[-1][:2]
             mid = 0.5 * (lo + hi)
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        else:
+            lo, hi = edges[:-1], edges[1:]
+        if used + lo.size * _GK21_NODES.size > max_evals:
+            # what is left is accepted only when all of [a, b] was evaluated
+            # and the error estimates left fit in tol
+            err_left = math.inf if edges is not None else sum(p[3].sum() for p in pending)
+            if err_done + err_left > tol:
+                raise QuadratureFailed(
+                    f"quadrature budget exhausted (err ~ {err_left:.3e} > tol {tol:.3e})",
+                    interval=(float(lo[0]), float(hi[-1])))
+            return total + sum(p[2].sum(axis=-1) for p in pending)
+        if pending:
+            pending.pop()
+        else:
+            edges = next(fresh, None)
+        est, err, est_abs = _panel_values(f, lo, hi)
+        used += lo.size * _GK21_NODES.size
+        # the relative term accepts a panel whose mismatch is rounding
+        # noise of its absolute integral, which for a large-magnitude
+        # integrand never falls to the absolute target; that slack is
+        # ~1e-11 of the absolute moment, which the evaluation prefactor
+        # suppresses far below tol_quad.  A NaN error is never accepted.
+        ok = err <= np.maximum(tol * (hi - lo) / length, 1e-18) + 1e-11 * est_abs
+        if ok.ndim > 1:
+            ok = ok.reshape(-1, lo.size).all(axis=0)
+        # compress keeps rows C-ordered, so each row sums pairwise
+        total += est.compress(ok, axis=-1).sum(axis=-1)
+        err_done += err.compress(ok, axis=-1).sum()
+        if ok.all():
+            continue
+        miss = ~ok
+        lo, hi = lo[miss], hi[miss]
+        est, err = est.compress(miss, axis=-1), err.compress(miss, axis=-1)
+        if not np.isfinite(err).all():
+            raise QuadratureFailed("integrand is not finite on a panel",
+                                   interval=_panel_where(lo, hi, ~np.isfinite(err)))
+        step = _CHUNK_PANELS // 2
+        pending += [(lo[i:i + step], hi[i:i + step], est[..., i:i + step], err[..., i:i + step])
+                    for i in range(0, lo.size, step)]
     return total
 
 

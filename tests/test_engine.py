@@ -1,9 +1,10 @@
 """Operator evaluation and the limit estimator."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from halfsum import engine, quadrature
+from halfsum import corpus, engine, quadrature
 from halfsum.config import DEFAULT
 from halfsum.corpus import corpus_map, method_catalog
 from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
@@ -106,7 +107,10 @@ def character_reference(form: ExpPoly, omega: float, u: float, variant: Variant)
     sign = -1 if variant is Variant.FORWARD else 1
     shifted = ExpPoly([Term(t.coef, t.power, t.rate + sign * 1j * omega) for t in form])
     inner = shifted.integral(0.0, u) if variant is Variant.FORWARD else shifted.mass()
-    return np.exp(1j * omega * u) * inner
+    # the phase from the exact product omega * u: rounded to a double, the
+    # phase errs by up to ulp(omega u) / 2, 2.4e-7 at omega = 3.7, u = 1.5 * 2^29
+    with mp.workdps(40):
+        return complex(mp.expj(mp.mpf(omega) * mp.mpf(u))) * inner
 
 
 @pytest.mark.parametrize("name", sorted(method_catalog()))
@@ -122,6 +126,60 @@ def test_character_windows_match_the_exact_formula(name):
             u = x if kernel.flavor is Flavor.ADDITIVE else np.log(x)
             want = character_reference(kernel.additive_form(), omega, u, method.variant)
             assert abs(window(x) - want) <= DEFAULT.tol_quad * (1 + f.bound), (omega, x)
+
+
+# off that grid: a frequency whose products omega * t are not exact, and
+# points whose ulp is not a power-of-two multiple of the grid's, all but the
+# first past x ~ 2^26, where the window's noise floor sets in
+# (tools/oracle_recheck.py recomputes these references at 50 digits too)
+OFFGRID_OMEGAS = (0.5, 1.0, 2.0, 3.7)
+OFFGRID_XS = (2.0 ** 24 + 0.3, 2.0 ** 27, 1.5 * 2.0 ** 29, 2.0 ** 30)
+OFFGRID_METHODS = ("S_exp1", "S*_exp1", "S_ce1")
+
+
+@pytest.mark.parametrize("name", OFFGRID_METHODS)
+def test_noise_floored_windows_stay_accurate_off_the_grid(name):
+    # the floor lifts the quadrature target to noise * ||phi||_1, up to
+    # 2.2e-6 here; the averaging head must still bring each value within the
+    # per-point target, and at bounded cost
+    method = method_catalog()[name]
+    kernel = method.kernel
+    kernel.l1_norm()
+    for omega in OFFGRID_OMEGAS:
+        f = corpus._char_additive(omega)
+        window = engine._make_evaluator(kernel, f, method.variant, DEFAULT)
+        for x in OFFGRID_XS:
+            start = counter.count
+            got = window(x)
+            assert counter.count - start <= 1e5, (omega, x)
+            want = character_reference(kernel.additive_form(), omega, x, method.variant)
+            assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), (omega, x)
+
+
+def test_character_ladder_past_the_noise_floor_stays_cheap():
+    # f(x - s) rounds its argument to ulp(x); without the floor G10/K21
+    # bisects that staircase for 6.6e7 evaluations on this ladder.  Every
+    # value stays within the per-point target
+    f = corpus_map()[("char_1", Flavor.ADDITIVE)]
+    method = method_catalog()["K"]
+    res = estimate_limit(method, f, DEFAULT)
+    assert res.trace[-1][0] == 2.0 ** 30
+    assert res.evaluations <= 1e5
+    for x, got in res.trace:
+        want = character_reference(method.kernel.additive_form(), 1.0, x, method.variant)
+        assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), x
+
+
+@pytest.mark.parametrize("label", ["S_exp2", "S*_exp1"])
+def test_sin_sq_converges_past_its_rounding_noise(label):
+    # sin(t^2) is accurate only to about t^2 eps, so past x ~ 2^14 no panel's
+    # error estimate meets an unfloored target and a point spends the 6e7
+    # budget.  The limit is 0 (S_exp1's known value, and both kernels'
+    # transforms have no real zero)
+    f = corpus_map()[("sin_sq", Flavor.ADDITIVE)]
+    res = estimate_limit(method_catalog()[label], f, DEFAULT)
+    assert res.status is Status.CONVERGED
+    assert abs(res.estimate) <= res.tolerance_used
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +530,24 @@ def test_sampled_dual_matches_closed_form():
     k = _sampled_exp()
     for x in (3.0, 10.0, 100.0):
         assert abs(apply_dual(k, SIN_ADD, x) - apply_dual(exponential(1.0), SIN_ADD, x)) < 1e-6, x
+
+
+def test_sampled_window_past_the_noise_floor_stays_cheap():
+    # past the window's cut the value is e^{ix} C for a constant C, so the
+    # point x = 2^20, below the floor, gives every other value.  Without the
+    # floor, panels one grid cell long bisect the ulp(x) staircase for
+    # 5e5-5e6 evaluations per point at x = 2^28-2^30
+    f = corpus_map()[("char_1", Flavor.ADDITIVE)]
+    kernel = _sampled_exp()
+    kernel.l1_norm()
+    for variant in Variant:
+        window = engine._make_evaluator(kernel, f, variant, DEFAULT)
+        c = window(2.0 ** 20) * np.exp(-1j * 2.0 ** 20)
+        for x in (2.0 ** 28, 2.0 ** 29, 2.0 ** 30):
+            start = counter.count
+            got = window(x)
+            assert counter.count - start <= 5e4, (variant, x)
+            assert abs(got - np.exp(1j * x) * c) <= DEFAULT.tol_quad * (1 + f.bound), (variant, x)
 
 
 @pytest.mark.parametrize("label, limit", [("sin", 0.0), ("blocks", 0.5)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halfsum import quadrature
 from halfsum.errors import QuadratureFailed
 from halfsum.quadrature import (RunningIntegral, _is_uniform, counter,
                                 fourier_piecewise_linear, integrate_adaptive,
@@ -35,6 +36,28 @@ def test_budget_exhaustion_reports_interval():
         integrate_adaptive(lambda x: np.sin(1e6 * x), 0.0, 1.0,
                            1e-14, max_evals=2000)
     assert err.value.interval is not None
+
+
+def test_budget_bounds_every_refinement_block(monkeypatch):
+    # no panel resolves sin(1e9 x): rejected panels are bisected in blocks of
+    # at most _CHUNK_PANELS, and no block starts that would pass the budget,
+    # so neither memory nor evaluations grow past them
+    sizes = []
+    panel_values = quadrature._panel_values
+
+    def record(f, lo, hi):
+        sizes.append(lo.size)
+        return panel_values(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_values", record)
+    budget = 1_000_000
+    start = counter.count
+    with pytest.raises(QuadratureFailed) as err:
+        integrate_adaptive(lambda x: np.sin(1e9 * x), 0.0, 1.0, 1e-10, max_evals=budget)
+    assert counter.count - start <= budget
+    assert max(sizes) == quadrature._CHUNK_PANELS
+    lo, hi = err.value.interval
+    assert 0.0 <= lo < hi <= 1.0
 
 
 def test_running_integral_matches_batch():

@@ -2,7 +2,9 @@
 """High-precision recheck of the closed-form values frozen into the tests.
 
 Every derived constant the test suite relies on is recomputed here with
-mpmath at 50 significant digits, independently of the library code.  Run it
+mpmath at 50 significant digits, independently of the library code, and
+every rounding-noise bound the corpus declares is checked against 50-digit
+values of its function.  Run it
 once after any change to the kernel algebra:
 
     python3 tools/oracle_recheck.py
@@ -144,19 +146,24 @@ def check_character_references():
 
     Forward: e^{i w u} int_0^u phi(s) e^{-i w s} ds, whose terms are lower
     incomplete gamma functions; dual: e^{i w u} int_0^inf phi(s) e^{i w s} ds.
+    Both grids: every catalog method on CHARACTER_OMEGAS x CHARACTER_XS, and
+    OFFGRID_METHODS on OFFGRID_OMEGAS x OFFGRID_XS.
     """
-    sys.path[:0] = [os.path.join(ROOT, "src"), TESTS]
     import numpy as np
     import test_engine as te
     from halfsum.corpus import method_catalog
     from halfsum.engine import Variant, iterated_kernel
     from halfsum.kernels import Flavor
-    for name, method in sorted(method_catalog().items()):
+    catalog = method_catalog()
+    grids = ([(name, te.CHARACTER_OMEGAS, te.CHARACTER_XS) for name in sorted(catalog)]
+             + [(name, te.OFFGRID_OMEGAS, te.OFFGRID_XS) for name in te.OFFGRID_METHODS])
+    for name, omegas, xs in grids:
+        method = catalog[name]
         kernel = iterated_kernel(method)
         dual = method.variant is Variant.DUAL
-        for omega in te.CHARACTER_OMEGAS:
+        for omega in omegas:
             z = mp.mpc(0, -omega if dual else omega)
-            for x in te.CHARACTER_XS:
+            for x in xs:
                 u = x if kernel.flavor is Flavor.ADDITIVE else float(np.log(x))
                 got = te.character_reference(kernel.additive_form(), omega, u, method.variant)
                 um = mp.mpf(u)
@@ -166,9 +173,51 @@ def check_character_references():
                 check(f"{name} on char_{omega:g} at {x:g}", got, want, mp.mpf("1e-13"))
 
 
+# --- the rounding-noise bounds of the corpus --------------------------------
+# the exact function of every corpus entry that declares noise(t), by label
+NOISE_REFERENCES = {"sin": mp.sin, "cos": mp.cos, "sin_sq": lambda t: mp.sin(t ** 2),
+                    "char_0.5": lambda t: mp.expj(0.5 * t), "char_1": mp.expj,
+                    "char_2": lambda t: mp.expj(2 * t)}
+
+
+def check_noise_bounds():
+    """Every corpus ``noise(t)`` bounds the double-precision error of f at t.
+
+    The window evaluates f at t = fl(x -+ s); the reference is f at the
+    exact x -+ s of the two doubles, at 50 digits.  The points are evaluated
+    as one array, the way the window evaluates its nodes.
+    """
+    import numpy as np
+    from halfsum.corpus import builtin_corpus
+    xs = np.array([4.0, 37.5, 1024.0, 2.0 ** 20 + 0.3, 2.0 ** 24 + 0.3, 2.0 ** 27,
+                   2.0 ** 28, 1.5 * 2.0 ** 29, 2.0 ** 30])
+    ss = np.concatenate([[0.0, 0.1, 1 / 3, 2.5, 3.9, 7.77, 12.345, 25.0],
+                         np.random.default_rng(7).uniform(0.0, 25.0, 24)])
+    pairs = [(x, sign * s) for x in xs for s in ss for sign in (-1, 1)]
+    ts = np.array([x + d for x, d in pairs])
+    for f in builtin_corpus():
+        if f.noise is None:
+            continue
+        name = f"noise bound of {f.label} ({f.support_flavor.value})"
+        ref = NOISE_REFERENCES.get(f.label)
+        if ref is None:
+            print(f"[FAIL] {name}: no 50-digit reference")
+            FAILURES.append(name)
+            continue
+        got, bound = f(ts), f.noise(ts)
+        ratio = max(abs(mp.mpc(complex(v)) - ref(mp.mpf(x) + mp.mpf(d))) / b
+                    for v, b, (x, d) in zip(got, bound, pairs))
+        ok = ratio <= 1
+        print(f"[{'ok' if ok else 'FAIL'}] {name}: worst error / bound = {mp.nstr(ratio, 3)}")
+        if not ok:
+            FAILURES.append(name)
+
+
 def main():
+    sys.path[:0] = [os.path.join(ROOT, "src"), TESTS]
     check_wiener_verdicts()
     check_character_references()
+    check_noise_bounds()
 
     # --- power-mean kernel transform: int_0^inf r e^{-ru} e^{-i x u} du ---
     for r in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2), mp.mpf(5)):
