@@ -29,10 +29,12 @@ kernel rate returns all the moments of that rate at once: exact cell sums
 for embedded sequences, which stop at the last term of a finite sequence,
 and otherwise panel quadrature that evaluates the function once per node.
 
-A method iterated k times is the method of the kernel's k-th convolution
-power (``iterated_kernel``): closed forms stay ``ExpPoly`` products, sampled
-kernels are convolved on a grid, and the power then runs through the same
-evaluators as any other kernel.
+Composition is convolution, U_psi(U_phi f) = U_(phi * psi) f.  A method
+iterated k times is the method of the kernel's k-th convolution power
+(``iterated_kernel``), and a chain of additive methods (``chain_apply``,
+``nested_apply``) the method of its kernels' convolution: closed forms stay
+``ExpPoly`` products, sampled kernels are convolved on a grid, and the
+product then runs through the same evaluators as any other kernel.
 
 Limit estimation is heuristic plateau detection on a geometric ladder of
 evaluation points.  The four statuses are honest: ``converged`` and
@@ -44,6 +46,7 @@ stable spread across two doubling windows, and everything else is
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,9 +57,9 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly, _real_if_exact
-from .kernels import (Flavor, Kernel, additive_values, exponential, power,
-                      power_law, to_additive)
-from .quadrature import counter, integrate_adaptive, trapezoid_convolution
+from .kernels import (Flavor, Kernel, additive_values, convolve, exponential,
+                      power, power_law, to_additive)
+from .quadrature import counter, integrate_adaptive
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +253,11 @@ class _SmoothMoments:
     resolve.
     """
 
-    def __init__(self, f: TestFunction, p: int, s: complex):
+    def __init__(self, f: TestFunction, p: int, s: complex, max_evals: int):
         self.f = f
         self.p = p
         self.s = s
+        self.max_evals = max_evals
 
     def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
         f, p, s = self.f, self.p, self.s
@@ -267,23 +271,25 @@ class _SmoothMoments:
         # tau^s dtau = 2^(-m(s+1)) t^s dt: the quadrature runs on the weight
         # t^s, with the per-length tolerance of an integral from t = 1, and
         # the constant factor is applied to its result
-        moments = integrate_adaptive(g, lo, hi, 1e-11 * (hi - lo), panel=12.0)
+        moments = integrate_adaptive(g, lo, hi, 1e-11 * (hi - lo), panel=12.0,
+                                     max_evals=self.max_evals)
         return 2.0 ** (-m * (s + 1)) * moments
 
 
-def _moment_backends(form: ExpPoly, f: TestFunction, sign: int) -> dict:
+def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, max_evals: int) -> dict:
     """One moment backend per distinct rate mu of ``form``, with s = -sign * mu - 1.
 
     The backend of rate mu returns the moments for j = 0..p of a piece of a
     dyadic segment at once, p the highest power carried at that rate: exact
-    cell sums for embedded sequences, panel quadrature otherwise.
+    cell sums for embedded sequences, panel quadrature otherwise, each
+    quadrature call held to ``max_evals``.
     """
     top: dict[complex, int] = {}
     for t in form:
         top[t.rate] = max(top.get(t.rate, 0), t.power)
-    backend, source = ((_CellMoments, f.sequence) if f.sequence is not None
-                       else (_SmoothMoments, f))
-    return {mu: backend(source, p, _real_if_exact(-sign * mu - 1.0)) for mu, p in top.items()}
+    backend = (functools.partial(_CellMoments, f.sequence) if f.sequence is not None
+               else functools.partial(_SmoothMoments, f, max_evals=max_evals))
+    return {mu: backend(p, _real_if_exact(-sign * mu - 1.0)) for mu, p in top.items()}
 
 
 def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> complex:
@@ -341,7 +347,7 @@ class _MultClosed:
         self.f = f
         self.settings = settings
         self.sign = 1 if variant is Variant.FORWARD else -1
-        self.backends = _moment_backends(form, f, self.sign)
+        self.backends = _moment_backends(form, f, self.sign, settings.max_evals)
         self.table: dict[int, dict] = {}
 
     def _piece(self, x: float, lo: float, hi: float, m: int) -> complex:
@@ -506,16 +512,13 @@ def apply_dual(kernel: Kernel, f: TestFunction, x: float,
 def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
                 xs: Sequence[float], settings: Settings = DEFAULT,
                 grid_points: int = 2 ** 20) -> np.ndarray:
-    """Successive windowed convolutions evaluated at additive probe points.
+    """Successive windowed convolutions U_kn(... U_k1 f) at additive probe points.
 
-    One dense uniform grid on [0, max(xs)] and discrete trapezoid
-    convolutions replace nested adaptive quadrature.  Every kernel but the
-    last is convolved over the whole grid by one FFT, since the next one
-    needs its values at every node; the last is summed only at the two nodes
-    around each probe, and a probe between nodes takes the linear
-    interpolant of the two.  A probe sum costs O(grid_points): about 1.1 ms
-    on 2^20 real points, against about 200 ms for one real FFT convolution.
-    Sampled kernels enter with their geometric tail past the last sample.
+    Composition is convolution: U_psi(U_phi f) = U_(phi * psi) f, so the
+    chain is the forward operator of its kernels' convolution (exact for
+    closed forms, on ``settings``' grid for a sampled operand), evaluated at
+    each probe by the one additive window.  ``grid_points`` is accepted and
+    ignored; it stays only for callers that still pass it.
     Returns complex128 values, one per probe.
     """
     kernels = list(kernels)
@@ -524,30 +527,18 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
         raise InvalidArgument("chain_apply needs at least one kernel")
     if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
         raise InvalidArgument("chain_apply needs probe points that are finite and positive")
-    if grid_points < 1:
-        raise InvalidArgument("chain_apply needs grid_points >= 1")
     for k in kernels:
         if k.flavor is not Flavor.ADDITIVE:
             raise FlavorMismatch("chain_apply works in additive coordinates")
-    _check_domain(kernels[0], f)
-    grid = np.linspace(0.0, float(xs.max()), grid_points + 1)
-    h = grid[1] - grid[0]
-    values = f(grid)
-    counter.add(grid.size)
-    for k in kernels[:-1]:
-        values = trapezoid_convolution(values, additive_values(k, grid), h)
-    pos = xs / h
-    lo = np.clip(np.floor(pos).astype(int), 0, grid_points - 1)
-    frac = pos - lo
-    near = trapezoid_convolution(values, additive_values(kernels[-1], grid), h,
-                                 at=np.stack([lo, lo + 1]))
-    return ((1.0 - frac) * near[0] + frac * near[1]).astype(complex)
+    kernel = functools.reduce(lambda a, b: convolve(a, b, settings), kernels)
+    window = _make_evaluator(kernel, f, Variant.FORWARD, settings)
+    return np.array([window(float(x)) for x in xs], dtype=complex)
 
 
 def nested_apply(outer: Kernel, inner: Kernel, f: TestFunction,
                  xs: Sequence[float], settings: Settings = DEFAULT,
                  grid_points: int = 2 ** 20) -> np.ndarray:
-    """U_outer(U_inner f) at the given additive probe points."""
+    """U_outer(U_inner f) at additive probe points: ``chain_apply`` (``grid_points`` ignored)."""
     return chain_apply([inner, outer], f, xs, settings, grid_points)
 
 
@@ -561,8 +552,7 @@ def transport_function(f: TestFunction) -> TestFunction:
 
     return TestFunction(label=f.label + "@log", evaluator=evaluator, bound=f.bound,
                         support_flavor=Flavor.ADDITIVE,
-                        classical_limit=f.classical_limit,
-                        osc_scale="linear" if f.osc_scale == "log" else f.osc_scale)
+                        classical_limit=f.classical_limit)
 
 
 def uniform_continuity_bound(kernel: Kernel, delta: float,
@@ -577,8 +567,9 @@ def uniform_continuity_bound(kernel: Kernel, delta: float,
         raise InvalidArgument("continuity bound needs a closed-form kernel")
     cut = form.support_cutoff(0.01 * settings.tol_quad)
     shift = integrate_adaptive(lambda t: np.abs(form(t) - form(t + delta)),
-                               0.0, cut, settings.tol_quad)
-    head = integrate_adaptive(lambda t: np.abs(form(t)), 0.0, delta, settings.tol_quad)
+                               0.0, cut, settings.tol_quad, max_evals=settings.max_evals)
+    head = integrate_adaptive(lambda t: np.abs(form(t)), 0.0, delta, settings.tol_quad,
+                              max_evals=settings.max_evals)
     return float(shift.real + head.real)
 
 

@@ -15,10 +15,9 @@ Three tools:
   frequencies go through blocked chirp-z transforms, any other frequencies
   through a blocked direct product.
 * :func:`trapezoid_convolution` — trapezoid rule for the half-line
-  convolution of two functions sampled on one uniform grid.  At every node
-  it is one zero-padded FFT product, a real FFT when both operands are real
-  and a complex one otherwise; at a few given nodes it sums the rule
-  directly, O(i) at node i.
+  convolution of two functions sampled on one uniform grid (the product of
+  a sampled kernel with another), at every node from one zero-padded FFT
+  product: a real FFT when both operands are real, a complex one otherwise.
 
 Integrands and operands keep their own dtype: real data is integrated and
 convolved in real arithmetic, complex data in complex arithmetic.
@@ -31,6 +30,7 @@ import math
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
+from .config import DEFAULT
 from .errors import QuadratureFailed
 
 # Gauss-Kronrod G10/K21 (QUADPACK qk21, Piessens et al. 1983): the Kronrod
@@ -134,7 +134,7 @@ def _panel_where(lo, hi, score) -> tuple[float, float]:
 
 def integrate_adaptive(f, a: float, b: float, tol: float, *,
                        breaks: np.ndarray | None = None, panel: float | None = None,
-                       max_evals: int = 40_000_000):
+                       max_evals: int = DEFAULT.max_evals):
     """Integrate real- or complex-valued ``f`` (vectorized) over [a, b] to absolute ``tol``.
 
     Panels start as :func:`_edge_blocks` lays them out (``breaks`` are
@@ -348,29 +348,17 @@ def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray,
     return e0 * sums[0] + e1 * sums[1]
 
 
-def trapezoid_convolution(a: np.ndarray, b: np.ndarray, h: float,
-                          at: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoid values of ``int_0^t a(t - s) b(s) ds`` at the nodes ``t`` of a grid.
+def trapezoid_convolution(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid values of ``int_0^t a(t - s) b(s) ds`` at every node ``t`` of a grid.
 
     ``a`` and ``b`` are samples at ``0, h, 2h, ...`` on the same grid; the
-    rule at node i is ``h sum_{j<=i} a[i-j] b[j] - h (a[0] b[i] + b[0] a[i]) / 2``.
-    Without ``at`` it is taken at every node from one zero-padded FFT
-    product: ``rfft`` when both operands are real, ``fft`` otherwise.  With
-    ``at``, an array of node indices, the sums are taken directly at those
-    nodes only, O(i) at node i: on 2^20 real points one full-length sum costs
-    about 1.1 ms against about 200 ms for the real FFT product.  The result is
-    real when both operands are.
+    rule at node i is ``h sum_{j<=i} a[i-j] b[j] - h (a[0] b[i] + b[0] a[i]) / 2``,
+    taken at every node from one zero-padded FFT product: ``rfft`` when both
+    operands are real, ``fft`` otherwise.  The result is real when both
+    operands are.
     """
     dtype = np.result_type(a, b, float)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    if at is not None:
-        at = np.asarray(at, dtype=np.intp)
-        # einsum keeps each sum on one thread: a threaded BLAS dot of 2^20
-        # points took 8 ms against 0.7 ms on a shared two-core host
-        rev = b[::-1].copy()
-        sums = np.array([np.einsum("i,i", a[:i + 1], rev[rev.size - 1 - i:])
-                         for i in at.ravel()], dtype=dtype).reshape(at.shape)
-        return h * sums - 0.5 * h * (a[0] * b[at] + b[0] * a[at])
     if dtype == complex:
         size = next_fast_len(a.size + b.size - 1)
         out = ifft(fft(a, size) * fft(b, size))[:a.size] * h

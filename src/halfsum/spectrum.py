@@ -145,18 +145,21 @@ def _rational_verdict(form: ExpPoly, settings: Settings) -> Verdict:
     rounding = 64 * np.finfo(float).eps   # relative error allowed per coefficient of N
     pole = {mu: 1 + max(t.power for t in form if t.rate == mu) for mu in {t.rate for t in form}}
     deg = sum(pole.values())
+    # N in w = z - c, c the pole of highest order: near-equal rates convolve to
+    # one such pole, and N's roots close to it are ill-conditioned in powers of z
+    c = max(pole, key=pole.get)
     num, size = np.zeros(deg, dtype=complex), np.zeros(deg)   # size bounds |num|
     for t in form:
-        rest = [mu for mu, m in pole.items() for _ in range(m - (t.power + 1) * (mu == t.rate))]
-        w = t.coef * math.factorial(t.power)
-        num[:deg - t.power] += w * P.polyfromroots(rest)
-        size[:deg - t.power] += abs(w) * P.polyfromroots(-np.abs(rest))
-    # leading coefficients that cancel down to rounding are zero; N(0) = Q(0) != 0
+        rest = [mu - c for mu, m in pole.items() for _ in range(m - (t.power + 1) * (mu == t.rate))]
+        coef = t.coef * math.factorial(t.power)
+        num[:deg - t.power] += coef * P.polyfromroots(rest)
+        size[:deg - t.power] += abs(coef) * P.polyfromroots(-np.abs(rest))
+    # leading coefficients that cancel down to rounding are zero; N(c) = Q(c) != 0
     num = num[:max(np.flatnonzero(np.abs(num) > rounding * size), default=0) + 1]
-    z = np.asarray(P.polyroots(num), dtype=complex)
-    apart = z[:, None] - z
-    radius = z.size * (np.abs(P.polyval(z, num)) + rounding * P.polyval(np.abs(z), size)) \
-        / np.abs(num[-1] * np.prod(apart + np.eye(z.size), axis=1))
+    w = np.asarray(P.polyroots(num), dtype=complex)
+    apart, z = w[:, None] - w, w + c
+    radius = w.size * (np.abs(P.polyval(w, num)) + rounding * P.polyval(np.abs(w), size)) \
+        / np.abs(num[-1] * np.prod(apart + np.eye(w.size), axis=1))
     touch, group = np.abs(apart) <= radius[:, None] + radius, np.arange(z.size)
     for _ in range(z.size):
         group = np.where(touch, group, z.size).min(axis=1)

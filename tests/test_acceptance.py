@@ -26,8 +26,9 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_forward,
                             estimate_limit, method_Mr, nested_apply,
                             uniform_continuity_bound)
 from halfsum.kernels import (Flavor, convolve, counterexample_additive,
-                             exponential, power_law, to_additive)
+                             exponential, power_law)
 from halfsum.spectrum import classify_wiener, transform_numeric
+from test_engine import COMPOSITION, COMPOSITION_KERNELS, COMPOSITION_XS
 
 
 class Budget:
@@ -57,22 +58,18 @@ def test_criterion_1_transform_formula():
 
 
 def test_criterion_2_composition_law():
+    # both sides against U_(k1 * k2) f from hand-written kernel products,
+    # frozen at 50 digits (tools/oracle_recheck.py)
     with Budget(10):
-        kernels = {"e1": exponential(1.0), "e2": exponential(2.0),
-                   "p1": to_additive(power_law(1.0))}
         cm = corpus_map()
-        functions = [cm[("one", Flavor.ADDITIVE)], cm[("sin", Flavor.ADDITIVE)],
-                     cm[("settle", Flavor.ADDITIVE)]]
-        xs = np.array([1.0, 3.0, 7.0, 15.0, 31.0])
-        pairs = [("e1", "e2"), ("e1", "p1"), ("e2", "p1")]
         worst = 0.0
-        for a, b in pairs:
-            k1, k2 = kernels[a], kernels[b]
-            combined = convolve(k1, k2)
-            for f in functions:
-                nested = nested_apply(k2, k1, f, xs)
-                direct = chain_apply([combined], f, xs)
-                worst = max(worst, float(np.max(np.abs(nested - direct))))
+        for (a, b, label), want in COMPOSITION.items():
+            k1, k2 = COMPOSITION_KERNELS[a], COMPOSITION_KERNELS[b]
+            f = cm[(label, Flavor.ADDITIVE)]
+            nested = nested_apply(k2, k1, f, COMPOSITION_XS)
+            direct = chain_apply([convolve(k1, k2)], f, COMPOSITION_XS)
+            worst = max(worst, float(np.max(np.abs(nested - np.array(want)))),
+                        float(np.max(np.abs(direct - np.array(want)))))
         assert worst < 1e-6
 
 

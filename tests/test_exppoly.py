@@ -86,6 +86,24 @@ def test_convolution_theorem_on_transforms():
         assert abs(c.transform(xi) - a.transform(xi) * b.transform(xi)) < 1e-12
 
 
+def _unit_term(rate, power):
+    """rate^(p+1) x^p e^(-rate x) / p!, of unit mass and unit L1 norm."""
+    return ExpPoly([Term(rate ** (power + 1) / math.factorial(power), power, -rate)])
+
+
+@pytest.mark.parametrize("powers", [(0, 1), (2, 3)])
+@pytest.mark.parametrize("rate", [np.nextafter(0.2, 1.0)]
+                         + [0.2 * (1 + gap) for gap in (1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.5)])
+def test_convolution_of_near_equal_rates(rate, powers):
+    # a partial-fraction split cancels like gap^-(a+b-1), which at one ulp
+    # leaves no correct digit
+    a, b = _unit_term(0.2, powers[0]), _unit_term(rate, powers[1])
+    c = a.convolve(b)
+    for xi in (0.0, 1.0, 10.0):
+        want = a.transform(xi) * b.transform(xi)
+        assert abs(c.transform(xi) - want) < 1e-10 * max(1.0, abs(want)), xi
+
+
 def test_power_matches_iterated_convolution():
     a = ExpPoly([Term(1.0, 0, -1.0)])
     p3 = a.power(3)

@@ -1,7 +1,7 @@
 """Structural invariants checked over randomized inputs."""
 
 import numpy as np
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from halfsum.config import DEFAULT
 from halfsum.engine import Status, embed_sequence, estimate_limit, method_Mr
@@ -25,6 +25,7 @@ def test_convolution_mass_is_multiplicative(r1, r2):
 
 @hyp_settings(max_examples=25, deadline=None)
 @given(rates, rates, st.floats(min_value=-20.0, max_value=20.0))
+@example(0.2, 0.20000000000000004, 0.0)
 def test_transform_of_convolution_is_product(r1, r2, xi):
     a = ExpPoly([Term(r1, 0, -r1)])
     b = ExpPoly([Term(r2, 1, -r2)])

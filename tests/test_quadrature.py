@@ -198,16 +198,6 @@ def _convolution_operands():
     return np.sin(t), np.exp(-t), h
 
 
-def test_trapezoid_convolution_probe_sums_match_fft():
-    a, b, h = _convolution_operands()
-    nodes = np.array([[0, 1, 7], [2048, 4095, 4096]])
-    for x, y in ((a, b), (a * (1 - 0.5j), b), (a, b * 1j)):
-        full = trapezoid_convolution(x, y, h)
-        probes = trapezoid_convolution(x, y, h, at=nodes)
-        assert probes.shape == nodes.shape and probes.dtype == full.dtype
-        assert np.max(np.abs(probes - full[nodes])) < 1e-12
-
-
 def test_trapezoid_convolution_real_matches_complex():
     a, b, h = _convolution_operands()
     real = trapezoid_convolution(a, b, h)

@@ -213,11 +213,33 @@ def check_noise_bounds():
             FAILURES.append(name)
 
 
+# --- composition: U_(k1 * k2) f from hand-written kernel products ----------
+# e1 * e2 = e2 * p1 = 2 (e^-s - e^-2s) and e1 * p1 = s e^-s, where p1, the
+# additive transport of power_law(1), is e^-s
+COMPOSED = {("e1", "e2"): lambda s: 2 * (mp.e**(-s) - mp.e**(-2 * s)),
+            ("e1", "p1"): lambda s: s * mp.e**(-s),
+            ("e2", "p1"): lambda s: 2 * (mp.e**(-s) - mp.e**(-2 * s))}
+COMPOSED_FUNCTIONS = {"one": lambda t: mp.mpf(1), "sin": mp.sin,
+                      "settle": lambda t: mp.mpf("0.3") + mp.e**(-t)}
+
+
+def check_composition():
+    """U_(k1 * k2) f = int_0^x f(x - s) (k1 * k2)(s) ds, frozen in tests/test_engine.py."""
+    xs = frozen("test_engine.py", "COMPOSITION_XS")
+    for (a, b, label), row in frozen("test_engine.py", "COMPOSITION").items():
+        kernel, f = COMPOSED[(a, b)], COMPOSED_FUNCTIONS[label]
+        for x, want in zip(xs, row):
+            xm = mp.mpf(x)
+            got = mp.quad(lambda s: f(xm - s) * kernel(s), mp.linspace(0, xm, int(x) + 2))
+            check(f"U_({a}*{b}) {label} at {x:g}", got, want, 2e-16 * abs(got))
+
+
 def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), TESTS]
     check_wiener_verdicts()
     check_character_references()
     check_noise_bounds()
+    check_composition()
 
     # --- power-mean kernel transform: int_0^inf r e^{-ru} e^{-i x u} du ---
     for r in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2), mp.mpf(5)):
