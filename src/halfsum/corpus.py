@@ -95,9 +95,9 @@ def builtin_corpus() -> list[TestFunction]:
     for alpha in (0.5, 1.0, 2.0):
         out.append(_char_additive(alpha))
         out.append(_char_multiplicative(alpha))
-    alt = embed_sequence(lambda n: np.where((n & 1) == 1, -1.0, 1.0), "alt")
+    alt = embed_sequence(lambda n: np.where((n & 1) == 1, -1.0, 1.0), "alt", period=2)
     out.append(alt)
-    blocks = embed_sequence(lambda n: ((n - 1) & 3) < 2, "blocks")
+    blocks = embed_sequence(lambda n: ((n - 1) & 3) < 2, "blocks", period=4)
     out.append(TestFunction("blocks", blocks.evaluator, 1.0, mul,
                             sequence=blocks.sequence,
                             known_values=(("M", 0.5, "period-4 blocks 1,1,0,0"),)))

@@ -25,9 +25,11 @@ are one sum, ``_expand_moments``, and differ only in a sign.  The moments of
 a whole segment [2^m, 2^(m+1)] do not depend on x, so one table of them
 serves every evaluation point, and a point integrates at most one partial
 piece of its own, ending or starting at x.  One moment backend per distinct
-kernel rate returns all the moments of that rate at once: exact cell sums
-for embedded sequences, which stop at the last term of a finite sequence,
-and otherwise panel quadrature that evaluates the function once per node.
+kernel rate returns all the moments of that rate at once: for embedded
+sequences exact cell sums, which stop at the last term of a finite sequence,
+or, for a sequence with a declared period and a piece far enough out, a sum
+by parts against the period's antiderivatives at O(period) cost; otherwise
+panel quadrature that evaluates the function once per node.
 
 Composition is convolution, U_psi(U_phi f) = U_(phi * psi) f.  A method
 iterated k times is the method of the kernel's k-th convolution power
@@ -85,7 +87,9 @@ class TestFunction:
     ``osc_scale`` says in which coordinate the oscillation is O(1): ``linear``
     (the abscissa itself) or ``log``.  A closed-form multiplicative operator
     integrates in that coordinate.
-    ``sequence`` is set for step embeddings and unlocks exact cell sums.
+    ``sequence`` is set for step embeddings and unlocks exact cell sums; a
+    ``_PeriodicSequence`` there (``embed_sequence(..., period=P)``) also
+    unlocks moments by parts at O(P) cost per piece.
     ``noise(t)``, when set, bounds the absolute error of the double-precision
     value at an argument near t, from the argument's rounding and from the
     evaluation itself, and does not decrease in |t|.  The additive window
@@ -156,17 +160,70 @@ class _FiniteSequence:
         return out
 
 
-def embed_sequence(a, label: str = "sequence") -> TestFunction:
+class _PeriodicSequence:
+    """a_n = values[(n - 1) mod P] for one declared period, as a vectorized callable.
+
+    With a_n = mean + b_n, B_1, ..., B_K (K = ``ORDER``) are the periodic
+    antiderivatives of the step function b(t) = b_[t], each of mean zero over
+    a period so that the next one is periodic too.  On a cell [n, n+1) B_k
+    is a polynomial of degree k in y = t - n, built once from the P values:
+    ``poly[k - 1, r]`` holds its coefficients of y^0..y^K for the residue
+    r = (n - 1) mod P, and ``poly_max`` bounds |B_K|.
+    """
+
+    ORDER = 8
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.mean = values.mean()
+        inv = 1.0 / np.arange(1, self.ORDER + 2)        # int_0^1 y^i dy
+        b = np.zeros((values.size, self.ORDER + 1), dtype=values.dtype)
+        b[:, 0] = values - self.mean
+        poly = []
+        for _ in range(self.ORDER):
+            nxt = np.zeros_like(b)
+            nxt[:, 1:] = b[:, :-1] * inv[:-1]
+            nxt[:, 0] = np.concatenate(([0.0], np.cumsum(b @ inv)[:-1]))
+            nxt[:, 0] -= np.mean(nxt @ inv)
+            poly.append(b := nxt)
+        self.poly = np.array(poly)
+        self.poly_max = float(np.abs(b).sum(axis=1).max())
+
+    def __call__(self, n):
+        return self.values[(np.asarray(n, dtype=np.int64) - 1) % self.values.size]
+
+    def antiderivatives(self, t: np.ndarray) -> np.ndarray:
+        """B_1, ..., B_K as rows, one column per point of ``t``."""
+        n = np.floor(t)
+        r = (n.astype(np.int64) - 1) % self.values.size
+        return np.einsum("kti,ti->kt", self.poly[:, r],
+                         (t - n)[:, None] ** np.arange(self.ORDER + 1))
+
+
+def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> TestFunction:
     """Step function f(x) = a_[x] on [1, inf) for a bounded sequence a_1, a_2, ...
 
     ``a`` is either a finite sequence (continued by zero) or a vectorized
-    callable on integer arrays.
+    callable on integer arrays.  A callable may declare its ``period`` P:
+    its first 4096 terms must then repeat its first P, and the operators
+    take its moments far out at O(P) cost per piece (``_CellMoments``)
+    instead of one term per cell.
     """
     if callable(a):
         seq = a
-        probe = np.abs(np.asarray(seq(np.arange(1, 4097))))
-        bound = float(probe.max())
+        probe = np.asarray(seq(np.arange(1, 4097)))
+        bound = float(np.abs(probe).max())
+        if period is not None:
+            if not (isinstance(period, (int, np.integer)) and 1 <= period <= probe.size):
+                raise InvalidArgument(f"a period must be an integer in 1..{probe.size}")
+            values = probe[:period].astype(np.result_type(probe, float))
+            if not np.array_equal(probe, np.resize(values, probe.size)):
+                raise InvalidArgument(f"the sequence's first {probe.size} terms do not "
+                                      f"repeat with period {period}")
+            seq = _PeriodicSequence(values)
     else:
+        if period is not None:
+            raise InvalidArgument("only a callable sequence can declare a period")
         arr = np.asarray(list(a))
         arr = arr.astype(np.result_type(arr, float), copy=False)
         if arr.size == 0:
@@ -198,16 +255,33 @@ def discrete_cesaro(a, n: int) -> complex:
 # closed-form multiplicative machinery
 
 class _CellMoments:
-    """Exact cell sums  sum_n a_n int (log tau)^j tau^s dtau, j = 0..p, tau = t / 2^m.
+    """Moments  sum_n a_n int (log tau)^j tau^s dtau, j = 0..p, tau = t / 2^m, of a step function.
 
     One pass serves every moment of a kernel rate.  With H_j = tau^(s+1)
     (log tau)^j, by parts G_j = (H_j - j G_(j-1)) / (s+1) for the
-    antiderivatives G_j, so the pass sums a_n times the cell differences of
-    H_j, each H_j made from the last by one multiply, and the recurrence runs
-    on the p+1 sums.  Blocks of ``CHUNK`` cells keep a block's arrays (128 KiB
-    each) in a core's 2 MiB L2: with 2^18 cells a segment of (-1)^n took
-    14-17 ns per cell at p = 0 and 22-28 ns at p = 2, against 5.4-6.6 and
-    10-12 ns (2-core Xeon).  A finite sequence stops the sums at its last term.
+    antiderivatives G_j, so exact cell sums sum a_n times the cell
+    differences of H_j, each H_j made from the last by one multiply, and the
+    recurrence runs on the p+1 sums.  Blocks of ``CHUNK`` cells keep a
+    block's arrays (128 KiB each) in a core's 2 MiB L2: with 2^18 cells a
+    segment of (-1)^n took 14-17 ns per cell at p = 0 and 22-28 ns at p = 2,
+    against 5.4-6.6 and 10-12 ns (2-core Xeon).  A finite sequence stops the
+    sums at its last term.
+
+    A periodic sequence takes a piece that starts past ``reach`` and spans
+    more than 2K cells by Euler-Maclaurin summation with periodic functions
+    (T. M. Apostol, Amer. Math. Monthly 106, 1999), at a cost independent of
+    its length: its mean runs the G_j recurrence on H_j at the piece's two
+    ends, and with h_j(t) = 2^-m tau^s (log tau)^j the mean-zero rest b
+    gives, by K integrations by parts against the antiderivatives B_k of
+    ``_PeriodicSequence``,
+
+        int b h_j = sum_(k <= K) (-1)^(k-1) [B_k h_j^(k-1)] + (-1)^K int B_K h_j^(K),
+
+    with t h_j^(k+1) = (s - k) h_j^(k) + j h_(j-1)^(k).  The remainder is
+    dropped: h_j^(K) = 2^-m t^-K tau^s sum_i C_ji (log tau)^i, so past
+    ``reach`` max|B_K| (hi - lo) max|h_j^(K)| is below the rounding, eps
+    max|a| (hi - lo) min|h_0|, of the piece's sum.  Such a piece charges the
+    evaluation counter 2K, one per antiderivative value.
     """
 
     CHUNK = 1 << 14
@@ -215,11 +289,43 @@ class _CellMoments:
     def __init__(self, seq, p: int, s: complex):
         self.seq = seq
         self.p = p
+        self.s = s
         self.sigma = s + 1.0
         self.last = seq.values.size if isinstance(seq, _FiniteSequence) else math.inf
+        self.reach = self._by_parts_reach() if isinstance(seq, _PeriodicSequence) else math.inf
 
     def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
         """int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t for j = 0..p, tau = t / 2^m."""
+        if lo >= self.reach and hi - lo > 2 * self.seq.ORDER:
+            t = np.array([lo, hi])
+            tau = t * 2.0 ** -m
+            powers = np.log(tau) ** np.arange(self.p + 1)[:, None]   # one column per end
+            h = tau ** self.sigma * powers
+            sums = self.seq.mean * (h[:, 1] - h[:, 0]).astype(complex)
+            rest = self._by_parts(t, 2.0 ** -m * tau ** self.s * powers)
+            counter.add(2 * self.seq.ORDER)
+        else:
+            sums, rest = self._cell_sums(lo, hi, m), 0.0
+        g = 0.0
+        for j in range(self.p + 1):
+            sums[j] = g = (sums[j] - j * g) / self.sigma
+        return sums + rest
+
+    def _by_parts_reach(self) -> float:
+        """The t past which a piece's by-parts remainder is below its sum's rounding."""
+        seq, p, s = self.seq, self.p, self.s
+        if seq.poly_max == 0:
+            return 0.0                  # a constant sequence: its mean is all of it
+        # h_j^(K) = 2^-m t^-K tau^s sum_i c[j, i] (log tau)^i, |log tau| <= log 2
+        c = np.eye(p + 1, dtype=complex)
+        for k in range(seq.ORDER):
+            c, c_prev = (s - k) * c, c
+            c[:, :-1] += c_prev[:, 1:] * np.arange(1, p + 1)
+        c_max = np.max(np.abs(c) @ math.log(2.0) ** np.arange(p + 1))
+        eps_sum = np.finfo(float).eps * np.abs(seq.values).max()
+        return (seq.poly_max * 2.0 ** abs(s.real) * c_max / eps_sum) ** (1.0 / seq.ORDER)
+
+    def _cell_sums(self, lo: float, hi: float, m: int) -> np.ndarray:
         sums = np.zeros(self.p + 1, dtype=complex)
         n, end = math.floor(lo), min(math.ceil(hi), self.last + 1)
         while n < end:
@@ -238,10 +344,17 @@ class _CellMoments:
                 sums[j] += diff @ a
             counter.add(k - n)
             n = k
-        g = 0.0
-        for j in range(self.p + 1):
-            sums[j] = g = (sums[j] - j * g) / self.sigma
         return sums
+
+    def _by_parts(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """[sum_(k <= K) (-1)^(k-1) B_k h_j^(k-1)] from t[0] to t[1], j = 0..p, d = h_j(t)."""
+        j = np.arange(self.p + 1)[:, None]
+        out = np.zeros(d.shape, dtype=complex)
+        for k, b_k in enumerate(self.seq.antiderivatives(t)):
+            out += (-1) ** k * b_k * d
+            d[1:] = ((self.s - k) * d[1:] + j[1:] * d[:-1]) / t
+            d[0] *= (self.s - k) / t
+        return out[:, 1] - out[:, 0]
 
 
 class _SmoothMoments:
@@ -429,14 +542,8 @@ class _AddWindow:
             self.cut = form.support_cutoff(eps)
             self.breaks = None
         else:
-            body = kernel.body
-            self.breaks = body.grid
-            # the tail model's absolute integral past grid[-1] + c is
-            # |tail_value| e^(-rate c) / rate, which is eps at this c
-            self.cut = body.grid[-1]
-            if body.tail_rate > 0:
-                excess = abs(body.tail_value) / (body.tail_rate * eps)
-                self.cut += math.log(max(excess, 1.0)) / body.tail_rate
+            self.breaks = kernel.body.grid
+            self.cut = kernel.body.support_cutoff(eps)
 
     def __call__(self, x: float) -> complex:
         f, kernel = self.f, self.kernel

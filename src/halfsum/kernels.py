@@ -63,6 +63,16 @@ class Sampled:
     tail_value: complex
     tail_rate: float
 
+    def support_cutoff(self, eps: float) -> float:
+        """Point past which the tail model's absolute integral is at most eps.
+
+        Past grid[-1] + c that integral is |tail_value| e^(-tail_rate c) / tail_rate.
+        """
+        if self.tail_rate <= 0:
+            return float(self.grid[-1])
+        excess = abs(self.tail_value) / (self.tail_rate * eps)
+        return float(self.grid[-1]) + math.log(max(excess, 1.0)) / self.tail_rate
+
 
 @dataclass(frozen=True)
 class Kernel:

@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as P
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, TransformFailed, QuadratureFailed
 from .exppoly import ExpPoly
-from .kernels import Flavor, Kernel, Sampled, to_additive
+from .kernels import Flavor, Kernel, Sampled, additive_values, to_additive
 from .quadrature import fourier_piecewise_linear, integrate_adaptive
 
 
@@ -260,18 +260,26 @@ def dual_transform_identity_check(kernel: Kernel, settings: Settings = DEFAULT,
                                   n_points: int = 81) -> ReflectionReport:
     """Check that reflecting the kernel flips the sign of the frequency.
 
-    The reflected kernel lives on the negative half-line; its transform,
-    ``transform_numeric`` at -xi, is compared against the original transform
-    ``transform_grid`` at -xi.  For closed-form kernels the two are
-    independent (adaptive quadrature against the analytic formula).  A
-    sampled kernel has one transform, so both sides are the same values and
-    ``max_deviation`` is 0: it checks nothing about the identity there.
+    The reflected kernel lives on the negative half-line; its transform at
+    xi, int_0^inf phi(t) e^(i xi t) dt, is taken by adaptive quadrature and
+    compared against the original transform ``transform_grid`` at -xi.  A
+    closed form's quadrature is ``transform_numeric``'s, against the analytic
+    formula.  A sampled kernel's integrates ``additive_values`` (its linear
+    interpolant and tail model) for all frequencies at once, with the sample
+    grid as panel breaks and the tail cut where its absolute integral falls
+    below tol_quad / 10, against the piecewise-linear formula.
     """
     if kernel.flavor is not Flavor.ADDITIVE:
         raise FlavorMismatch("dual_transform_identity_check expects an additive kernel")
     xi = np.linspace(-settings.freq_window, settings.freq_window, n_points)
-    # int_-inf^0 phi(-s) e^{-i xi s} ds  =  int_0^inf phi(t) e^{+i xi t} dt
-    lhs = transform_numeric(kernel, -xi, settings)
+    if kernel.additive_form() is not None:
+        lhs = transform_numeric(kernel, -xi, settings)
+    else:
+        body = kernel.body
+        lhs = integrate_adaptive(
+            lambda u: additive_values(kernel, u) * np.exp(1j * xi[:, None] * u),
+            0.0, body.support_cutoff(0.1 * settings.tol_quad), settings.tol_quad,
+            breaks=body.grid, max_evals=settings.max_evals)
     rhs = transform_grid(kernel, -xi)
     dev = float(np.max(np.abs(lhs - rhs)))
     return ReflectionReport(xi, lhs, rhs, dev)

@@ -214,6 +214,16 @@ def test_embed_rejects_bad_input():
         embed_sequence([1.0, float("inf")])
 
 
+def test_embed_rejects_a_wrong_period():
+    blocks = lambda n: ((n - 1) & 3) < 2
+    assert embed_sequence(blocks, "blocks", period=4).bound == 1.0
+    for period in (3, 2, 0, 4097, 4.0):
+        with pytest.raises(InvalidArgument):
+            embed_sequence(blocks, "blocks", period=period)
+    with pytest.raises(InvalidArgument):
+        embed_sequence([1.0, 1.0, 0.0, 0.0], "blocks", period=4)
+
+
 def test_embed_sequence_rejects_index_past_int64():
     f = embed_sequence(lambda n: (-1.0) ** n, "alt")
     for x in (2.0 ** 63, float("inf"), float("nan")):
@@ -342,6 +352,33 @@ def test_cell_sums_under_complex_rates_match_direct_sum():
         assert abs(got - complex(want)) < 1e-12 * (1 + abs(complex(want))), x
 
 
+# forward M_1/2 on blocks (1, 1, 0, 0 repeated) at x = 2^14, 2^16:
+# x^(-1/2) sum_(n < x) a_n (sqrt(n+1) - sqrt(n)) at 50 digits (mpmath),
+# frozen as doubles; tools/oracle_recheck.py recomputes them.  The periodic
+# path takes every segment past t ~ 200 by parts, not by cell sums.
+BLOCKS_M_HALF = {
+    16384: 0.4978501585044805,
+    65536: 0.4989250791503768,
+}
+
+
+def test_periodic_moments_match_frozen_blocks_mean():
+    f = corpus_map()[("blocks", Flavor.MULTIPLICATIVE)]
+    kernel = method_Mr(0.5).kernel
+    for x, want in BLOCKS_M_HALF.items():
+        assert abs(apply_forward(kernel, f, float(x)) - want) < 1e-12, x
+
+
+def test_periodic_sequence_converges_in_few_cells():
+    # exact cell sums took 3.36e7 cells here: every cell up to 2^25
+    f = corpus_map()[("blocks", Flavor.MULTIPLICATIVE)]
+    res = estimate_limit(method_catalog()["M_1/2"], f, DEFAULT)
+    assert res.status is Status.CONVERGED
+    assert abs(res.estimate - 0.5) < res.tolerance_used
+    assert res.evaluations < 1e5
+    assert res.evaluations == estimate_limit(method_catalog()["M_1/2"], f, DEFAULT).evaluations
+
+
 # ---------------------------------------------------------------------------
 # limit estimation statuses
 
@@ -365,6 +402,19 @@ def test_estimate_oscillating_character():
     assert res.status is Status.OSCILLATING
     assert res.oscillation_amplitude > 0.3
     assert res.estimate is None
+
+
+@pytest.mark.parametrize("alpha", CHARACTER_OMEGAS)
+def test_multiplicative_counterexample_separates_on_its_character(alpha):
+    # the counterexample kernel's transform vanishes at alpha, so its mean of
+    # t^(i alpha) is x^(i alpha) times a vanishing tail, while M's mean
+    # x^(i alpha) / (1 + i alpha) keeps turning
+    char = corpus_map()[(f"char_{alpha:g}", Flavor.MULTIPLICATIVE)]
+    ce = MethodDescriptor(counterexample_multiplicative(alpha), label=f"M_ce{alpha:g}")
+    res = estimate_limit(ce, char, DEFAULT)
+    assert res.status is Status.CONVERGED, alpha
+    assert abs(res.estimate) < res.tolerance_used, alpha
+    assert estimate_limit(method_Mr(1.0), char, DEFAULT).status is Status.OSCILLATING, alpha
 
 
 def test_estimate_settling_function():
@@ -401,11 +451,15 @@ def test_dual_off_ladder_matches_fresh_values(monkeypatch):
     # integrates its own partial piece [x, 2^(m+1)] and takes the whole dyadic
     # segments above it from the table the first point filled, so the run
     # costs the default ladder's table plus pieces shorter than x.  A lower
-    # edge cap keeps the sin moment integrals short.
+    # edge cap keeps the sin moment integrals short.  The alternating
+    # sequence declares no period, so its pieces are exact cell sums, whose
+    # cost grows with the piece (the corpus' alt, period 2, costs a fixed
+    # charge per piece far out).
     monkeypatch.setattr(engine._MultClosed, "EDGE_CAP", 2.0 ** 20)
     settings = DEFAULT.replace(ladder_ratio=3.0, ladder_max_steps=6)
     method = method_Mr(1.0, Variant.DUAL)
-    for f in (corpus_map()[("alt", Flavor.MULTIPLICATIVE)], SIN_MUL):
+    alt = embed_sequence(lambda n: np.where((n & 1) == 1, -1.0, 1.0), "alt")
+    for f in (alt, SIN_MUL):
         res = estimate_limit(method, f, settings)
         assert len(res.trace) == 7, f.label
         assert res.evaluations <= 1.01 * estimate_limit(method, f, DEFAULT).evaluations, f.label

@@ -238,3 +238,14 @@ def test_reflection_identity_sampled():
     k = _sampled(lambda u: np.exp(-u) * (1.0 + 0.5 * np.sin(u)), 512)
     report = dual_transform_identity_check(k, DEFAULT, n_points=81)
     assert report.max_deviation < 1e-10
+
+
+def test_reflection_identity_sampled_sees_a_wrong_transform(monkeypatch):
+    # the quadrature side does not go through the piecewise-linear formula,
+    # so a formula that drops the tail model shows as a deviation
+    u = np.linspace(0.0, 8.0, 64)
+    k = normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+    assert abs(k.body.tail_value) > 1e-4
+    monkeypatch.setattr(spectrum, "_sampled_transform",
+                        lambda body, xi: spectrum.fourier_piecewise_linear(body.grid, body.values, xi))
+    assert dual_transform_identity_check(k, DEFAULT, n_points=21).max_deviation > 1e-5

@@ -335,6 +335,16 @@ def main():
         closed = xm**2 * (mp.zeta(2, xm / 2) - mp.zeta(2, (xm + 1) / 2)) / 2 - 1
         check(f"dual M*_2 on alt closed form at {x}", got, closed, mp.mpf("1e-40"))
 
+    # --- forward M_1/2 on blocks: x^(-1/2) sum_(n<x) a_n (sqrt(n+1) - sqrt(n)) ---
+    # a_n = 1 for n = 1, 2 mod 4: the two cells of each block telescope to
+    # sqrt(4k+3) - sqrt(4k+1); the values frozen in tests/test_engine.py
+    for x, want in frozen("test_engine.py", "BLOCKS_M_HALF").items():
+        xm = mp.mpf(x)
+        got = mp.fsum(mp.sqrt(n + 1) - mp.sqrt(n) for n in range(1, x) if (n - 1) % 4 < 2)
+        check(f"M_1/2 on blocks at {x}", got / mp.sqrt(xm), want, 2e-16)
+        pairs = mp.fsum(mp.sqrt(4 * k + 3) - mp.sqrt(4 * k + 1) for k in range(x // 4))
+        check(f"M_1/2 on blocks by blocks at {x}", pairs, got, mp.mpf("1e-40"))
+
     # --- dual M*_1 on sin: int_x^inf sin(t) x t^-2 dt = sin x - x Ci(x) ----
     # the values frozen in tests/test_engine.py, as doubles
     for x, want in frozen("test_engine.py", "DUAL_M1_SIN").items():
