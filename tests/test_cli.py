@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import halfsum
 from halfsum.cli import main
 
 
@@ -233,3 +238,15 @@ def test_demo(runner):
     assert res.exit_code == 0
     assert "[ok] separation_char" in res.output
     assert "[ok] dual_sin" in res.output
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.fft alone cost 0.3-0.4 s, most of the package's import time
+    src = str(Path(halfsum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, halfsum, halfsum.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,12 @@
 """Panel quadrature, cumulative integrals, and the piecewise-linear transform."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from halfsum import quadrature
 from halfsum.errors import QuadratureFailed
-from halfsum.quadrature import (RunningIntegral, _is_uniform, counter,
+from halfsum.quadrature import (RunningIntegral, _fast_len, _is_uniform, counter,
                                 fourier_piecewise_linear, integrate_adaptive,
                                 trapezoid_convolution)
 
@@ -118,9 +119,8 @@ def test_non_finite_integrand_fails_at_once():
 
 def test_running_integral_of_smooth_decaying_oscillation():
     # int_1^X sin t / t^2 dt = [Ci(t) - sin(t) / t]_1^X on long G10/K21 panels
-    from scipy.special import sici
     top = 2.0 ** 22
-    want = (sici(top)[1] - np.sin(top) / top) - (sici(1.0)[1] - np.sin(1.0))
+    want = float((mp.ci(top) - mp.sin(top) / top) - (mp.ci(1) - mp.sin(1)))
     start = counter.count
     got = RunningIntegral(lambda t: np.sin(t) / t ** 2, 1.0, tol_density=1e-11).value_to(top)
     assert counter.count - start <= 7.5e6
@@ -190,6 +190,38 @@ def test_filon_narrow_uniform_bracket_takes_chirp_z():
     got = fourier_piecewise_linear(grid, values, xi)
     for i in (0, 64, 128):
         assert abs(got[i] - fourier_piecewise_linear(grid, values, xi[i:i + 1])[0]) < 1e-12
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    want = [0] * 10001
+    for n in range(10000, 0, -1):
+        want[n] = n if smooth(n) else want[n + 1]
+    assert all(_fast_len(n) == want[n] for n in range(1, 10001))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 97, 1000])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trapezoid_convolution_matches_direct_sum(n, dtype):
+    # a padded length short of 2n - 1 would wrap the product circularly
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, n))
+    if dtype is complex:
+        a, b = a + 1j * rng.standard_normal(n), b - 1j * rng.standard_normal(n)
+    h = 0.01
+    got = trapezoid_convolution(a, b, h)
+    want = np.empty(n, dtype=dtype)
+    scale = 0.0
+    for i in range(n):
+        g = a[i::-1] * b[:i + 1]
+        want[i] = h * (g.sum() - 0.5 * (g[0] + g[-1]))
+        scale = max(scale, h * np.abs(g).sum())
+    assert got.dtype == np.dtype(dtype)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def _convolution_operands():
