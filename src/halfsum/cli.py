@@ -45,7 +45,8 @@ def _fail(message: str):
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None,
               help="JSON settings file overlaying the defaults.")
 @click.option("--tol", type=float, default=None,
-              help="Limit-detection tolerance override (positive).")
+              help="Limit-detection tolerance scale (positive): sets tol_limit_scale, "
+                   "so the tolerance is TOL * (1 + sup|f|).")
 @click.option("--max-ladder", type=int, default=None,
               help="Maximum number of ladder doublings.")
 @click.option("--output", "output_fmt", type=click.Choice(["json", "csv"]),

@@ -46,9 +46,13 @@ DEFAULT = Settings()
 
 # key: (the value must exceed this bound, the value must be an integer).  A
 # ladder that does not grow, or a one-point plateau window, would report
-# "converged" at once.
+# "converged" at once; a frequency window of no width would certify nothing,
+# and a budget, grid or pass count below its bound would fail mid-run.
 _BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
            "tol_limit_scale": (0, False), "mass_epsilon": (0, False),
+           "x_max_quad": (0, False), "max_evals": (0, True),
+           "freq_window": (0, False), "refine_max_iter": (0, True),
+           "grid_pass_limit": (-1, True),
            "ladder_x0": (0, False), "ladder_ratio": (1, False),
            "ladder_max_steps": (0, True), "plateau_window": (1, True)}
 
@@ -73,6 +77,6 @@ def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
     for key, (lower, integral) in _BOUNDS.items():
         v, kind = raw.get(key), int if integral else (int, float)
         if key in raw and (isinstance(v, bool) or not isinstance(v, kind) or not v > lower):
-            what = "an integer" if integral else "a number"
-            raise ConfigError(f"config key {key!r} must be {what} > {lower}")
+            what = f"an integer >= {lower + 1}" if integral else f"a number > {lower}"
+            raise ConfigError(f"config key {key!r} must be {what}")
     return base.replace(**raw)

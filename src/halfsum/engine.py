@@ -10,11 +10,12 @@ the one place that chooses the coordinate.
 Every additive operator, and every multiplicative one that runs at log x
 (sampled kernels, and closed forms on functions that oscillate in log t),
 is one evaluator for both variants, ``_AddWindow``: one adaptive quadrature
-of the window per point, with the kernel read through ``additive_values``,
-so closed forms and sampled kernels differ only in their cut and in the
-panel edges a sampled grid adds.  A function that declares its rounding
-noise gets a quadrature target floored at that noise, so windows far out,
-where f(x - s) rounds its argument to ulp(x), stop bisecting the rounding.
+of the window per point, with the kernel read through its body
+(``Kernel.shape``), so closed forms and sampled kernels differ only in
+their cut and in the panel edges a sampled grid adds.  A function that
+declares its rounding noise gets a quadrature target floored at that noise,
+so windows far out, where f(x - s) rounds its argument to ulp(x), stop
+bisecting the rounding.
 
 Closed forms on sequences and on functions that oscillate in t stay in t,
 in one evaluator for both variants, ``_MultClosed``.  It cuts the window at
@@ -59,8 +60,8 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly, _real_if_exact
-from .kernels import (Flavor, Kernel, additive_values, convolve, exponential,
-                      power, power_law, to_additive)
+from .kernels import (Flavor, Kernel, convolve, exponential, power, power_law,
+                      to_additive)
 from .quadrature import counter, integrate_adaptive
 
 
@@ -517,8 +518,9 @@ class _AddWindow:
     dual window f(x + s) phi(s) over [0, cut], with cut the point past which
     the kernel's absolute tail is negligible: the closed form's tail bound,
     or a sampled kernel's geometric tail model past its last sample.  phi is
-    ``additive_values``, so a sampled kernel is its linear interpolant, and
-    its grid nodes are panel edges: each panel sees one linear piece.
+    ``Kernel.shape``, so a sampled kernel is its linear interpolant, and its
+    grid nodes (``Kernel.breaks``) are panel edges: each panel sees one
+    linear piece.
 
     A function with ``noise`` floors the quadrature target at its noise n
     at the window's far end times ||phi||_1: past x ~ 2^26 f(x -+ s) rounds
@@ -537,22 +539,18 @@ class _AddWindow:
         self.forward = variant is Variant.FORWARD
         self.settings = settings
         eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
-        self.form = form = kernel.additive_form()
-        if form is not None:
-            self.cut = form.support_cutoff(eps)
-            self.breaks = None
-        else:
-            self.breaks = kernel.body.grid
-            self.cut = kernel.body.support_cutoff(eps)
+        self.shape, self.breaks = kernel.shape, kernel.breaks
+        self.cut = self.shape.support_cutoff(eps)
+        self.form = kernel.additive_form()
 
     def __call__(self, x: float) -> complex:
-        f, kernel = self.f, self.kernel
+        f, kernel, shape = self.f, self.kernel, self.shape
         if self.forward:
-            g = lambda s: f(x - s) * additive_values(kernel, s)
+            g = lambda s: f(x - s) * shape(s)
             upper = min(x, self.cut)
             far = x
         else:
-            g = lambda s: f(x + s) * additive_values(kernel, s)
+            g = lambda s: f(x + s) * shape(s)
             upper = self.cut
             far = x + upper
         tol = self.settings.tol_quad * (1.0 + f.bound)
@@ -603,16 +601,16 @@ def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
 def apply_forward(kernel: Kernel, f: TestFunction, x: float,
                   settings: Settings = DEFAULT) -> complex:
     """Windowed convolution value at x (the partial mean)."""
-    if x <= kernel.support_origin():
-        raise InvalidArgument(f"x={x} is not inside the kernel's support half-line")
+    if not kernel.support_origin() < x < math.inf:
+        raise InvalidArgument(f"x={x} is not a finite point inside the kernel's support")
     return _make_evaluator(kernel, f, Variant.FORWARD, settings)(float(x))
 
 
 def apply_dual(kernel: Kernel, f: TestFunction, x: float,
                settings: Settings = DEFAULT) -> complex:
     """Dual (outward-window) value at x."""
-    if x <= kernel.support_origin():
-        raise InvalidArgument(f"x={x} is not inside the kernel's support half-line")
+    if not kernel.support_origin() < x < math.inf:
+        raise InvalidArgument(f"x={x} is not a finite point inside the kernel's support")
     return _make_evaluator(kernel, f, Variant.DUAL, settings)(float(x))
 
 

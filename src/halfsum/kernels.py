@@ -33,7 +33,8 @@ from .config import DEFAULT, Settings
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                      InvalidArgument, InvalidKernel, QuadratureFailed)
 from .exppoly import ExpPoly, Term, _real_if_exact
-from .quadrature import _is_uniform, integrate_adaptive, trapezoid_convolution
+from .quadrature import (_is_uniform, fourier_piecewise_linear, integrate_adaptive,
+                         trapezoid_convolution)
 
 
 class Flavor(enum.Enum):
@@ -47,6 +48,15 @@ class ClosedForm:
     params: dict
     form: ExpPoly  # additive coordinates (u = log t for multiplicative kernels)
 
+    def scaled(self, c: complex) -> "ClosedForm":
+        params = dict(self.params)
+        if "components" in params:   # a mixture's record scales with its form
+            comps = params["components"]
+            coefs = [complex(*comp["coef"]) * c for comp in comps]
+            params["components"] = [dict(comp, coef=[w.real, w.imag])
+                                    for comp, w in zip(comps, coefs)]
+        return ClosedForm(self.catalog_id, params, self.form.scaled(c))
+
 
 @dataclass(frozen=True)
 class Sampled:
@@ -55,13 +65,41 @@ class Sampled:
     ``grid`` is uniform in additive coordinates; the kernel beyond the grid is
     modeled as ``tail_value * exp(-tail_rate * (u - grid[-1]))``.  Real
     samples are float64 and a real tail value a float, so a real kernel's
-    values, convolutions and windows stay in real arithmetic.
+    values, convolutions and windows stay in real arithmetic.  Like
+    ``ExpPoly`` it evaluates, integrates, transforms, cuts and scales itself.
     """
 
     grid: np.ndarray
     values: np.ndarray
     tail_value: complex
     tail_rate: float
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Values at an array of ``u``: zero before the first sample, the
+        linear interpolant of the grid, and the geometric tail past the last."""
+        out = np.interp(u, self.grid, self.values, left=0.0, right=0.0)
+        beyond = u > self.grid[-1]
+        if beyond.any() and self.tail_rate > 0:
+            out[beyond] = self.tail_value * np.exp(-self.tail_rate * (u[beyond] - self.grid[-1]))
+        return out
+
+    def mass(self) -> complex:
+        m = complex(np.trapezoid(self.values, self.grid))
+        if self.tail_rate > 0:
+            m += self.tail_value / self.tail_rate
+        return m
+
+    def transform(self, xi) -> np.ndarray:
+        """Fourier transform of the interpolant plus tail on an array of frequencies."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        val = fourier_piecewise_linear(self.grid, self.values, xi)
+        if self.tail_rate > 0:
+            u0 = self.grid[-1]
+            val += self.tail_value * np.exp(-1j * xi * u0) / (self.tail_rate + 1j * xi)
+        return val
+
+    def scaled(self, c: complex) -> "Sampled":
+        return Sampled(self.grid, self.values * c, self.tail_value * c, self.tail_rate)
 
     def support_cutoff(self, eps: float) -> float:
         """Point past which the tail model's absolute integral is at most eps.
@@ -80,16 +118,24 @@ class Kernel:
     body: object  # ClosedForm | Sampled
     meta: dict = field(default_factory=dict, compare=False)
 
+    # ---- the body as a function of additive coordinates ------------------
+
+    @property
+    def shape(self):
+        """phi(u) in additive coordinates: the closed form's ``ExpPoly`` or the
+        ``Sampled`` body, both with ``__call__``, ``mass``, ``transform``,
+        ``support_cutoff`` and ``scaled``."""
+        return self.body.form if isinstance(self.body, ClosedForm) else self.body
+
+    @property
+    def breaks(self) -> Optional[np.ndarray]:
+        """Points where phi has kinks: a sampled kernel's grid; None for a closed form."""
+        return None if isinstance(self.body, ClosedForm) else self.body.grid
+
     # ---- cached scalars --------------------------------------------------
 
     def mass(self) -> complex:
-        if isinstance(self.body, ClosedForm):
-            return self.body.form.mass()
-        b = self.body
-        m = complex(np.trapezoid(b.values, b.grid))
-        if b.tail_rate > 0:
-            m += b.tail_value / b.tail_rate
-        return m
+        return self.shape.mass()
 
     def l1_norm(self) -> float:
         key = "_l1"
@@ -153,25 +199,8 @@ def evaluate(kernel: Kernel, t):
     else:
         inside = t >= 1
         u = np.log(t[inside])
-    out[inside] = additive_values(kernel, u)
+    out[inside] = kernel.shape(u)
     return complex(out[0]) if scalar else out
-
-
-def additive_values(kernel: Kernel, u: np.ndarray) -> np.ndarray:
-    """Kernel values at an array of additive coordinates ``u`` (zero for u < 0).
-
-    A closed form evaluates its expression; a sampled kernel gives zero before
-    its first sample, the linear interpolant of its grid, and past the last
-    sample its geometric tail.
-    """
-    body = kernel.body
-    if isinstance(body, ClosedForm):
-        return body.form(u)
-    out = np.interp(u, body.grid, body.values, left=0.0, right=0.0)
-    beyond = u > body.grid[-1]
-    if beyond.any() and body.tail_rate > 0:
-        out[beyond] = body.tail_value * np.exp(-body.tail_rate * (u[beyond] - body.grid[-1]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,38 +342,29 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
     # keys that start with "_" cache values of the unscaled kernel
     meta = {k: v for k, v in kernel.meta.items() if not k.startswith("_")}
     meta["normalization_scale"] = scale
-    body = kernel.body
-    if isinstance(body, ClosedForm):
-        params = dict(body.params)
-        if "components" in params:   # a mixture's record scales with its form
-            comps = params["components"]
-            coefs = [complex(*c["coef"]) * scale for c in comps]
-            params["components"] = [dict(c, coef=[w.real, w.imag]) for c, w in zip(comps, coefs)]
-        new = ClosedForm(body.catalog_id, params, body.form.scaled(scale))
-    else:
-        new = Sampled(body.grid, body.values * scale, body.tail_value * scale,
-                      body.tail_rate)
-    return Kernel(kernel.flavor, new, meta)
+    return Kernel(kernel.flavor, kernel.body.scaled(scale), meta)
 
 
 def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
     """Half-line convolution of two kernels of the same flavor.
 
     Two closed forms give their exact product as a closed form; a sampled
-    operand gives a sampled kernel on [0, x_max_quad].
+    operand gives a sampled kernel on [0, x_max_quad]: trapezoid sums on 2^14
+    cells, halved at most three times until the change at the coarser nodes
+    is below tol_quad.  It falls only about 4x per halving: a 512-sample
+    exp(-u), with exponential(1) or squared, meets tol_quad in the last round
+    (131 073 nodes); a miss there returns the last grid with no signal.
     """
     if k1.flavor is not k2.flavor:
         raise FlavorMismatch(f"cannot convolve {k1.flavor.value} with {k2.flavor.value}")
     f1, f2 = k1.additive_form(), k2.additive_form()
     if f1 is not None and f2 is not None:
         return Kernel(k1.flavor, ClosedForm("convolution", {}, f1.convolve(f2)))
-    # discrete path with step-halving until the change is below tol_quad
     n = 2 ** 14
     prev = None
     for _ in range(4):
         grid = np.linspace(0.0, settings.x_max_quad, n + 1)
-        conv = trapezoid_convolution(additive_values(k1, grid),
-                                     additive_values(k2, grid), grid[1] - grid[0])
+        conv = trapezoid_convolution(k1.shape(grid), k2.shape(grid), grid[1] - grid[0])
         if prev is not None:
             diff = np.max(np.abs(conv[::2] - prev))
             if diff < settings.tol_quad:

@@ -8,7 +8,9 @@ Three tools:
   share of the tolerance or the evaluation budget runs out.  Rejected
   panels are bisected in blocks of at most ``_CHUNK_PANELS``, so memory
   stays flat however far a refinement goes.  :class:`RunningIntegral`
-  wraps the loop as a cumulative integral along increasing endpoints.
+  wraps the loop as a cumulative integral along increasing endpoints; it
+  has no caller in the library and stays only because the benchmark's
+  tracer (``perfbench/tracing.py``) wraps its ``value_to``.
 * :func:`fourier_piecewise_linear` — exact Fourier integral of a piecewise
   linear interpolant on a uniform grid (Filon-type), used for transforms of
   sampled kernels.  It takes a whole frequency array at once: equally spaced

@@ -26,7 +26,8 @@ from numpy.polynomial import polynomial as P
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, TransformFailed, QuadratureFailed
 from .exppoly import ExpPoly
-from .kernels import Flavor, Kernel, Sampled, additive_values, to_additive
+from .kernels import Flavor, Kernel, to_additive
+# unused here (Sampled.transform calls it), but perfbench's tracer test reads it
 from .quadrature import fourier_piecewise_linear, integrate_adaptive
 
 
@@ -58,33 +59,15 @@ class SpectrumProfile:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _additive(kernel: Kernel) -> Kernel:
-    return kernel if kernel.flavor is Flavor.ADDITIVE else to_additive(kernel)
-
-
 def transform_grid(kernel: Kernel, xi: np.ndarray) -> np.ndarray:
-    """Transform values on a frequency array.
+    """Transform values on a frequency array, by the kernel body's own formula.
 
-    Closed forms use their analytic transform.  Sampled kernels take one pass
+    Closed forms use their analytic transform.  A sampled kernel takes one pass
     of :func:`fourier_piecewise_linear` over the whole array (chirp-z blocks
     when ``xi`` is equally spaced, a direct product otherwise) plus the
     closed-form transform of the geometric tail.
     """
-    k = _additive(kernel)
-    form = k.additive_form()
-    if form is not None:
-        return form.transform(xi)
-    return _sampled_transform(k.body, xi)
-
-
-def _sampled_transform(body: Sampled, xi) -> np.ndarray:
-    """Transform of a sampled kernel (interpolant plus tail) on an array of frequencies."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    val = fourier_piecewise_linear(body.grid, body.values, xi)
-    if body.tail_rate > 0:
-        u0 = body.grid[-1]
-        val += body.tail_value * np.exp(-1j * xi * u0) / (body.tail_rate + 1j * xi)
-    return val
+    return kernel.shape.transform(xi)
 
 
 def fourier_transform(kernel: Kernel, xi: float) -> complex:
@@ -103,26 +86,26 @@ def mellin_transform(kernel: Kernel, x: float) -> complex:
 
 def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
                       tol: Optional[float] = None) -> np.ndarray:
-    """Transform by direct quadrature, bypassing closed forms.
+    """Transform by adaptive quadrature of phi(u) e^(-i xi u), for every kernel.
 
-    The independent route used to cross-check the analytic formulas.
+    The route independent of ``transform_grid``'s formulas, used to cross-check
+    them: one ``integrate_adaptive`` per frequency over [0, cut], cut where
+    the kernel's absolute tail falls below tol / 10.  A sampled kernel's
+    grid nodes are panel edges, so each panel sees one linear piece of it.
     """
-    k = _additive(kernel)
-    form = k.additive_form()
+    shape, breaks = kernel.shape, kernel.breaks
     tol = tol if tol is not None else settings.tol_quad
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if form is not None:
-        cut = form.support_cutoff(0.1 * tol)
-        out = np.empty(xi.shape, dtype=complex)
-        for i, x in enumerate(xi):
-            try:
-                out[i] = integrate_adaptive(
-                    lambda u, x=x: form(u) * np.exp(-1j * x * u), 0.0, cut, tol,
-                    max_evals=settings.max_evals)
-            except QuadratureFailed as exc:
-                raise TransformFailed(f"transform quadrature failed at xi={x}: {exc}") from exc
-        return out
-    return _sampled_transform(k.body, xi)
+    cut = shape.support_cutoff(0.1 * tol)
+    out = np.empty(xi.shape, dtype=complex)
+    for i, x in enumerate(xi):
+        try:
+            out[i] = integrate_adaptive(
+                lambda u, x=x: shape(u) * np.exp(-1j * x * u), 0.0, cut, tol,
+                breaks=breaks, max_evals=settings.max_evals)
+        except QuadratureFailed as exc:
+            raise TransformFailed(f"transform quadrature failed at xi={x}: {exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +244,14 @@ def dual_transform_identity_check(kernel: Kernel, settings: Settings = DEFAULT,
     """Check that reflecting the kernel flips the sign of the frequency.
 
     The reflected kernel lives on the negative half-line; its transform at
-    xi, int_0^inf phi(t) e^(i xi t) dt, is taken by adaptive quadrature and
-    compared against the original transform ``transform_grid`` at -xi.  A
-    closed form's quadrature is ``transform_numeric``'s, against the analytic
-    formula.  A sampled kernel's integrates ``additive_values`` (its linear
-    interpolant and tail model) for all frequencies at once, with the sample
-    grid as panel breaks and the tail cut where its absolute integral falls
-    below tol_quad / 10, against the piecewise-linear formula.
+    xi, int_0^inf phi(t) e^(i xi t) dt, is ``transform_numeric`` at -xi
+    (quadrature of the body, for closed forms and sampled kernels alike),
+    compared against the kernel's own formula ``transform_grid`` at -xi.
     """
     if kernel.flavor is not Flavor.ADDITIVE:
         raise FlavorMismatch("dual_transform_identity_check expects an additive kernel")
     xi = np.linspace(-settings.freq_window, settings.freq_window, n_points)
-    if kernel.additive_form() is not None:
-        lhs = transform_numeric(kernel, -xi, settings)
-    else:
-        body = kernel.body
-        lhs = integrate_adaptive(
-            lambda u: additive_values(kernel, u) * np.exp(1j * xi[:, None] * u),
-            0.0, body.support_cutoff(0.1 * settings.tol_quad), settings.tol_quad,
-            breaks=body.grid, max_evals=settings.max_evals)
+    lhs = transform_numeric(kernel, -xi, settings)
     rhs = transform_grid(kernel, -xi)
     dev = float(np.max(np.abs(lhs - rhs)))
     return ReflectionReport(xi, lhs, rhs, dev)

@@ -212,7 +212,9 @@ def test_config_file_overlay(runner, tmp_path):
 
 # a ladder that does not grow, or a one-point plateau window, reports
 # "converged" at once (sin x M gave 0.2985 where the limit is 0); iterates
-# run as kernel powers, so the nested-cache grid size is an unknown key
+# run as kernel powers, so the nested-cache grid size is an unknown key; a
+# negative pass limit or a string budget crashed mid-run with a traceback,
+# and a negative frequency window "certified" with a negative margin
 @pytest.mark.parametrize("bad", [
     {"no_such_knob": 1},
     {"iterate_cache_points": 4096},
@@ -223,6 +225,12 @@ def test_config_file_overlay(runner, tmp_path):
     {"ladder_x0": 0.0},
     {"ladder_max_steps": 0},
     {"ladder_max_steps": 3.0},
+    {"grid_pass_limit": -1},
+    {"max_evals": "1e5"},
+    {"max_evals": 0},
+    {"freq_window": -5},
+    {"x_max_quad": 0},
+    {"refine_max_iter": 0},
 ])
 def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
     path = tmp_path / "bad.json"
@@ -231,6 +239,7 @@ def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
                                "--kernel", "catalog:power_law(1)",
                                "--function", "sin"])
     assert res.exit_code == 1
+    assert "error:" in res.output and "Traceback" not in res.output
 
 
 def test_demo(runner):

@@ -14,7 +14,7 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from halfsum.exppoly import ExpPoly, Term
-from halfsum.kernels import (Flavor, additive_values, convolve,
+from halfsum.kernels import (Flavor, convolve,
                              counterexample_additive,
                              counterexample_multiplicative, exponential,
                              normalize, power, power_law, sampled_kernel,
@@ -96,6 +96,18 @@ def test_domain_guards():
         apply_forward(exponential(1.0), SIN_ADD, -1.0)
     with pytest.raises(FlavorMismatch):
         apply_forward(exponential(1.0), ONE_MUL, 2.0)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("apply", [apply_forward, apply_dual])
+@pytest.mark.parametrize("kernel, f", [(exponential(1.0), SIN_ADD), (power_law(1.0), SIN_MUL)])
+def test_non_finite_points_are_rejected_before_any_quadrature(kernel, f, apply, x):
+    # a nan point gave 0j (forward) or a TypeError (dual), and an additive
+    # window ran its quadrature before failing
+    start = counter.count
+    with pytest.raises(InvalidArgument):
+        apply(kernel, f, x)
+    assert counter.count == start
 
 
 # the characters chi_omega and ladder points of the exact window references
@@ -666,7 +678,7 @@ def _full_grid_chain(kernels, f, xs, grid_points):
     grid = np.linspace(0.0, max(xs), grid_points + 1)
     values = f(grid)
     for k in kernels:
-        values = trapezoid_convolution(values, additive_values(k, grid), grid[1])
+        values = trapezoid_convolution(values, k.shape(grid), grid[1])
     return np.interp(xs, grid, values)
 
 

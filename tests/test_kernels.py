@@ -7,7 +7,7 @@ import pytest
 
 from halfsum.errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                             InvalidArgument, InvalidKernel)
-from halfsum.kernels import (ClosedForm, Flavor, additive_values, convolve,
+from halfsum.kernels import (ClosedForm, Flavor, convolve,
                              counterexample_additive, counterexample_multiplicative,
                              evaluate, exponential, finite_mixture, from_catalog,
                              kernel_from_dict, normalize, parse_kernel_arg,
@@ -145,14 +145,14 @@ def test_sampled_kernel_dtype_follows_its_samples():
     k = normalize(sampled_kernel(t, 2.0 * np.exp(-t), Flavor.ADDITIVE))
     assert k.body.values.dtype == np.float64 and isinstance(k.body.tail_value, float)
     u = np.array([-1.0, 3.3, 45.0])
-    assert additive_values(k, u).dtype == np.float64
+    assert k.shape(u).dtype == np.float64
     assert convolve(k, exponential(1.0)).body.values.dtype == np.float64
     assert power(k, 2).body.values.dtype == np.float64
     spec = {"flavor": "additive", "body": {"samples": [[x, np.exp(-x), 0.0] for x in t]}}
     assert kernel_from_dict(spec).body.values.dtype == np.float64
     z = sampled_kernel(t, (1.0 + 0.5j) * np.exp(-t), Flavor.ADDITIVE)
     assert z.body.values.dtype == np.complex128
-    assert additive_values(z, u).dtype == np.complex128
+    assert z.shape(u).dtype == np.complex128
     resampled = sampled_kernel(t ** 1.5, np.exp(-t), Flavor.ADDITIVE)
     assert resampled.body.values.dtype == np.float64
 

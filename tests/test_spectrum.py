@@ -6,10 +6,11 @@ import pytest
 from halfsum import spectrum
 from halfsum.config import DEFAULT
 from halfsum.errors import FlavorMismatch, InvalidArgument
-from halfsum.kernels import (Flavor, convolve, counterexample_additive,
+from halfsum.kernels import (Flavor, Sampled, convolve, counterexample_additive,
                              counterexample_multiplicative, exponential,
                              finite_mixture, normalize, power, power_law,
                              sampled_kernel)
+from halfsum.quadrature import fourier_piecewise_linear
 from halfsum.spectrum import (classify_wiener, dual_transform_identity_check,
                               fourier_transform, mellin_transform,
                               transform_grid, transform_numeric)
@@ -190,13 +191,26 @@ def test_sampled_transform_branches_agree():
     xi = np.array([-7.0, 0.0, 0.3, 1.5, 12.0])      # unequal steps: direct product
     grid_vals = transform_grid(k, xi)
     assert np.max(np.abs(grid_vals - 1.0 / (1.0 + 1j * xi))) < 1e-4
-    assert np.max(np.abs(transform_numeric(k, xi) - grid_vals)) == 0.0
+    assert np.max(np.abs(transform_numeric(k, xi) - grid_vals)) < 1e-12
     for x, want in zip(xi, grid_vals):
         assert abs(fourier_transform(k, x) - want) < 1e-15
     # equal steps take the chirp-z path; it agrees with the direct product
     uniform = np.linspace(-12.0, 12.0, 9)
     direct = np.array([fourier_transform(k, x) for x in uniform])
     assert np.max(np.abs(transform_grid(k, uniform) - direct)) < 1e-12
+
+
+def test_transform_numeric_is_independent_of_the_sampled_formula(monkeypatch):
+    # a formula that drops the tail model moves transform_grid; the quadrature
+    # of the body does not go through it
+    u = np.linspace(0.0, 8.0, 64)
+    k = normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+    xi = np.array([-3.0, 0.0, 0.7, 5.0])
+    grid_vals, numeric = transform_grid(k, xi), transform_numeric(k, xi)
+    monkeypatch.setattr(Sampled, "transform",
+                        lambda body, xi: fourier_piecewise_linear(body.grid, body.values, xi))
+    assert np.min(np.abs(transform_grid(k, xi) - grid_vals)) > 1e-5
+    assert np.array_equal(transform_numeric(k, xi), numeric)
 
 
 def test_sampled_transform_at_zero_is_the_mass():
@@ -246,6 +260,6 @@ def test_reflection_identity_sampled_sees_a_wrong_transform(monkeypatch):
     u = np.linspace(0.0, 8.0, 64)
     k = normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
     assert abs(k.body.tail_value) > 1e-4
-    monkeypatch.setattr(spectrum, "_sampled_transform",
-                        lambda body, xi: spectrum.fourier_piecewise_linear(body.grid, body.values, xi))
+    monkeypatch.setattr(Sampled, "transform",
+                        lambda body, xi: fourier_piecewise_linear(body.grid, body.values, xi))
     assert dual_transform_identity_check(k, DEFAULT, n_points=21).max_deviation > 1e-5
