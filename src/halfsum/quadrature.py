@@ -6,11 +6,13 @@ Three tools:
   G10/K21 panels, whose nested 10-point estimate certifies 21-node accuracy
   on long smooth panels, each bisected until its error estimate meets its
   share of the tolerance or the evaluation budget runs out.  Rejected
-  panels are bisected in blocks of at most ``_CHUNK_PANELS``, so memory
-  stays flat however far a refinement goes.  :class:`RunningIntegral`
-  wraps the loop as a cumulative integral along increasing endpoints; it
-  has no caller in the library and stays only because the benchmark's
-  tracer (``perfbench/tracing.py``) wraps its ``value_to``.
+  panels are bisected in blocks of at most ``_CHUNK_PANELS`` panel-columns
+  (panels times the integrand's columns), so memory stays flat however far
+  a refinement goes and however many columns share the nodes.
+  :class:`RunningIntegral` wraps the loop as a cumulative integral along
+  increasing endpoints; it has no caller in the library and stays only
+  because the benchmark's tracer (``perfbench/tracing.py``) wraps its
+  ``value_to``.
 * :func:`fourier_piecewise_linear` — exact Fourier integral of a piecewise
   linear interpolant on a uniform grid (Filon-type), used for transforms of
   sampled kernels.  It takes a whole frequency array at once: equally spaced
@@ -131,6 +133,15 @@ def _edge_blocks(a, b, panel, breaks):
         a = top
 
 
+def max_columns(a: float, b: float, breaks: np.ndarray | None = None) -> int:
+    """Columns one :func:`integrate_adaptive` call over [a, b] (no ``panel``) may carry.
+
+    As many as keep its first block, sample breaks included, within
+    ``_CHUNK_PANELS`` panel-columns; at least one.
+    """
+    return max(1, _CHUNK_PANELS // (next(_edge_blocks(a, b, None, breaks)).size - 1))
+
+
 def _panel_where(lo, hi, score) -> tuple[float, float]:
     i = int(np.argmax(score.reshape(-1, lo.size).max(axis=0)))   # largest in any column
     return float(lo[i]), float(hi[i])
@@ -144,17 +155,20 @@ def integrate_adaptive(f, a: float, b: float, tol: float, *,
     Panels start as :func:`_edge_blocks` lays them out (``breaks`` are
     points where the integrand may have a kink).  A panel is accepted when
     its G10/K21 error estimate meets its share of ``tol``, which depends on
-    the panel alone, and is bisected otherwise; rejected panels wait in
-    blocks of at most ``_CHUNK_PANELS / 2`` and are refined depth first, so
-    no evaluation sees more than ``_CHUNK_PANELS`` panels.  ``f`` may return
-    one row of values per column: every column is then integrated from the
-    same nodes, a panel is bisected when any column misses, and the result
-    is an array.  No block is evaluated that would take the evaluations
-    past ``max_evals``; there the panels left are accepted if their error
-    estimates fit in ``tol``.  Raises :class:`QuadratureFailed` naming a
-    panel when a rejected panel's values are not finite, and naming the
-    block it stopped at when the budget leaves more error, or a stretch of
-    [a, b] not yet evaluated.
+    the panel alone, and is bisected otherwise.  ``f`` may return one row
+    of values per column: every column is then integrated from the same
+    nodes, a panel is bisected when any column misses, and the result is an
+    array.  Rejected panels wait in blocks of at most ``_CHUNK_PANELS / 2``
+    panel-columns and are refined depth first, so no bisection sees more
+    than ``_CHUNK_PANELS`` panel-columns (:func:`max_columns` bounds the
+    columns that keep the first block within it too).  ``max_evals``
+    counts nodes, each once however many columns it serves; no block is
+    evaluated that would take them past it, and there the panels left are
+    accepted if the error estimates of all columns together fit in
+    ``tol``.  Raises :class:`QuadratureFailed` naming a panel when a
+    rejected panel's values are not finite, and naming the block it stopped
+    at when the budget leaves more error, or a stretch of [a, b] not yet
+    evaluated.
     """
     if b <= a:
         return 0.0 + 0.0j
@@ -205,7 +219,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float, *,
         if not np.isfinite(err).all():
             raise QuadratureFailed("integrand is not finite on a panel",
                                    interval=_panel_where(lo, hi, ~np.isfinite(err)))
-        step = _CHUNK_PANELS // 2
+        # every column holds its own values at each node: blocks shrink with
+        # the column count, so an evaluation sees at most _CHUNK_PANELS panel-columns
+        step = max(1, _CHUNK_PANELS // (2 * (est.size // lo.size)))
         pending += [(lo[i:i + step], hi[i:i + step], est[..., i:i + step], err[..., i:i + step])
                     for i in range(0, lo.size, step)]
     return total

@@ -1,16 +1,18 @@
 """Transforms and the nonvanishing classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from halfsum import spectrum
 from halfsum.config import DEFAULT
-from halfsum.errors import FlavorMismatch, InvalidArgument
+from halfsum.errors import FlavorMismatch, InvalidArgument, TransformFailed
 from halfsum.kernels import (Flavor, Sampled, convolve, counterexample_additive,
                              counterexample_multiplicative, exponential,
                              finite_mixture, normalize, power, power_law,
                              sampled_kernel)
-from halfsum.quadrature import fourier_piecewise_linear
+from halfsum.quadrature import _CHUNK_PANELS, counter, fourier_piecewise_linear
 from halfsum.spectrum import (classify_wiener, dual_transform_identity_check,
                               fourier_transform, mellin_transform,
                               transform_grid, transform_numeric)
@@ -52,6 +54,81 @@ def test_numeric_transform_multiplicative_cross_check():
     numeric = transform_numeric(k, xi)
     assert np.max(np.abs(analytic - numeric)) < 1e-7
     assert abs(analytic[1]) < 1e-13  # the planted zero
+
+
+# 201 random frequencies: closed forms share one or two groups, the 512-sample
+# kernel (585 first panels) groups of 7
+_GROUPED_KERNELS = {
+    "exp2": lambda: exponential(2.0),
+    "pow0.5": lambda: power_law(0.5),
+    "ce_mult1": lambda: counterexample_multiplicative(1.0),
+    "sampled512": lambda: _sampled(lambda u: np.exp(-u) * (1.0 + 0.5 * np.sin(u)), 512),
+}
+_GROUPED_XI = np.random.default_rng(11).uniform(-50.0, 50.0, 201)
+
+
+@pytest.mark.parametrize("name", _GROUPED_KERNELS)
+def test_grouped_transform_matches_one_frequency_at_a_time(name):
+    k = _GROUPED_KERNELS[name]()
+    grouped = transform_numeric(k, _GROUPED_XI)
+    single = np.array([transform_numeric(k, np.array([x]))[0] for x in _GROUPED_XI])
+    assert np.max(np.abs(grouped - single)) < DEFAULT.tol_quad
+
+
+@pytest.mark.parametrize("name", ["pow0.5", "sampled512"])
+def test_grouped_evaluations_stay_within_the_panel_budget(monkeypatch, name):
+    # one evaluation of R columns sees at most _CHUNK_PANELS panel-columns
+    seen, original = [], spectrum.integrate_adaptive
+
+    def recording(f, *args, **kwargs):
+        def g(u):
+            vals = f(u)
+            seen.append((vals.shape[0], u.size))
+            return vals
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "integrate_adaptive", recording)
+    transform_numeric(_GROUPED_KERNELS[name](), _GROUPED_XI)
+    assert max(rows for rows, _ in seen) > 1
+    assert all(nodes <= _CHUNK_PANELS * 21 / rows for rows, nodes in seen), \
+        max(rows * nodes for rows, nodes in seen)
+
+
+def test_grouped_transform_memory_stays_flat():
+    # 8192 samples lay out 4096 first panels: groups of one, as many
+    # panel-columns per evaluation as a one-column call
+    k = _sampled(lambda u: np.exp(-u), 8192)
+    xi = np.linspace(-50.0, 50.0, 81)
+    tracemalloc.start()
+    try:
+        transform_numeric(k, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def test_transform_numeric_budget_miss_names_the_group():
+    xi = np.array([3.0, -7.0, 0.5])
+    with pytest.raises(TransformFailed, match=r"3 frequencies in \[-7, 3\]"):
+        transform_numeric(exponential(2.0), xi, DEFAULT.replace(max_evals=100))
+
+
+def test_transform_numeric_keeps_the_shape_of_xi():
+    k = exponential(2.0)
+    xi = np.array([[-7.0, 0.0, 1.5], [12.0, -0.25, 3.0]])
+    got = transform_numeric(k, xi)
+    assert got.shape == xi.shape
+    assert np.max(np.abs(got - 2.0 / (2.0 + 1j * xi))) < 1e-8
+    assert transform_numeric(k, 1.5).shape == (1,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transform_numeric_rejects_non_finite_frequencies(bad):
+    start = counter.count
+    with pytest.raises(InvalidArgument, match=str(bad)):
+        transform_numeric(exponential(1.0), np.array([0.5, bad, 2.0]))
+    assert counter.count == start
 
 
 def test_classify_exponential_is_analytic():
@@ -263,3 +340,9 @@ def test_reflection_identity_sampled_sees_a_wrong_transform(monkeypatch):
     monkeypatch.setattr(Sampled, "transform",
                         lambda body, xi: fourier_piecewise_linear(body.grid, body.values, xi))
     assert dual_transform_identity_check(k, DEFAULT, n_points=21).max_deviation > 1e-5
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_reflection_identity_needs_a_frequency(n_points):
+    with pytest.raises(InvalidArgument, match="at least 1 frequency"):
+        dual_transform_identity_check(exponential(1.0), DEFAULT, n_points=n_points)
