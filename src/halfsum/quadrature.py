@@ -3,7 +3,7 @@
 Three tools:
 
 * :func:`integrate_adaptive` — the one adaptive loop: Gauss-Kronrod
-  G10/K21 panels, whose nested 10-point estimate certifies 21-node accuracy
+  G20/K41 panels, whose nested 20-point estimate certifies 41-node accuracy
   on long smooth panels, each bisected until its error estimate meets its
   share of the tolerance or the evaluation budget runs out.  Rejected
   panels are bisected in blocks of at most ``_CHUNK_PANELS`` panel-columns
@@ -39,35 +39,50 @@ from numpy.fft import fft, ifft, irfft, rfft
 from .config import DEFAULT
 from .errors import QuadratureFailed
 
-# Gauss-Kronrod G10/K21 (QUADPACK qk21, Piessens et al. 1983): the Kronrod
+# Gauss-Kronrod G20/K41 (QUADPACK qk41, Piessens et al. 1983): the Kronrod
 # nodes from the right end to the centre with their weights, and the weights
-# of the Gauss nodes among them (every other one, from the second)
-_K21_NODES = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-              0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-              0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-              0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-              0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+# of the Gauss nodes among them (every other one, from the second);
+# tools/oracle_recheck.py recomputes them at 50 digits
+_K41_NODES = (0.998859031588277663838315576545863, 0.993128599185094924786122388471320,
+              0.981507877450250259193342994720217, 0.963971927277913791267666131197277,
+              0.940822633831754753519982722212443, 0.912234428251325905867752441203298,
+              0.878276811252281976077442995113078, 0.839116971822218823394529061701521,
+              0.795041428837551198350638833272788, 0.746331906460150792614305070355642,
+              0.693237656334751384805490711845932, 0.636053680726515025452836696226286,
+              0.575140446819710315342946036586425, 0.510867001950827098004364050955251,
+              0.443593175238725103199992213492640, 0.373706088715419560672548177024927,
+              0.301627868114913004320555356858592, 0.227785851141645078080496195368575,
+              0.152605465240922675505220241022678, 0.076526521133497333754640409398838,
               0.0)
-_K21_WEIGHTS = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-                0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-                0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-                0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-                0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-                0.149445554002916905664936468389821)
-_G10_WEIGHTS = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-                0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-                0.295524224714752870173892994651338)
+_K41_WEIGHTS = (0.003073583718520531501218293246031, 0.008600269855642942198661787950102,
+                0.014626169256971252983787960308868, 0.020388373461266523598010231432755,
+                0.025882133604951158834505067096153, 0.031287306777032798958543119323801,
+                0.036600169758200798030557240707211, 0.041668873327973686263788305936895,
+                0.046434821867497674720231880926108, 0.050944573923728691932707670050345,
+                0.055195105348285994744832372419777, 0.059111400880639572374967220648594,
+                0.062653237554781168025870122174255, 0.065834597133618422111563556969398,
+                0.068648672928521619345623411885368, 0.071054423553444068305790361723210,
+                0.073030690332786667495189417658913, 0.074582875400499188986581418362488,
+                0.075704497684556674659542775376617, 0.076377867672080736705502835038061,
+                0.076600711917999656445049901530102)
+_G20_WEIGHTS = (0.017614007139152118311861962351853, 0.040601429800386941331039952274932,
+                0.062672048334109063569506535187042, 0.083276741576704748724758143222046,
+                0.101930119817240435036750135480350, 0.118194531961518417312377377711382,
+                0.131688638449176626898494499748163, 0.142096109318382051329298325067165,
+                0.149172986472603746787828737001969, 0.152753387130725850698084331955098)
 
 
-def _gauss_kronrod_21():
-    """The 21 nodes on [-1, 1], their K21 weights, and the G10 weights (zero off its nodes)."""
-    x, wk, wg = (np.array(c) for c in (_K21_NODES, _K21_WEIGHTS, _G10_WEIGHTS))
-    g10 = np.zeros(21)
-    g10[1::2] = np.concatenate([wg, wg[::-1]])
-    return np.concatenate([-x[:-1], x[::-1]]), np.concatenate([wk[:-1], wk[::-1]]), g10
+def _gauss_kronrod():
+    """The 41 nodes on [-1, 1], their K41 weights, and the G20 weights (zero off its nodes)."""
+    x, wk, wg = (np.array(c) for c in (_K41_NODES, _K41_WEIGHTS, _G20_WEIGHTS))
+    gauss = np.zeros(2 * x.size - 1)
+    gauss[1::2] = np.concatenate([wg, wg[::-1]])
+    return np.concatenate([-x[:-1], x[::-1]]), np.concatenate([wk[:-1], wk[::-1]]), gauss
 
 
-_GK21_NODES, _K21, _G10 = _gauss_kronrod_21()
+_GK_NODES, _K41, _G20 = _gauss_kronrod()
+# integrand evaluations per panel
+PANEL_NODES = _GK_NODES.size
 
 
 class EvalCounter:
@@ -87,30 +102,30 @@ counter = EvalCounter()
 
 
 def _panel_values(f, lo, hi):
-    """G10/K21 estimate, its error estimate and the absolute integral per panel.
+    """G20/K41 estimate, its error estimate and the absolute integral per panel.
 
-    The error estimate is the difference between the K21 and the embedded
-    G10 weights applied to the same node values.  ``f`` returns one value
+    The error estimate is the difference between the K41 and the embedded
+    G20 weights applied to the same node values.  ``f`` returns one value
     per node, or one row per column with one value per node (a leading
     column axis); the three results then carry the same leading axis, with
     the panels on the last one.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _GK21_NODES[None, :]
+    pts = mid[:, None] + half[:, None] * _GK_NODES[None, :]
     vals = np.asarray(f(pts.ravel()))
     counter.add(pts.size)
     vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    est = half * (vals @ _K21)
-    est_low = half * (vals @ _G10)
-    est_abs = half * (np.abs(vals) @ _K21)
+    est = half * (vals @ _K41)
+    est_low = half * (vals @ _G20)
+    est_abs = half * (np.abs(vals) @ _K41)
     return est, np.abs(est - est_low), est_abs
 
 
-# panels per block of refinement; 4096 x 21 nodes (672 KiB a column) stay in
-# L2, where 50 000 panels took 49-50 ns per node on sin(t) t^-2 against
-# 38-43 ns (2-core Xeon)
-_CHUNK_PANELS = 4096
+# panels per block of refinement; 2048 x 41 nodes (656 KiB a column) stay in
+# L2, where 50 000 G10/K21 panels took 49-50 ns per node on sin(t) t^-2
+# against 38-43 ns in blocks of 4096 x 21 nodes (2-core Xeon)
+_CHUNK_PANELS = 2048
 
 
 def _edge_blocks(a, b, panel, breaks):
@@ -154,7 +169,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float, *,
 
     Panels start as :func:`_edge_blocks` lays them out (``breaks`` are
     points where the integrand may have a kink).  A panel is accepted when
-    its G10/K21 error estimate meets its share of ``tol``, which depends on
+    its G20/K41 error estimate meets its share of ``tol``, which depends on
     the panel alone, and is bisected otherwise.  ``f`` may return one row
     of values per column: every column is then integrated from the same
     nodes, a panel is bisected when any column misses, and the result is an
@@ -185,7 +200,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float, *,
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         else:
             lo, hi = edges[:-1], edges[1:]
-        if used + lo.size * _GK21_NODES.size > max_evals:
+        if used + lo.size * PANEL_NODES > max_evals:
             # what is left is accepted only when all of [a, b] was evaluated
             # and the error estimates left fit in tol
             err_left = math.inf if edges is not None else sum(p[3].sum() for p in pending)
@@ -199,7 +214,7 @@ def integrate_adaptive(f, a: float, b: float, tol: float, *,
         else:
             edges = next(fresh, None)
         est, err, est_abs = _panel_values(f, lo, hi)
-        used += lo.size * _GK21_NODES.size
+        used += lo.size * PANEL_NODES
         # the relative term accepts a panel whose mismatch is rounding
         # noise of its absolute integral, which for a large-magnitude
         # integrand never falls to the absolute target; that slack is
@@ -236,7 +251,7 @@ class RunningIntegral:
     """
 
     def __init__(self, f, origin: float, tol_density: float = 1e-12, *,
-                 panel: float = 12.0):
+                 panel: float = 30.0):
         self.f = f
         self.x = float(origin)
         self.total = 0.0 + 0.0j

@@ -94,7 +94,9 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
     tol / 10.  A sampled kernel's grid nodes are panel edges, so each panel
     sees one linear piece of it.  Frequencies sorted by |xi| are integrated
     in groups, one column ``integrate_adaptive`` per group: every frequency
-    of a group shares the nodes, and phi is evaluated once per node.  Each
+    of a group shares the nodes, and phi is evaluated once per node.  A
+    group stays within a factor-of-two band of |xi|, with every |xi| cut
+    <= 2 pi in the first band, since its top frequency sets the panels.  Each
     column meets ``tol`` by itself (a panel is bisected when any column
     misses), and ``settings.max_evals`` counts each node once per group.
     A group holds ``max_columns`` frequencies, so one evaluation sees no
@@ -113,6 +115,9 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
     cut = shape.support_cutoff(0.1 * tol)
     size = max_columns(0.0, cut, breaks)
     order = np.argsort(np.abs(flat), kind="stable")
+    band = np.ceil(np.log2(np.maximum(np.abs(flat[order]) * cut / (2 * np.pi), 1.0)))
+    groups = [part[i:i + size] for part in np.split(order, np.flatnonzero(np.diff(band)) + 1)
+              for i in range(0, part.size, size)]
     out = np.empty(flat.shape, dtype=complex)
 
     def integrand(u):
@@ -123,8 +128,7 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
         vals *= shape(u)
         return vals
 
-    for i in range(0, order.size, size):
-        group = order[i:i + size]
+    for group in groups:
         w = flat[group]
         try:
             out[group] = integrate_adaptive(integrand, 0.0, cut, tol, breaks=breaks,

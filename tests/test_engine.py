@@ -176,9 +176,10 @@ def test_noise_floored_windows_stay_accurate_off_the_grid(name):
 
 
 def test_character_ladder_past_the_noise_floor_stays_cheap():
-    # f(x - s) rounds its argument to ulp(x); without the floor G10/K21
-    # bisects that staircase for 6.6e7 evaluations on this ladder.  Every
-    # value stays within the per-point target
+    # f(x - s) rounds its argument to ulp(x); without the floor a G10/K21
+    # rule bisected that staircase for 6.6e7 evaluations on this ladder,
+    # where G20/K41 takes 2.1e4.  Every value stays within the per-point
+    # target
     f = corpus_map()[("char_1", Flavor.ADDITIVE)]
     method = method_catalog()["K"]
     res = estimate_limit(method, f, DEFAULT)
@@ -199,6 +200,22 @@ def test_sin_sq_converges_past_its_rounding_noise(label):
     res = estimate_limit(method_catalog()[label], f, DEFAULT)
     assert res.status is Status.CONVERGED
     assert abs(res.estimate) <= res.tolerance_used
+
+
+# S_exp1 on sin(t^2) at x = 4096: e^-x int_0^x e^t sin(t^2) dt, that is
+# Im[e^(-x + i/4) int_(-i/2)^(x - i/2) e^(i w^2) dw], through erf at 50 digits
+# (mpmath), frozen as a double; tools/oracle_recheck.py recomputes it
+SIN_SQ_S_EXP1 = {4096.0: -7.646705472563559e-05}
+
+
+def test_sin_sq_window_is_accurate_and_cheap():
+    # sin(t^2) turns through 2 x = 8192 radians per unit of s at the far end
+    f = corpus_map()[("sin_sq", Flavor.ADDITIVE)]
+    kernel = method_catalog()["S_exp1"].kernel
+    for x, want in SIN_SQ_S_EXP1.items():
+        start = counter.count
+        assert abs(apply_forward(kernel, f, x) - want) < 1e-9, x
+        assert counter.count - start <= 3.4e5, x
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +308,10 @@ def test_cell_moments_chunking_does_not_change_sums(monkeypatch):
 
 
 def test_running_integral_chunking_does_not_change_integrals(monkeypatch):
-    # a range of whole panels of length 12 cuts into the same panels for any
-    # chunk size: here 585 chunks of 7 panels against one default chunk
+    # a range of whole panels of length 30 cuts into the same panels for any
+    # chunk size: here 234 chunks of 7 panels against one default chunk
     g = lambda t: np.stack([np.sin(t) / t, (1.0 + np.cos(3.0 * t)) / t])
-    top = 1.0 + 12.0 * 7 * 585
+    top = 1.0 + 30.0 * 7 * 234
 
     def run():
         start = counter.count
@@ -514,6 +531,26 @@ def test_dual_mean_of_sin_matches_frozen_values():
         assert abs(apply_dual(kernel, SIN_MUL, x) - want) < 1e-10, x
 
 
+# M*_1 on sin(3 t) at x = 4, 64, 1000, 2^14: sin(3 x) - 3 x Ci(3 x) at 50
+# digits (mpmath), frozen as doubles; tools/oracle_recheck.py recomputes them
+DUAL_M1_SIN3 = {
+    4.0: 0.060787164608929134,
+    64.0: -0.00488767550706227,
+    1000.0: -0.000325178474325903,
+    16384.0: 4.282855803964865e-06,
+}
+
+
+def test_dual_moment_panels_resolve_sin_3t():
+    # the moment integrals' fixed panels are short enough that the rule's
+    # error estimate sees what it misses: 36-long panels pass sin(3 t) with
+    # errors up to 8e-10, where the 30-long ones err by 4.2e-11 at most
+    f = engine.TestFunction("sin(3t)", lambda t: np.sin(3.0 * t), 1.0, Flavor.MULTIPLICATIVE)
+    kernel = method_Mr(1.0, Variant.DUAL).kernel
+    for x, want in DUAL_M1_SIN3.items():
+        assert abs(apply_dual(kernel, f, x) - want) < 1e-10, x
+
+
 # M*_1 on sin(10 t) at x = 10, 100, 1000: sin(10 x) - 10 x Ci(10 x) at 50
 # digits (mpmath), frozen as doubles; tools/oracle_recheck.py recomputes them
 DUAL_M1_SIN10 = {
@@ -525,7 +562,7 @@ DUAL_M1_SIN10 = {
 
 @pytest.mark.xfail(strict=True, reason="known gap: the dual's panel tolerance is absolute "
                    "per unit t, so panels that miss sin(10 t) pass where t^-2 is small, "
-                   "and x amplifies their error (7e-9 at x = 10, 7e-7 at x = 1000)")
+                   "and x amplifies their error (1.1e-9 at x = 10, 1.1e-7 at x = 1000)")
 def test_dual_mean_of_fast_sin_meets_the_point_tolerance(monkeypatch):
     # the per-point target tol_quad (1 + bound); the cap only shortens the run
     monkeypatch.setattr(engine._MultClosed, "EDGE_CAP", 2.0 ** 20)

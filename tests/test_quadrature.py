@@ -16,6 +16,20 @@ def test_polynomial_is_exact():
     assert abs(val - (4.0 - 4.0)) < 1e-12
 
 
+def test_gauss_kronrod_rule_is_g20_k41():
+    x, kronrod, gauss = quadrature._GK_NODES, quadrature._K41, quadrature._G20
+    assert x.size == quadrature.PANEL_NODES == 41
+    assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+    assert np.all(kronrod > 0) and abs(kronrod.sum() - 2.0) < 1e-15
+    on = gauss > 0
+    assert on.sum() == 20 and abs(gauss.sum() - 2.0) < 1e-15
+    assert np.max(np.abs(x[on] - np.polynomial.legendre.leggauss(20)[0])) < 1e-15
+    # K41 is exact through degree 3 * 20 + 1, the embedded G20 through 2 * 20 - 1
+    for rule, degree in ((kronrod, 61), (gauss, 39)):
+        for k in range(degree + 1):
+            assert abs(rule @ x ** k - (1 + (-1) ** k) / (k + 1)) < 1e-14, (degree, k)
+
+
 def test_oscillatory_integral():
     # int_0^20 sin(5 t) dt = (1 - cos(100))/5
     val = integrate_adaptive(lambda x: np.sin(5 * x), 0.0, 20.0, 1e-10)
@@ -118,7 +132,7 @@ def test_non_finite_integrand_fails_at_once():
 
 
 def test_running_integral_of_smooth_decaying_oscillation():
-    # int_1^X sin t / t^2 dt = [Ci(t) - sin(t) / t]_1^X on long G10/K21 panels
+    # int_1^X sin t / t^2 dt = [Ci(t) - sin(t) / t]_1^X on long G20/K41 panels
     top = 2.0 ** 22
     want = float((mp.ci(top) - mp.sin(top) / top) - (mp.ci(1) - mp.sin(1)))
     start = counter.count

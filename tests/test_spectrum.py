@@ -12,7 +12,7 @@ from halfsum.kernels import (Flavor, Sampled, convolve, counterexample_additive,
                              counterexample_multiplicative, exponential,
                              finite_mixture, normalize, power, power_law,
                              sampled_kernel)
-from halfsum.quadrature import _CHUNK_PANELS, counter, fourier_piecewise_linear
+from halfsum.quadrature import _CHUNK_PANELS, PANEL_NODES, counter, fourier_piecewise_linear
 from halfsum.spectrum import (classify_wiener, dual_transform_identity_check,
                               fourier_transform, mellin_transform,
                               transform_grid, transform_numeric)
@@ -90,7 +90,7 @@ def test_grouped_evaluations_stay_within_the_panel_budget(monkeypatch, name):
     monkeypatch.setattr(spectrum, "integrate_adaptive", recording)
     transform_numeric(_GROUPED_KERNELS[name](), _GROUPED_XI)
     assert max(rows for rows, _ in seen) > 1
-    assert all(nodes <= _CHUNK_PANELS * 21 / rows for rows, nodes in seen), \
+    assert all(nodes <= _CHUNK_PANELS * PANEL_NODES / rows for rows, nodes in seen), \
         max(rows * nodes for rows, nodes in seen)
 
 
@@ -108,9 +108,18 @@ def test_grouped_transform_memory_stays_flat():
     assert peak < 12e6
 
 
+def test_transform_numeric_low_frequencies_keep_their_own_panels():
+    # |xi| in different factor-of-two bands never share a group, so a high
+    # frequency asked alongside leaves a low one's value bit for bit as alone
+    k = power_law(1.0)
+    low = transform_numeric(k, np.array([0.1, -0.3]))
+    assert np.array_equal(transform_numeric(k, np.array([50.0, 0.1, -0.3, 7.0]))[1:3], low)
+
+
 def test_transform_numeric_budget_miss_names_the_group():
-    xi = np.array([3.0, -7.0, 0.5])
-    with pytest.raises(TransformFailed, match=r"3 frequencies in \[-7, 3\]"):
+    # one band of |xi| (cut = 11.6): 2.5, 3 and 4 share a group
+    xi = np.array([3.0, -4.0, 2.5])
+    with pytest.raises(TransformFailed, match=r"3 frequencies in \[-4, 3\]"):
         transform_numeric(exponential(2.0), xi, DEFAULT.replace(max_evals=100))
 
 

@@ -234,8 +234,82 @@ def check_composition():
             check(f"U_({a}*{b}) {label} at {x:g}", got, want, 2e-16 * abs(got))
 
 
+# --- the panel rule: Gauss-Kronrod G20/K41 ----------------------------------
+
+def _frozen_digits(source_file, name):
+    """The numeric literals of the tuple assigned to ``name``, as written (all digits)."""
+    with open(source_file) as fh:
+        text = fh.read()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return [mp.mpf(ast.get_source_segment(text, elt)) for elt in node.value.elts]
+    raise KeyError(f"{name} not found in {source_file}")
+
+
+def _legendre(k, x):
+    """P_k(x) and P_(k-1)(x) by the three-term recurrence."""
+    p0, p1 = mp.mpf(1), x
+    for i in range(1, k):
+        p0, p1 = p1, ((2 * i + 1) * x * p1 - i * p0) / (i + 1)
+    return (p1, p0) if k else (p0, 0)
+
+
+def check_gauss_kronrod():
+    """The frozen G20/K41 nodes and weights of halfsum.quadrature, each to 1e-30.
+
+    The Gauss nodes are the roots of P_n.  The other n + 1 Kronrod nodes
+    are the roots of the Stieltjes polynomial E_(n+1), monic with
+    int P_n E_(n+1) x^k dx = 0 for k <= n, from the exact moments
+    int P_n x^k dx = 2^(n+1) k! ((k+n)/2)! / (((k-n)/2)! (k+n+1)!) for
+    k >= n, k - n even, and 0 otherwise.  The Kronrod weights make the rule
+    exact on P_0 .. P_(2n); the Gauss weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    source = os.path.join(ROOT, "src", "halfsum", "quadrature.py")
+    n, f = 20, mp.factorial
+    with mp.workdps(70):
+        moment = [0 if k < n or (k - n) % 2 else
+                  2 ** (n + 1) * f(k) * f((k + n) // 2) / (f((k - n) // 2) * f(k + n + 1))
+                  for k in range(2 * n + 2)]
+        # E_(n+1) has the parity of n + 1, so its coefficients c_j below the
+        # leading one have j = n - 1, n - 3, ..., and the rows k with
+        # k + j = n mod 2, the odd k, hold every condition
+        js = range((n + 1) % 2, n + 1, 2)
+        ks = range(1, n + 1, 2)
+        c = mp.lu_solve(mp.matrix([[moment[k + j] for j in js] for k in ks]),
+                        mp.matrix([-moment[k + n + 1] for k in ks]))
+        stieltjes = [mp.mpf(0)] * (n + 2)
+        stieltjes[n + 1] = mp.mpf(1)
+        for j, cj in zip(js, c):
+            stieltjes[j] = cj
+        # P_n = 2^-n sum_m (-1)^m C(n, m) C(2n - 2m, n) x^(n - 2m)
+        legendre = [mp.mpf(0)] * (n + 1)
+        for m in range(n // 2 + 1):
+            legendre[n - 2 * m] = ((-1) ** m * mp.binomial(n, m)
+                                   * mp.binomial(2 * n - 2 * m, n) / 2 ** n)
+        gauss, extra = ([mp.re(r) for r in mp.polyroots(p[::-1], maxsteps=200, extraprec=300)]
+                        for p in (legendre, stieltjes))
+        nodes = sorted(gauss + extra, reverse=True)
+        kronrod = mp.lu_solve(mp.matrix([[_legendre(i, x)[0] for x in nodes]
+                                         for i in range(len(nodes))]),
+                              mp.matrix([2] + [0] * (len(nodes) - 1)))
+        # P_n'(x) = n (x P_n(x) - P_(n-1)(x)) / (x^2 - 1), and P_n(x) = 0
+        gauss_weights = [2 * (1 - x ** 2) / (n * _legendre(n, x)[1]) ** 2
+                         for x in sorted(gauss, reverse=True)]
+        for name, want in (("_K41_NODES", nodes[:n + 1]), ("_K41_WEIGHTS", kronrod[:n + 1]),
+                           ("_G20_WEIGHTS", gauss_weights[:n // 2])):
+            got = _frozen_digits(source, name)
+            if len(got) != len(want):
+                print(f"[FAIL] {name}: {len(got)} values, want {len(want)}")
+                FAILURES.append(name)
+                continue
+            for i, (g, w) in enumerate(zip(got, want)):
+                check(f"{name}[{i}]", g, w, mp.mpf("1e-30"))
+
+
 def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), TESTS]
+    check_gauss_kronrod()
     check_wiener_verdicts()
     check_character_references()
     check_noise_bounds()
@@ -358,6 +432,26 @@ def main():
         y = 10 * mp.mpf(x)
         closed = mp.sin(y) - y * mp.ci(y)
         check(f"dual M*_1 on sin(10t) at {x}", closed, want, 2e-16 * abs(closed))
+
+    # --- dual M*_1 on sin(3 t): sin(3 x) - 3 x Ci(3 x) ------------------------
+    for x, want in frozen("test_engine.py", "DUAL_M1_SIN3").items():
+        y = 3 * mp.mpf(x)
+        closed = mp.sin(y) - y * mp.ci(y)
+        check(f"dual M*_1 on sin(3t) at {x}", closed, want, 2e-16 * abs(closed))
+
+    # --- S_exp1 on sin(t^2): e^-x int_0^x e^t sin(t^2) dt ----------------------
+    # i t^2 + t = i (t - i/2)^2 + i/4, and int e^(i w^2) dw = e^(i pi/4)
+    # sqrt(pi)/2 erf(e^(-i pi/4) w); checked against direct quadrature at a
+    # small x, then against the values frozen in tests/test_engine.py
+    rot = mp.expjpi(mp.mpf(1) / 4)
+    fresnel = lambda w: rot * mp.sqrt(mp.pi) / 2 * mp.erf(w / rot)
+    sin_sq_mean = lambda x: mp.im(mp.exp(-x + 0.25j) * (fresnel(x - 0.5j) - fresnel(-0.5j)))
+    xm = mp.mpf(20)
+    got = mp.quad(lambda t: mp.sin(t ** 2) * mp.e ** (t - xm), mp.linspace(0, xm, 161))
+    check("S_exp1 on sin(t^2) by quadrature at 20", got, sin_sq_mean(xm), mp.mpf("1e-40"))
+    for x, want in frozen("test_engine.py", "SIN_SQ_S_EXP1").items():
+        closed = sin_sq_mean(mp.mpf(x))
+        check(f"S_exp1 on sin(t^2) at {x}", closed, want, 2e-16 * abs(closed))
 
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
