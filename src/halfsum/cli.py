@@ -6,8 +6,10 @@ transform zero-set machinery, ``sum`` and ``compare`` the limit estimator,
 showcases.  Everything prints machine-readable JSON (or CSV where a table is
 the natural shape) so scripts and CI can consume the results.
 
-Exit codes: 0 success, 1 usage or parse error, 2 inconclusive verdict or
-status, 3 verification failure.
+Exit codes: 0 success; 1 any library error, printed as one ``error:`` line (a
+bad kernel spec, a zero-mass kernel, bad or non-finite settings, a malformed
+case file, an unknown function or method); 2 an inconclusive verdict or
+status, and click's own option errors; 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import sys
 import click
 
 from . import corpus as corpus_mod
-from .config import DEFAULT, Settings, load_settings
+from .config import DEFAULT, load_settings, overlay
 from .engine import MethodDescriptor, Status, Variant, estimate_limit
-from .errors import HalfsumError
+from .errors import ConfigError, FlavorMismatch, HalfsumError
 from .kernels import Flavor, normalize, parse_kernel_arg
 from .spectrum import classify_wiener
 
@@ -36,19 +38,36 @@ def _echo_json(payload: dict):
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_USAGE)
+def _write_csv(rows, path=None):
+    """Write ``rows`` (the header first) as CSV to ``path``, or to stdout."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(buf.getvalue())
+    else:
+        click.echo(buf.getvalue(), nl=False)
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends every command that raises a library error with one ``error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HalfsumError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_USAGE)
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None,
               help="JSON settings file overlaying the defaults.")
 @click.option("--tol", type=float, default=None,
               help="Limit-detection tolerance scale (positive): sets tol_limit_scale, "
                    "so the tolerance is TOL * (1 + sup|f|).")
 @click.option("--max-ladder", type=int, default=None,
-              help="Maximum number of ladder doublings.")
+              help="Maximum number of ladder doublings: sets ladder_max_steps.")
 @click.option("--output", "output_fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
@@ -56,30 +75,12 @@ def _fail(message: str):
 @click.pass_context
 def main(ctx, config_path, tol, max_ladder, output_fmt, jobs):
     """Summability methods on the half-line: classify kernels, estimate limits."""
-    settings = DEFAULT
-    try:
-        if config_path is not None:
-            settings = load_settings(config_path)
-        if tol is not None:
-            if tol <= 0:
-                raise HalfsumError("--tol must be positive")
-            settings = settings.replace(tol_limit_scale=tol)
-        if max_ladder is not None:
-            if max_ladder < 1:
-                raise HalfsumError("--max-ladder must be at least 1")
-            settings = settings.replace(ladder_max_steps=max_ladder)
-        if jobs < 1:
-            raise HalfsumError("--jobs must be at least 1")
-    except HalfsumError as exc:
-        _fail(str(exc))
+    settings = load_settings(config_path) if config_path is not None else DEFAULT
+    flags = {"tol_limit_scale": tol, "ladder_max_steps": max_ladder}
+    settings = overlay({k: v for k, v in flags.items() if v is not None}, settings)
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     ctx.obj = {"settings": settings, "output": output_fmt, "jobs": jobs}
-
-
-def _parse_kernel(spec: str, settings: Settings):
-    try:
-        return parse_kernel_arg(spec, settings)
-    except HalfsumError as exc:
-        _fail(f"cannot parse kernel spec {spec!r}: {exc}")
 
 
 def _lookup_function(name: str, flavor: Flavor):
@@ -87,19 +88,9 @@ def _lookup_function(name: str, flavor: Flavor):
     fn = corpus_mod.corpus_map().get((key, flavor))
     if fn is None:
         available = sorted({lab for (lab, fl) in corpus_mod.corpus_map() if fl is flavor})
-        _fail(f"unknown {flavor.value} function {key!r}; available: {', '.join(available)}")
+        raise ConfigError(f"unknown {flavor.value} function {key!r}; "
+                          f"available: {', '.join(available)}")
     return fn
-
-
-def _result_payload(result) -> dict:
-    est = result.estimate
-    return {
-        "estimate": None if est is None else [est.real, est.imag],
-        "status": result.status.value,
-        "amplitude": result.oscillation_amplitude,
-        "evaluations": result.evaluations,
-        "tolerance": result.tolerance_used,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +102,8 @@ def _result_payload(result) -> dict:
 def classify(ctx, kernel_spec):
     """Zero-set verdict for a kernel's transform (whole line for closed forms)."""
     settings = ctx.obj["settings"]
-    kernel = normalize(_parse_kernel(kernel_spec, settings), settings)
-    try:
-        profile = classify_wiener(kernel, settings)
-    except HalfsumError as exc:
-        _fail(str(exc))
+    kernel = normalize(parse_kernel_arg(kernel_spec, settings), settings)
+    profile = classify_wiener(kernel, settings)
     payload = profile.verdict.to_dict()
     payload["min_modulus"] = profile.min_modulus
     _echo_json(payload)
@@ -131,11 +119,8 @@ def classify(ctx, kernel_spec):
 def spectrum(ctx, kernel_spec, points, out_path):
     """Export the transform on a frequency grid plus the zero-set verdict."""
     settings = ctx.obj["settings"]
-    kernel = normalize(_parse_kernel(kernel_spec, settings), settings)
-    try:
-        profile = classify_wiener(kernel, settings, n_points=points)
-    except HalfsumError as exc:
-        _fail(str(exc))
+    kernel = normalize(parse_kernel_arg(kernel_spec, settings), settings)
+    profile = classify_wiener(kernel, settings, n_points=points)
     if ctx.obj["output"] == "json":
         _echo_json({
             "frequencies": profile.frequencies.tolist(),
@@ -143,18 +128,10 @@ def spectrum(ctx, kernel_spec, points, out_path):
             "verdict": profile.verdict.to_dict(),
         })
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["freq", "re", "im", "modulus"])
-        for xi, v in zip(profile.frequencies, profile.values):
-            writer.writerow([repr(float(xi)), repr(float(v.real)),
-                             repr(float(v.imag)), repr(float(abs(v)))])
-        table = buf.getvalue()
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(table)
-        else:
-            click.echo(table, nl=False)
+        _write_csv([["freq", "re", "im", "modulus"]]
+                   + [[repr(float(xi)), repr(float(v.real)), repr(float(v.imag)),
+                       repr(float(abs(v)))]
+                      for xi, v in zip(profile.frequencies, profile.values)], out_path)
         _echo_json({"verdict": profile.verdict.to_dict()})
     sys.exit(EXIT_OK if profile.verdict.kind != "inconclusive" else EXIT_INCONCLUSIVE)
 
@@ -176,33 +153,23 @@ def spectrum(ctx, kernel_spec, points, out_path):
 def sum_cmd(ctx, kernel_spec, function_name, variant, iterations, trace_path):
     """Estimate the method value of a corpus function."""
     settings = ctx.obj["settings"]
-    kernel = normalize(_parse_kernel(kernel_spec, settings), settings)
+    kernel = normalize(parse_kernel_arg(kernel_spec, settings), settings)
     f = _lookup_function(function_name, kernel.flavor)
-    try:
-        method = MethodDescriptor(kernel, Variant(variant), iterations,
-                                  label=f"cli:{kernel_spec}")
-        result = estimate_limit(method, f, settings)
-    except HalfsumError as exc:
-        _fail(str(exc))
+    method = MethodDescriptor(kernel, Variant(variant), iterations, label=f"cli:{kernel_spec}")
+    result = estimate_limit(method, f, settings)
     if trace_path:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re", "im"])
-            for x, v in result.trace:
-                writer.writerow([repr(x), repr(v.real), repr(v.imag)])
-    payload = _result_payload(result)
+        _write_csv([["x", "re", "im"]]
+                   + [[repr(x), repr(v.real), repr(v.imag)] for x, v in result.trace],
+                   trace_path)
+    record = result.to_dict()
     if ctx.obj["output"] == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["estimate_re", "estimate_im", "status", "amplitude", "evaluations"])
-        est = result.estimate
-        writer.writerow(["" if est is None else repr(est.real),
-                         "" if est is None else repr(est.imag),
-                         result.status.value, repr(result.oscillation_amplitude),
-                         result.evaluations])
-        click.echo(buf.getvalue(), nl=False)
+        estimate = [repr(part) for part in record["estimate"]] if record["estimate"] \
+            else ["", ""]
+        _write_csv([["estimate_re", "estimate_im", "status", "amplitude", "evaluations"],
+                    estimate + [record["status"], repr(record["amplitude"]),
+                                record["evaluations"]]])
     else:
-        _echo_json(payload)
+        _echo_json(record)
     sys.exit(EXIT_INCONCLUSIVE if result.status is Status.INCONCLUSIVE else EXIT_OK)
 
 
@@ -215,19 +182,15 @@ def compare(ctx, method_a, method_b, function_name):
     """Run two named methods on one function and report their agreement."""
     settings = ctx.obj["settings"]
     catalog = corpus_mod.method_catalog()
-    methods = {}
     for label in (method_a, method_b):
         if label not in catalog:
-            _fail(f"unknown method {label!r}; available: {', '.join(sorted(catalog))}")
-        methods[label] = catalog[label]
-    flavors = {m.kernel.flavor for m in methods.values()}
+            raise ConfigError(f"unknown method {label!r}; "
+                              f"available: {', '.join(sorted(catalog))}")
+    flavors = {catalog[label].kernel.flavor for label in (method_a, method_b)}
     if len(flavors) != 1:
-        _fail("methods live on different domain flavors")
+        raise FlavorMismatch("methods live on different domain flavors")
     f = _lookup_function(function_name, flavors.pop())
-    try:
-        results = {lab: estimate_limit(m, f, settings) for lab, m in methods.items()}
-    except HalfsumError as exc:
-        _fail(str(exc))
+    results = {lab: estimate_limit(catalog[lab], f, settings) for lab in (method_a, method_b)}
     ra, rb = results[method_a], results[method_b]
     tol = 2.0 * settings.tol_limit(f.bound)
     agree = None
@@ -238,8 +201,8 @@ def compare(ctx, method_a, method_b, function_name):
     elif Status.INCONCLUSIVE not in (ra.status, rb.status):
         agree = ra.status is rb.status
     _echo_json({
-        method_a: _result_payload(ra),
-        method_b: _result_payload(rb),
+        method_a: ra.to_dict(),
+        method_b: rb.to_dict(),
         "max_delta": delta,
         "tolerance": tol,
         "agree": agree,
@@ -258,13 +221,8 @@ def compare(ctx, method_a, method_b, function_name):
 @click.pass_context
 def verify(ctx, cases_path):
     """Run the verification matrix and exit nonzero on any failure."""
-    settings = ctx.obj["settings"]
-    try:
-        cases = (corpus_mod.load_cases(cases_path) if cases_path
-                 else corpus_mod.builtin_cases())
-        report = corpus_mod.run_matrix(cases, settings, jobs=ctx.obj["jobs"])
-    except HalfsumError as exc:
-        _fail(str(exc))
+    cases = corpus_mod.load_cases(cases_path) if cases_path else corpus_mod.builtin_cases()
+    report = corpus_mod.run_matrix(cases, ctx.obj["settings"], jobs=ctx.obj["jobs"])
     _echo_json(report.to_dict())
     sys.exit(EXIT_OK if report.passed else EXIT_VERIFY_FAIL)
 
@@ -273,13 +231,9 @@ def verify(ctx, cases_path):
 @click.pass_context
 def demo(ctx):
     """Two end-to-end showcases: the spectral separation and a dual pair."""
-    settings = ctx.obj["settings"]
     cases = {c.case_id: c for c in corpus_mod.builtin_cases()}
     picks = [cases["separation_char"], cases["dual_sin"]]
-    try:
-        report = corpus_mod.run_matrix(picks, settings)
-    except HalfsumError as exc:
-        _fail(str(exc))
+    report = corpus_mod.run_matrix(picks, ctx.obj["settings"])
     for outcome in report.outcomes:
         mark = "ok" if outcome.passed else "FAILED"
         click.echo(f"[{mark}] {outcome.case_id}: {outcome.detail}")

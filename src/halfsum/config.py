@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -47,7 +48,8 @@ DEFAULT = Settings()
 # key: (the value must exceed this bound, the value must be an integer).  A
 # ladder that does not grow, or a one-point plateau window, would report
 # "converged" at once; a frequency window of no width would certify nothing,
-# and a budget, grid or pass count below its bound would fail mid-run.
+# and a budget, grid or pass count below its bound would fail mid-run.  No
+# value may be infinite or NaN: an infinite tolerance "converges" anything.
 _BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
            "tol_limit_scale": (0, False), "mass_epsilon": (0, False),
            "x_max_quad": (0, False), "max_evals": (0, True),
@@ -58,11 +60,7 @@ _BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
 
 
 def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
-    """Read a JSON config file and overlay it on ``base``.
-
-    Unknown keys are rejected so typos do not silently keep defaults, and so
-    are ladder and tolerance values that cannot give an honest status.
-    """
+    """Read a JSON config file and ``overlay`` it on ``base``."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -70,13 +68,23 @@ def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
+    return overlay(raw, base)
+
+
+def overlay(raw: dict, base: Settings = DEFAULT) -> Settings:
+    """``base`` with the settings named in ``raw`` replaced.
+
+    Unknown keys are rejected so typos do not silently keep defaults, and so
+    are ladder and tolerance values that cannot give an honest status.
+    """
     known = {f.name for f in dataclasses.fields(Settings)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, (lower, integral) in _BOUNDS.items():
         v, kind = raw.get(key), int if integral else (int, float)
-        if key in raw and (isinstance(v, bool) or not isinstance(v, kind) or not v > lower):
-            what = f"an integer >= {lower + 1}" if integral else f"a number > {lower}"
-            raise ConfigError(f"config key {key!r} must be {what}")
+        if key in raw and (isinstance(v, bool) or not isinstance(v, kind)
+                           or not lower < v < math.inf):
+            what = f"an integer >= {lower + 1}" if integral else f"a finite number > {lower}"
+            raise ConfigError(f"setting {key!r} must be {what}")
     return base.replace(**raw)

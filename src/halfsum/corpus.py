@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -97,14 +98,10 @@ def builtin_corpus() -> list[TestFunction]:
         out.append(_char_multiplicative(alpha))
     alt = embed_sequence(lambda n: np.where((n & 1) == 1, -1.0, 1.0), "alt", period=2)
     out.append(alt)
-    blocks = embed_sequence(lambda n: ((n - 1) & 3) < 2, "blocks", period=4)
-    out.append(TestFunction("blocks", blocks.evaluator, 1.0, mul,
-                            sequence=blocks.sequence,
-                            known_values=(("M", 0.5, "period-4 blocks 1,1,0,0"),)))
-    ones = embed_sequence([1.0] * 5, "finite_ones")
-    out.append(TestFunction("finite_ones", ones.evaluator, 1.0, mul,
-                            classical_limit=0.0, sequence=ones.sequence,
-                            known_values=(("M", 0.0, "finitely supported"),)))
+    out.append(replace(embed_sequence(lambda n: ((n - 1) & 3) < 2, "blocks", period=4),
+                       known_values=(("M", 0.5, "period-4 blocks 1,1,0,0"),)))
+    out.append(replace(embed_sequence([1.0] * 5, "finite_ones"), classical_limit=0.0,
+                       known_values=(("M", 0.0, "finitely supported"),)))
     return out
 
 
@@ -166,6 +163,10 @@ class VerificationCase:
             raise ConfigError(f"unknown expectation kind {self.expected!r}")
         if self.expected == "separation" and len(self.methods) != 2:
             raise ConfigError("separation cases reference exactly two methods")
+        if self.expected == "separation" and len(self.statuses) != 2:
+            raise ConfigError("separation cases expect exactly two statuses")
+        if self.expected == "all_agree" and self.value is None:
+            raise ConfigError("all_agree cases need a value")
 
     def to_dict(self) -> dict:
         d = {"case_id": self.case_id, "function": self.function,
@@ -181,15 +182,25 @@ class VerificationCase:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VerificationCase":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a verification case must be a JSON object, not {raw!r}")
+        if not (isinstance(raw.get("case_id"), str) and isinstance(raw.get("function"), str)
+                and _strings(raw.get("methods")) and _strings(raw.get("statuses", []))):
+            raise ConfigError("a verification case needs 'case_id' and 'function' strings "
+                              "and 'methods' and 'statuses' lists of strings")
+        value, tolerance = raw.get("value"), raw.get("tolerance")
+        if isinstance(value, list) and len(value) == 2 and all(map(_finite_number, value)):
+            value = complex(*value)
+        elif value is not None and not _finite_number(value):
+            raise ConfigError(f"case value must be a number or an [re, im] pair, not {value!r}")
+        if tolerance is not None and not (_finite_number(tolerance) and tolerance > 0):
+            raise ConfigError(f"case tolerance must be a finite positive number, not {tolerance!r}")
         try:
-            value = raw.get("value")
-            if isinstance(value, (list, tuple)):
-                value = complex(value[0], value[1])
             return cls(case_id=raw["case_id"], function=raw["function"],
                        flavor=Flavor(raw["flavor"]), methods=tuple(raw["methods"]),
                        expected=raw["expected"], value=value,
                        statuses=tuple(raw.get("statuses", ())),
-                       tolerance=raw.get("tolerance"),
+                       tolerance=tolerance,
                        principle=raw.get("principle", ""))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"malformed verification case: {exc}") from exc
@@ -200,7 +211,7 @@ class CaseOutcome:
     case_id: str
     passed: bool
     detail: str
-    measured: dict = field(default_factory=dict)  # method -> {status, estimate, amplitude}
+    measured: dict = field(default_factory=dict)  # method -> SummationResult.to_dict()
 
     def to_dict(self) -> dict:
         return {"case_id": self.case_id, "passed": self.passed,
@@ -222,6 +233,16 @@ class VerificationReport:
                 "evaluations": self.evaluations,
                 "outcomes": [o.to_dict() for o in sorted(self.outcomes,
                                                          key=lambda o: o.case_id)]}
+
+
+def _finite_number(v) -> bool:
+    """A JSON number that converts to a finite float (NaN fails the comparison)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
 def builtin_cases() -> list[VerificationCase]:
@@ -271,14 +292,6 @@ def load_cases(path: str) -> list[VerificationCase]:
     return [VerificationCase.from_dict(item) for item in raw]
 
 
-def _measure(result) -> dict:
-    est = result.estimate
-    return {"status": result.status.value,
-            "estimate": None if est is None else [est.real, est.imag],
-            "amplitude": result.oscillation_amplitude,
-            "evaluations": result.evaluations}
-
-
 def _run_case(case: VerificationCase, settings: Settings) -> tuple[CaseOutcome, int]:
     """The case's outcome and the evaluations it made (counted where it ran)."""
     start = counter.count
@@ -291,7 +304,7 @@ def _run_case(case: VerificationCase, settings: Settings) -> tuple[CaseOutcome, 
     for label in case.methods:
         res = estimate_limit(methods[label], f, settings)
         results[label] = res
-        measured[label] = _measure(res)
+        measured[label] = res.to_dict()
     return _judge(case, results, tol, measured), counter.count - start
 
 

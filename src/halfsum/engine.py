@@ -140,6 +140,13 @@ class SummationResult:
     tolerance_used: float = 0.0
     evaluations: int = 0
 
+    def to_dict(self) -> dict:
+        """The result's JSON record; the trace is left out."""
+        est = self.estimate
+        return {"estimate": None if est is None else [est.real, est.imag],
+                "status": self.status.value, "amplitude": self.oscillation_amplitude,
+                "evaluations": self.evaluations, "tolerance": self.tolerance_used}
+
 
 # ---------------------------------------------------------------------------
 # sequence embedding

@@ -94,9 +94,6 @@ class EvalCounter:
     def add(self, n: int):
         self.count += n
 
-    def reset(self):
-        self.count = 0
-
 
 counter = EvalCounter()
 

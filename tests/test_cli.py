@@ -24,6 +24,41 @@ def _json_tail(output: str) -> dict:
     return json.loads(output[start:])
 
 
+def _assert_one_error_line(res):
+    """The command ended in the group's error handler, not in an exception."""
+    assert res.exit_code == 1
+    assert "error:" in res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+
+
+# exponential(1) minus exponential(2): both have unit mass, so the mixture has none
+ZERO_MASS_SPEC = {"flavor": "additive", "body": {"catalog": "finite_mixture", "params": {
+    "components": [{"coef": [1, 0], "catalog": "exponential", "params": {"rate": 1}},
+                   {"coef": [-1, 0], "catalog": "exponential", "params": {"rate": 2}}]}}}
+
+
+@pytest.mark.parametrize("argv", [["classify", "SPEC"], ["spectrum", "SPEC"],
+                                  ["sum", "--kernel", "SPEC", "--function", "one"]])
+def test_zero_mass_kernel_is_an_error(runner, tmp_path, argv):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_MASS_SPEC))
+    res = runner.invoke(main, [a.replace("SPEC", f"file:{path}") for a in argv])
+    _assert_one_error_line(res)
+    assert "mass" in res.output
+
+
+def test_console_error_prints_no_traceback(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_MASS_SPEC))
+    src = str(Path(halfsum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-m", "halfsum.cli", "classify", f"file:{path}"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
 def test_classify_nonvanishing(runner):
     res = runner.invoke(main, ["classify", "catalog:exponential(1)"])
     assert res.exit_code == 0
@@ -124,10 +159,19 @@ def test_sum_trace_csv(runner, tmp_path):
     assert x1 == 2 * x0
 
 
+def test_sum_csv(runner):
+    res = runner.invoke(main, ["--output", "csv", "sum", "--kernel", "catalog:power_law(1)",
+                               "--function", "char_1"])
+    assert res.exit_code == 0
+    header, row = res.output.splitlines()
+    assert header == "estimate_re,estimate_im,status,amplitude,evaluations"
+    assert row.startswith(",,oscillating,")
+
+
 def test_sum_unknown_function(runner):
     res = runner.invoke(main, ["sum", "--kernel", "catalog:power_law(1)",
                                "--function", "nope"])
-    assert res.exit_code == 1
+    _assert_one_error_line(res)
 
 
 def test_sum_dual_variant(runner):
@@ -149,12 +193,12 @@ def test_compare_agreeing_methods(runner):
 
 def test_compare_unknown_method(runner):
     res = runner.invoke(main, ["compare", "M", "nope", "--function", "one"])
-    assert res.exit_code == 1
+    _assert_one_error_line(res)
 
 
 def test_compare_flavor_mismatch(runner):
     res = runner.invoke(main, ["compare", "M", "K", "--function", "one"])
-    assert res.exit_code == 1
+    _assert_one_error_line(res)
 
 
 def test_verify_builtin_subset(runner, tmp_path):
@@ -186,12 +230,66 @@ def test_verify_malformed_case_file(runner, tmp_path):
     assert res.exit_code == 1
 
 
-def test_global_option_validation(runner):
-    res = runner.invoke(main, ["--tol", "-1", "classify", "catalog:exponential(1)"])
-    assert res.exit_code == 1
-    res = runner.invoke(main, ["--max-ladder", "0", "classify",
-                               "catalog:exponential(1)"])
-    assert res.exit_code == 1
+GOOD_CASE = {"case_id": "c", "function": "one", "flavor": "multiplicative",
+             "methods": ["M"], "expected": "all_agree", "value": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("entry", [
+    {**GOOD_CASE, "value": [0.25]},
+    "abc",
+    {**GOOD_CASE, "value": "1"},
+    {**GOOD_CASE, "value": [1.0, float("nan")]},
+    {**GOOD_CASE, "value": True},
+    {**GOOD_CASE, "tolerance": "big"},
+    {**GOOD_CASE, "tolerance": 0},
+    {**GOOD_CASE, "tolerance": float("inf")},
+    {**GOOD_CASE, "case_id": 1},
+    {**GOOD_CASE, "methods": [["M"]]},
+    {key: v for key, v in GOOD_CASE.items() if key != "value"},
+    {**GOOD_CASE, "function": "char_1", "flavor": "additive", "methods": ["S_ce1", "K"],
+     "expected": "separation"},
+])
+def test_verify_malformed_case_is_an_error_before_any_method_runs(runner, tmp_path,
+                                                                   monkeypatch, entry):
+    def no_run(*args):
+        raise AssertionError("a method ran on a malformed case file")
+
+    monkeypatch.setattr("halfsum.corpus.estimate_limit", no_run)
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps([entry]))
+    res = runner.invoke(main, ["verify", "--cases", str(path)])
+    _assert_one_error_line(res)
+
+
+def test_verify_measured_entries_are_result_records(runner, tmp_path):
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps([GOOD_CASE]))
+    res = runner.invoke(main, ["verify", "--cases", str(path)])
+    assert res.exit_code == 0
+    measured = json.loads(res.output)["outcomes"][0]["measured"]["M"]
+    summed = runner.invoke(main, ["sum", "--kernel", "catalog:power_law(1)",
+                                  "--function", "one"])
+    assert set(measured) == set(json.loads(summed.output)) == {
+        "estimate", "status", "amplitude", "evaluations", "tolerance"}
+
+
+# the flags pass the config file's settings check: an infinite tolerance
+# reported char_1 as "converged" and a NaN one printed "tolerance": NaN
+@pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+                                   ["--max-ladder", "0"]])
+def test_global_option_validation(runner, flags):
+    res = runner.invoke(main, flags + ["sum", "--kernel", "catalog:power_law(1)",
+                                       "--function", "char_1"])
+    _assert_one_error_line(res)
+
+
+def test_flags_overlay_the_config_file(runner, tmp_path):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"tol_limit_scale": 1e-3, "ladder_max_steps": 20}))
+    res = runner.invoke(main, ["--config", str(cfg), "--tol", "1e-2", "sum",
+                               "--kernel", "catalog:power_law(1)", "--function", "one"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["tolerance"] == pytest.approx(2e-2)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -231,6 +329,9 @@ def test_config_file_overlay(runner, tmp_path):
     {"freq_window": -5},
     {"x_max_quad": 0},
     {"refine_max_iter": 0},
+    {"tol_limit_scale": float("inf")},
+    {"tol_quad": float("inf")},
+    {"ladder_ratio": float("inf")},
 ])
 def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
     path = tmp_path / "bad.json"

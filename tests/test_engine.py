@@ -176,10 +176,10 @@ def test_noise_floored_windows_stay_accurate_off_the_grid(name):
 
 
 def test_character_ladder_past_the_noise_floor_stays_cheap():
-    # f(x - s) rounds its argument to ulp(x); without the floor a G10/K21
-    # rule bisected that staircase for 6.6e7 evaluations on this ladder,
-    # where G20/K41 takes 2.1e4.  Every value stays within the per-point
-    # target
+    # the K ladder on char_1 out to x = 2^30 stays cheap and every value
+    # within the per-point target.  It does not guard the floor: with
+    # noise=None the G20/K41 panels take 2.1e4 evaluations here too (the
+    # floor's guard is the sin_sq test below)
     f = corpus_map()[("char_1", Flavor.ADDITIVE)]
     method = method_catalog()["K"]
     res = estimate_limit(method, f, DEFAULT)
@@ -188,6 +188,21 @@ def test_character_ladder_past_the_noise_floor_stays_cheap():
     for x, got in res.trace:
         want = character_reference(method.kernel.additive_form(), 1.0, x, method.variant)
         assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), x
+
+
+@pytest.mark.parametrize("label, apply, budget", [("S_exp2", apply_forward, 1e6),
+                                                  ("S*_exp1", apply_dual, 2e6)])
+def test_sin_sq_window_is_cheap_at_its_noise_floor(label, apply, budget):
+    # at x = 2^14 sin(t^2) is accurate only to about 3 t^2 eps; floored, the
+    # windows take 6.0e5 (forward) and 1.0e6 (dual) evaluations.  Without the
+    # floor the forward window bisects that rounding for 1.4e7 evaluations
+    # and the dual one spends the 6e7 budget and raises QuadratureFailed
+    f = corpus_map()[("sin_sq", Flavor.ADDITIVE)]
+    kernel = method_catalog()[label].kernel
+    kernel.l1_norm()
+    start = counter.count
+    apply(kernel, f, 2.0 ** 14)
+    assert counter.count - start <= budget
 
 
 @pytest.mark.parametrize("label", ["S_exp2", "S*_exp1"])
