@@ -3,9 +3,9 @@
 from .config import DEFAULT, Settings, load_settings
 from .corpus import builtin_corpus, corpus_map, method_catalog
 from .engine import (MethodDescriptor, Status, SummationResult, TestFunction,
-                     Variant, apply_dual, apply_forward, discrete_cesaro,
-                     embed_sequence, estimate_limit, k_estimator, method_Mr,
-                     method_holder)
+                     TrigPolynomial, Variant, apply_dual, apply_forward,
+                     discrete_cesaro, embed_sequence, estimate_limit, k_estimator,
+                     method_Mr, method_holder)
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch, HalfsumError,
                      InvalidArgument, InvalidKernel, QuadratureFailed,
                      TransformFailed)

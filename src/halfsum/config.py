@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -35,14 +36,19 @@ class Settings:
     plateau_window: int = 5
     tol_limit_scale: float = 1e-4   # tol_limit = scale * (1 + ||f||_inf)
 
+    def __post_init__(self):
+        for key, (lower, integral) in _BOUNDS.items():
+            v = getattr(self, key)
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(v, bool) or not isinstance(v, kind) or not lower < v < math.inf:
+                what = f"an integer >= {lower + 1}" if integral else f"a finite number > {lower}"
+                raise ConfigError(f"setting {key!r} must be {what}")
+
     def tol_limit(self, bound: float) -> float:
         return self.tol_limit_scale * (1.0 + bound)
 
     def replace(self, **kwargs) -> "Settings":
         return dataclasses.replace(self, **kwargs)
-
-
-DEFAULT = Settings()
 
 
 # key: (the value must exceed this bound, the value must be an integer).  A
@@ -57,6 +63,8 @@ _BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
            "grid_pass_limit": (-1, True),
            "ladder_x0": (0, False), "ladder_ratio": (1, False),
            "ladder_max_steps": (0, True), "plateau_window": (1, True)}
+
+DEFAULT = Settings()
 
 
 def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
@@ -74,17 +82,11 @@ def load_settings(path: str, base: Settings = DEFAULT) -> Settings:
 def overlay(raw: dict, base: Settings = DEFAULT) -> Settings:
     """``base`` with the settings named in ``raw`` replaced.
 
-    Unknown keys are rejected so typos do not silently keep defaults, and so
-    are ladder and tolerance values that cannot give an honest status.
+    Unknown keys are rejected so typos do not silently keep defaults; the
+    values pass the same bounds check as every ``Settings``.
     """
     known = {f.name for f in dataclasses.fields(Settings)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, (lower, integral) in _BOUNDS.items():
-        v, kind = raw.get(key), int if integral else (int, float)
-        if key in raw and (isinstance(v, bool) or not isinstance(v, kind)
-                           or not lower < v < math.inf):
-            what = f"an integer >= {lower + 1}" if integral else f"a finite number > {lower}"
-            raise ConfigError(f"setting {key!r} must be {what}")
     return base.replace(**raw)

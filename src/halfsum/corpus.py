@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .engine import (MethodDescriptor, Status, TestFunction, Variant,
-                     embed_sequence, estimate_limit, k_estimator, method_Mr,
-                     method_holder)
+from .engine import (MethodDescriptor, Status, TestFunction, TrigPolynomial,
+                     Variant, embed_sequence, estimate_limit, k_estimator,
+                     method_Mr, method_holder)
 from .errors import ConfigError
 from .kernels import Flavor, counterexample_additive, exponential
 from .quadrature import counter
@@ -81,14 +81,18 @@ def builtin_corpus() -> list[TestFunction]:
         TestFunction("sin", lambda x: np.sin(x), 1.0, add, osc_scale="linear",
                      known_values=(("S_exp1", None, "oscillating: (sin x - cos x)/2 + e^-x/2"),),
                      noise=_ulp),
+        # the multiplicative sin and cos declare their oscillation, so their
+        # closed-form operators take far moments by parts (engine._ByParts)
         TestFunction("sin", lambda x: np.sin(x), 1.0, mul, osc_scale="linear",
                      known_values=(("M", 0.0, "(cos 1 - cos x)/x -> 0"),
                                    ("M_2", 0.0, "(2/x^2)(sin t - t cos t) -> 0"),
                                    ("H_2", 0.0, "second mean of an O(1/x) mean"),
-                                   ("M*_1", 0.0, "x * int_x^inf sin(t)/t^2 dt -> 0"),)),
+                                   ("M*_1", 0.0, "x * int_x^inf sin(t)/t^2 dt -> 0"),),
+                     oscillation=TrigPolynomial((-0.5j, 0.5j), (1.0, -1.0))),
         TestFunction("cos", lambda x: np.cos(x), 1.0, add, osc_scale="linear", noise=_ulp),
         TestFunction("cos", lambda x: np.cos(x), 1.0, mul, osc_scale="linear",
-                     known_values=(("M", 0.0, "(sin x - sin 1)/x -> 0"),)),
+                     known_values=(("M", 0.0, "(sin x - sin 1)/x -> 0"),),
+                     oscillation=TrigPolynomial((0.5, 0.5), (1.0, -1.0))),
         TestFunction("sin_sq", lambda x: np.sin(x ** 2), 1.0, add, osc_scale="linear",
                      known_values=(("S_exp1", 0.0, "Fresnel-tail decay"),),
                      noise=lambda t: 3 * np.abs(t) * np.spacing(np.abs(t))),

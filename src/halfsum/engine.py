@@ -26,11 +26,16 @@ are one sum, ``_expand_moments``, and differ only in a sign.  The moments of
 a whole segment [2^m, 2^(m+1)] do not depend on x, so one table of them
 serves every evaluation point, and a point integrates at most one partial
 piece of its own, ending or starting at x.  One moment backend per distinct
-kernel rate returns all the moments of that rate at once: for embedded
-sequences exact cell sums, which stop at the last term of a finite sequence,
-or, for a sequence with a declared period and a piece far enough out, a sum
-by parts against the period's antiderivatives at O(period) cost; otherwise
-panel quadrature that evaluates the function once per node.
+kernel rate returns all the moments of that rate at once: exact cell sums for
+embedded sequences, which stop at the last term of a finite sequence, and
+panel quadrature that evaluates the function once per node otherwise.  A
+function that declares its oscillation (``TestFunction.oscillation``: its
+mean and bounded antiderivatives, as a periodic sequence or a trigonometric
+polynomial does) takes every piece far enough out by parts instead, at a
+cost independent of the piece's length (``_ByParts``): multiplicative sin
+and cos take about 1e3 evaluations per ladder where their panels took 2e7.
+The dual's ``EDGE_CAP`` and its tail completion do not depend on the
+backend.
 
 Composition is convolution, U_psi(U_phi f) = U_(phi * psi) f.  A method
 iterated k times is the method of the kernel's k-th convolution power
@@ -88,9 +93,17 @@ class TestFunction:
     ``osc_scale`` says in which coordinate the oscillation is O(1): ``linear``
     (the abscissa itself) or ``log``.  A closed-form multiplicative operator
     integrates in that coordinate.
-    ``sequence`` is set for step embeddings and unlocks exact cell sums; a
-    ``_PeriodicSequence`` there (``embed_sequence(..., period=P)``) also
-    unlocks moments by parts at O(P) cost per piece.
+    ``sequence`` is set for step embeddings and unlocks exact cell sums.
+    ``oscillation``, when set, declares f = mean + b with b's antiderivatives
+    B_1 .. B_K bounded: an object with ``mean``, ``ORDER`` (K),
+    ``antiderivatives(t)`` (rows B_1 .. B_K, one column per point of t, each
+    row the derivative of the next) and ``bound`` (on |B_K|).  A closed-form
+    multiplicative operator then takes the moments of every dyadic piece past
+    a reach of about 10^2-10^3 by parts at a fixed cost per piece, where
+    panels cost O(piece length).  ``embed_sequence(..., period=P)`` declares
+    the period's antiderivatives; ``TrigPolynomial`` declares those of
+    sum c_k e^(i w_k t), as the corpus' multiplicative sin and cos do.  The
+    declaration must match the evaluator, which nothing checks at run time.
     ``noise(t)``, when set, bounds the absolute error of the double-precision
     value at an argument near t, from the argument's rounding and from the
     evaluation itself, and does not decrease in |t|.  The additive window
@@ -111,6 +124,7 @@ class TestFunction:
     osc_scale: str = "linear"
     sequence: Optional[Callable] = None
     noise: Optional[Callable] = None
+    oscillation: Optional[object] = None
 
     def __call__(self, x):
         vals = np.asarray(self.evaluator(np.asarray(x, dtype=float)))
@@ -176,7 +190,8 @@ class _PeriodicSequence:
     a period so that the next one is periodic too.  On a cell [n, n+1) B_k
     is a polynomial of degree k in y = t - n, built once from the P values:
     ``poly[k - 1, r]`` holds its coefficients of y^0..y^K for the residue
-    r = (n - 1) mod P, and ``poly_max`` bounds |B_K|.
+    r = (n - 1) mod P, and ``bound`` bounds |B_K|.  It is the sequence and
+    its oscillation declaration at once.
     """
 
     ORDER = 8
@@ -195,7 +210,7 @@ class _PeriodicSequence:
             nxt[:, 0] -= np.mean(nxt @ inv)
             poly.append(b := nxt)
         self.poly = np.array(poly)
-        self.poly_max = float(np.abs(b).sum(axis=1).max())
+        self.bound = float(np.abs(b).sum(axis=1).max())
 
     def __call__(self, n):
         return self.values[(np.asarray(n, dtype=np.int64) - 1) % self.values.size]
@@ -214,7 +229,7 @@ def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> 
     ``a`` is either a finite sequence (continued by zero) or a vectorized
     callable on integer arrays.  A callable may declare its ``period`` P:
     its first 4096 terms must then repeat its first P, and the operators
-    take its moments far out at O(P) cost per piece (``_CellMoments``)
+    take its moments far out by parts at O(P) cost per piece (``_ByParts``)
     instead of one term per cell.
     """
     if callable(a):
@@ -248,8 +263,41 @@ def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> 
         return _seq(n.astype(np.int64))
 
     return TestFunction(label=label, evaluator=evaluator, bound=bound,
-                        support_flavor=Flavor.MULTIPLICATIVE,
-                        osc_scale="linear", sequence=seq)
+                        support_flavor=Flavor.MULTIPLICATIVE, osc_scale="linear",
+                        sequence=seq, oscillation=seq if period is not None else None)
+
+
+class TrigPolynomial:
+    """The oscillation declaration of f(t) = sum_k c_k e^(i w_k t), every w_k nonzero.
+
+    Its mean is 0, its antiderivatives are B_k = sum c_k (i w_k)^-k e^(i w_k t),
+    and sum |c_k| |w_k|^-K bounds |B_K|.  When its terms come in conjugate
+    pairs (c, w), (conj c, -w), f is real and so are the B_k it returns:
+    sin t is ((-i/2, 1), (i/2, -1)) and cos t is ((1/2, 1), (1/2, -1)).
+    """
+
+    ORDER = 8
+    mean = 0.0
+
+    def __init__(self, coefs, freqs):
+        coefs = np.asarray(coefs, dtype=complex)
+        freqs = np.asarray(freqs, dtype=float)
+        if coefs.ndim != 1 or coefs.shape != freqs.shape or coefs.size == 0:
+            raise InvalidArgument("a trigonometric polynomial needs one coefficient per frequency")
+        if not (np.all(np.isfinite(coefs)) and np.all(np.isfinite(freqs)) and np.all(freqs != 0)):
+            raise InvalidArgument("a trigonometric polynomial needs finite coefficients and "
+                                  "finite nonzero frequencies")
+        terms = set(zip(freqs.tolist(), coefs.tolist()))
+        self.real = all((-w, c.conjugate()) in terms for w, c in terms)
+        self.freqs = freqs
+        # row k - 1: c (i w)^-k, by products of -i / w, which are exact for w = +-1
+        self.coefs = coefs * np.cumprod(np.tile(-1j / freqs, (self.ORDER, 1)), axis=0)
+        self.bound = float(np.abs(self.coefs[-1]).sum())
+
+    def antiderivatives(self, t: np.ndarray) -> np.ndarray:
+        """B_1, ..., B_K as rows, one column per point of ``t``."""
+        rows = self.coefs @ np.exp(1j * np.multiply.outer(self.freqs, t))
+        return rows.real if self.real else rows
 
 
 def discrete_cesaro(a, n: int) -> complex:
@@ -262,34 +310,29 @@ def discrete_cesaro(a, n: int) -> complex:
 # ---------------------------------------------------------------------------
 # closed-form multiplicative machinery
 
+def _log_power_integrals(sums: np.ndarray, sigma: complex) -> np.ndarray:
+    """int (log tau)^j tau^s dtau for j = 0..p, in place, from the differences of H_j.
+
+    With H_j = tau^sigma (log tau)^j, sigma = s + 1, the antiderivatives G_j
+    of (log tau)^j tau^s follow by parts: G_j = (H_j - j G_(j-1)) / sigma.
+    """
+    g = 0.0
+    for j in range(sums.size):
+        sums[j] = g = (sums[j] - j * g) / sigma
+    return sums
+
+
 class _CellMoments:
     """Moments  sum_n a_n int (log tau)^j tau^s dtau, j = 0..p, tau = t / 2^m, of a step function.
 
-    One pass serves every moment of a kernel rate.  With H_j = tau^(s+1)
-    (log tau)^j, by parts G_j = (H_j - j G_(j-1)) / (s+1) for the
-    antiderivatives G_j, so exact cell sums sum a_n times the cell
-    differences of H_j, each H_j made from the last by one multiply, and the
-    recurrence runs on the p+1 sums.  Blocks of ``CHUNK`` cells keep a
-    block's arrays (128 KiB each) in a core's 2 MiB L2: with 2^18 cells a
-    segment of (-1)^n took 14-17 ns per cell at p = 0 and 22-28 ns at p = 2,
-    against 5.4-6.6 and 10-12 ns (2-core Xeon).  A finite sequence stops the
-    sums at its last term.
-
-    A periodic sequence takes a piece that starts past ``reach`` and spans
-    more than 2K cells by Euler-Maclaurin summation with periodic functions
-    (T. M. Apostol, Amer. Math. Monthly 106, 1999), at a cost independent of
-    its length: its mean runs the G_j recurrence on H_j at the piece's two
-    ends, and with h_j(t) = 2^-m tau^s (log tau)^j the mean-zero rest b
-    gives, by K integrations by parts against the antiderivatives B_k of
-    ``_PeriodicSequence``,
-
-        int b h_j = sum_(k <= K) (-1)^(k-1) [B_k h_j^(k-1)] + (-1)^K int B_K h_j^(K),
-
-    with t h_j^(k+1) = (s - k) h_j^(k) + j h_(j-1)^(k).  The remainder is
-    dropped: h_j^(K) = 2^-m t^-K tau^s sum_i C_ji (log tau)^i, so past
-    ``reach`` max|B_K| (hi - lo) max|h_j^(K)| is below the rounding, eps
-    max|a| (hi - lo) min|h_0|, of the piece's sum.  Such a piece charges the
-    evaluation counter 2K, one per antiderivative value.
+    One pass serves every moment of a kernel rate: exact cell sums sum a_n
+    times the cell differences of H_j = tau^(s+1) (log tau)^j, each H_j made
+    from the last by one multiply, and ``_log_power_integrals`` runs on the
+    p+1 sums.  Blocks of ``CHUNK`` cells keep a block's arrays (128 KiB
+    each) in a core's 2 MiB L2: with 2^18 cells a segment of (-1)^n took
+    14-17 ns per cell at p = 0 and 22-28 ns at p = 2, against 5.4-6.6 and
+    10-12 ns (2-core Xeon).  A finite sequence stops the sums at its last
+    term.
     """
 
     CHUNK = 1 << 14
@@ -300,40 +343,9 @@ class _CellMoments:
         self.s = s
         self.sigma = s + 1.0
         self.last = seq.values.size if isinstance(seq, _FiniteSequence) else math.inf
-        self.reach = self._by_parts_reach() if isinstance(seq, _PeriodicSequence) else math.inf
 
     def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
         """int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t for j = 0..p, tau = t / 2^m."""
-        if lo >= self.reach and hi - lo > 2 * self.seq.ORDER:
-            t = np.array([lo, hi])
-            tau = t * 2.0 ** -m
-            powers = np.log(tau) ** np.arange(self.p + 1)[:, None]   # one column per end
-            h = tau ** self.sigma * powers
-            sums = self.seq.mean * (h[:, 1] - h[:, 0]).astype(complex)
-            rest = self._by_parts(t, 2.0 ** -m * tau ** self.s * powers)
-            counter.add(2 * self.seq.ORDER)
-        else:
-            sums, rest = self._cell_sums(lo, hi, m), 0.0
-        g = 0.0
-        for j in range(self.p + 1):
-            sums[j] = g = (sums[j] - j * g) / self.sigma
-        return sums + rest
-
-    def _by_parts_reach(self) -> float:
-        """The t past which a piece's by-parts remainder is below its sum's rounding."""
-        seq, p, s = self.seq, self.p, self.s
-        if seq.poly_max == 0:
-            return 0.0                  # a constant sequence: its mean is all of it
-        # h_j^(K) = 2^-m t^-K tau^s sum_i c[j, i] (log tau)^i, |log tau| <= log 2
-        c = np.eye(p + 1, dtype=complex)
-        for k in range(seq.ORDER):
-            c, c_prev = (s - k) * c, c
-            c[:, :-1] += c_prev[:, 1:] * np.arange(1, p + 1)
-        c_max = np.max(np.abs(c) @ math.log(2.0) ** np.arange(p + 1))
-        eps_sum = np.finfo(float).eps * np.abs(seq.values).max()
-        return (seq.poly_max * 2.0 ** abs(s.real) * c_max / eps_sum) ** (1.0 / seq.ORDER)
-
-    def _cell_sums(self, lo: float, hi: float, m: int) -> np.ndarray:
         sums = np.zeros(self.p + 1, dtype=complex)
         n, end = math.floor(lo), min(math.ceil(hi), self.last + 1)
         while n < end:
@@ -352,17 +364,7 @@ class _CellMoments:
                 sums[j] += diff @ a
             counter.add(k - n)
             n = k
-        return sums
-
-    def _by_parts(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """[sum_(k <= K) (-1)^(k-1) B_k h_j^(k-1)] from t[0] to t[1], j = 0..p, d = h_j(t)."""
-        j = np.arange(self.p + 1)[:, None]
-        out = np.zeros(d.shape, dtype=complex)
-        for k, b_k in enumerate(self.seq.antiderivatives(t)):
-            out += (-1) ** k * b_k * d
-            d[1:] = ((self.s - k) * d[1:] + j[1:] * d[:-1]) / t
-            d[0] *= (self.s - k) / t
-        return out[:, 1] - out[:, 0]
+        return _log_power_integrals(sums, self.sigma)
 
 
 class _SmoothMoments:
@@ -400,20 +402,97 @@ class _SmoothMoments:
         return 2.0 ** (-m * (s + 1)) * moments
 
 
+class _ByParts:
+    """The moments of ``near`` for a function that declares its oscillation, by parts far out.
+
+    A piece that starts past ``reach`` and is longer than ``min_length`` is
+    summed by parts against the declared antiderivatives (Euler-Maclaurin
+    summation with periodic functions, T. M. Apostol, Amer. Math. Monthly
+    106, 1999), at a cost independent of its length; any other piece goes
+    to ``near``.  The mean runs ``_log_power_integrals`` on H_j at the
+    piece's two ends, and with h_j(t) = 2^-m tau^s (log tau)^j the mean-zero
+    rest b gives, by K integrations by parts against B_1 .. B_K,
+
+        int b h_j = sum_(k <= K) (-1)^(k-1) [B_k h_j^(k-1)] + (-1)^K int B_K h_j^(K),
+
+    with t h_j^(k+1) = (s - k) h_j^(k) + j h_(j-1)^(k).  The remainder is
+    dropped: h_j^(K) = 2^-m t^-K tau^s sum_i C_ji (log tau)^i, so past
+    ``reach`` max|B_K| (hi - lo) max|h_j^(K)| is below the rounding,
+    eps ||f||_inf (hi - lo) min|h_0|, of the piece's integral.  Such a piece
+    charges the evaluation counter 2K, one per antiderivative value.
+    """
+
+    def __init__(self, osc, amplitude: float, near, min_length: float):
+        self.osc = osc
+        self.near = near
+        self.p, self.s, self.sigma = near.p, near.s, near.s + 1.0
+        self.min_length = min_length
+        self.reach = self._reach(amplitude)
+
+    def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
+        """int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t for j = 0..p, tau = t / 2^m."""
+        if lo < self.reach or hi - lo <= self.min_length:
+            return self.near.segment(lo, hi, m)
+        t = np.array([lo, hi])
+        tau = t * 2.0 ** -m
+        powers = np.log(tau) ** np.arange(self.p + 1)[:, None]   # one column per end
+        h = tau ** self.sigma * powers
+        sums = _log_power_integrals(self.osc.mean * (h[:, 1] - h[:, 0]).astype(complex),
+                                    self.sigma)
+        counter.add(2 * self.osc.ORDER)
+        return sums + self._by_parts(t, 2.0 ** -m * tau ** self.s * powers)
+
+    def _reach(self, amplitude: float) -> float:
+        """The t past which a piece's by-parts remainder is below its integral's rounding."""
+        osc, p, s = self.osc, self.p, self.s
+        if osc.bound == 0:
+            return 0.0                  # a constant: its mean is all of it
+        # h_j^(K) = 2^-m t^-K tau^s sum_i c[j, i] (log tau)^i, |log tau| <= log 2
+        c = np.eye(p + 1, dtype=complex)
+        for k in range(osc.ORDER):
+            c, c_prev = (s - k) * c, c
+            c[:, :-1] += c_prev[:, 1:] * np.arange(1, p + 1)
+        c_max = np.max(np.abs(c) @ math.log(2.0) ** np.arange(p + 1))
+        eps_sum = np.finfo(float).eps * amplitude
+        return (osc.bound * 2.0 ** abs(s.real) * c_max / eps_sum) ** (1.0 / osc.ORDER)
+
+    def _by_parts(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """[sum_(k <= K) (-1)^(k-1) B_k h_j^(k-1)] from t[0] to t[1], j = 0..p, d = h_j(t)."""
+        j = np.arange(self.p + 1)[:, None]
+        out = np.zeros(d.shape, dtype=complex)
+        for k, b_k in enumerate(self.osc.antiderivatives(t)):
+            out += (-1) ** k * b_k * d
+            d[1:] = ((self.s - k) * d[1:] + j[1:] * d[:-1]) / t
+            d[0] *= (self.s - k) / t
+        return out[:, 1] - out[:, 0]
+
+
+def _moment_backend(f: TestFunction, p: int, s: complex, max_evals: int):
+    """The moments j = 0..p at exponent s of f's pieces.
+
+    Exact cell sums for sequences, panels held to ``max_evals`` otherwise, and
+    by parts far out when f declares its oscillation; a sequence keeps cell
+    sums on pieces of at most 2K cells, which cost no more.
+    """
+    near = (_CellMoments(f.sequence, p, s) if f.sequence is not None
+            else _SmoothMoments(f, p, s, max_evals))
+    osc = f.oscillation
+    if osc is None:
+        return near
+    return _ByParts(osc, f.bound, near, 2 * osc.ORDER if f.sequence is not None else 0.0)
+
+
 def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, max_evals: int) -> dict:
-    """One moment backend per distinct rate mu of ``form``, with s = -sign * mu - 1.
+    """One ``_moment_backend`` per distinct rate mu of ``form``, with s = -sign * mu - 1.
 
     The backend of rate mu returns the moments for j = 0..p of a piece of a
-    dyadic segment at once, p the highest power carried at that rate: exact
-    cell sums for embedded sequences, panel quadrature otherwise, each
-    quadrature call held to ``max_evals``.
+    dyadic segment at once, p the highest power carried at that rate.
     """
     top: dict[complex, int] = {}
     for t in form:
         top[t.rate] = max(top.get(t.rate, 0), t.power)
-    backend = (functools.partial(_CellMoments, f.sequence) if f.sequence is not None
-               else functools.partial(_SmoothMoments, f, max_evals=max_evals))
-    return {mu: backend(p, _real_if_exact(-sign * mu - 1.0)) for mu, p in top.items()}
+    return {mu: _moment_backend(f, p, _real_if_exact(-sign * mu - 1.0), max_evals)
+            for mu, p in top.items()}
 
 
 def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> complex:

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 
 import halfsum
 from halfsum.cli import main
+from halfsum.config import DEFAULT, Settings
+from halfsum.errors import ConfigError
 
 
 @pytest.fixture
@@ -341,6 +343,22 @@ def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
                                "--function", "sin"])
     assert res.exit_code == 1
     assert "error:" in res.output and "Traceback" not in res.output
+
+
+# library callers meet the config file's check: DEFAULT.replace with a NaN
+# tolerance limit reported "inconclusive" with a NaN tolerance
+@pytest.mark.parametrize("bad", [
+    {"tol_limit_scale": float("nan")},
+    {"tol_quad": float("inf")},
+    {"ladder_ratio": 1.0},
+    {"plateau_window": True},
+    {"max_evals": "1e5"},
+])
+def test_settings_check_their_own_bounds(bad):
+    with pytest.raises(ConfigError):
+        DEFAULT.replace(**bad)
+    with pytest.raises(ConfigError):
+        Settings(**bad)
 
 
 def test_demo(runner):

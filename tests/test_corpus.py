@@ -56,6 +56,24 @@ def test_bit_form_sequences_equal_their_arithmetic_forms():
         assert f(n + 0.5).tobytes() == old.tobytes(), label
 
 
+def test_declared_oscillations_match_their_functions():
+    # f = mean + B_1', B_k = B_(k+1)' and |B_K| <= bound, by central
+    # differences at random t in [1, 1e4], kept inside a cell for sequences
+    declared = [f for f in builtin_corpus() if f.oscillation is not None]
+    assert {f.label for f in declared} == {"sin", "cos", "alt", "blocks"}
+    rng = np.random.default_rng(11)
+    t = rng.integers(1, 10 ** 4, 200) + rng.uniform(0.1, 0.9, 200)
+    up, down = t + 1e-5, t - 1e-5     # the steps as rounded, not 2e-5
+    for f in declared:
+        osc = f.oscillation
+        rows = osc.antiderivatives(t)
+        slope = (osc.antiderivatives(up) - osc.antiderivatives(down)) / (up - down)
+        assert rows.shape == (osc.ORDER, t.size), f.label
+        assert np.max(np.abs(slope[0] - (f(t) - osc.mean))) < 1e-8, f.label
+        assert np.max(np.abs(slope[1:] - rows[:-1])) < 1e-8, f.label
+        assert np.max(np.abs(rows[-1])) <= osc.bound, f.label
+
+
 def test_method_catalog_is_normalized():
     for label, method in method_catalog().items():
         assert abs(method.kernel.mass() - 1.0) < 1e-6, label

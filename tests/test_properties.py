@@ -128,6 +128,12 @@ def _cell_by_cell_moments(values, s, p, lo, hi, m):
     return total
 
 
+def _periodic(values):
+    """The step function of ``values`` repeated, with its period declared."""
+    return embed_sequence(lambda n: values[(np.asarray(n) - 1) % values.size],
+                          period=values.size)
+
+
 @st.composite
 def periodic_values(draw):
     period = draw(st.integers(min_value=1, max_value=9))
@@ -151,13 +157,14 @@ def test_periodic_moments_match_cell_by_cell_sums(values, s, p, m, piece, cut):
     elif piece == "to":
         hi = lo + cut * 2.0 ** m
     s = s.real if s.imag == 0 else s
-    seq = engine._PeriodicSequence(values)
-    moments = engine._CellMoments(seq, p, s)
+    f = _periodic(values)
+    moments = engine._moment_backend(f, p, s, DEFAULT.max_evals)
+    order = f.oscillation.ORDER
     start = counter.count
     got = moments.segment(lo, hi, m)
     # a fixed charge per piece by parts, one per cell otherwise
-    by_parts = lo >= moments.reach and hi - lo > 2 * seq.ORDER
-    charge = 2 * seq.ORDER if by_parts else math.ceil(hi) - math.floor(lo)
+    by_parts = lo >= moments.reach and hi - lo > 2 * order
+    charge = 2 * order if by_parts else math.ceil(hi) - math.floor(lo)
     assert counter.count - start == charge
     want = _cell_by_cell_moments(values, s, p, lo, hi, m)
     assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), (got, want)
@@ -170,11 +177,11 @@ def test_by_parts_holds_from_its_first_piece():
                  np.exp(1j * np.arange(9.0)) + np.arange(9.0) / 4)
     for values, s, p in itertools.product(sequences, MOMENT_EXPONENTS, range(4)):
         s = s.real if s.imag == 0 else s
-        seq = engine._PeriodicSequence(values)
-        moments = engine._CellMoments(seq, p, s)
+        f = _periodic(values)
+        moments = engine._moment_backend(f, p, s, DEFAULT.max_evals)
         lo = max(moments.reach, 4.0) + 0.5
         m = math.frexp(lo)[1] - 1
-        if 2.0 ** (m + 1) - lo <= 2 * seq.ORDER:
+        if 2.0 ** (m + 1) - lo <= 2 * f.oscillation.ORDER:
             lo, m = 2.0 ** (m + 1), m + 1
         got = moments.segment(lo, 2.0 ** (m + 1), m)
         want = _cell_by_cell_moments(values, s, p, lo, 2.0 ** (m + 1), m)

@@ -426,6 +426,16 @@ def main():
         closed = mp.sin(xm) - xm * mp.ci(xm)
         check(f"dual M*_1 on sin at {x}", closed, want, 2e-16 * abs(closed))
 
+    # --- dual M*_1 on cos: int_x^inf cos(t) x t^-2 dt = cos x + x Si(x) - pi x / 2
+    for x, want in frozen("test_engine.py", "DUAL_M1_COS").items():
+        xm = mp.mpf(x)
+        closed = mp.cos(xm) + xm * mp.si(xm) - mp.pi * xm / 2
+        check(f"dual M*_1 on cos at {x}", closed, want, 2e-16 * abs(closed))
+    xm = mp.mpf(4)
+    got = mp.quadosc(lambda t: xm * mp.cos(t) / t ** 2, [xm, mp.inf], omega=1)
+    check("dual M*_1 on cos by quadrature at 4", got,
+          mp.cos(xm) + xm * mp.si(xm) - mp.pi * xm / 2, mp.mpf("1e-40"))
+
     # --- dual M*_1 on sin(10 t): sin(10 x) - 10 x Ci(10 x) -----------------
     # by t = s / 10 the integral is the one above at 10 x
     for x, want in frozen("test_engine.py", "DUAL_M1_SIN10").items():
