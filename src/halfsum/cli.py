@@ -7,8 +7,9 @@ showcases.  Everything prints machine-readable JSON (or CSV where a table is
 the natural shape) so scripts and CI can consume the results.
 
 Exit codes: 0 success; 1 any library error, printed as one ``error:`` line (a
-bad kernel spec, a zero-mass kernel, bad or non-finite settings, a malformed
-case file, an unknown function or method); 2 an inconclusive verdict or
+bad kernel spec, a zero-mass kernel, an iteration count below 1 or an iterate
+that is not normalized, bad or non-finite settings, a malformed case file, an
+unknown function or method); 2 an inconclusive verdict or
 status, and click's own option errors; 3 verification failure.
 """
 
@@ -25,7 +26,7 @@ from . import corpus as corpus_mod
 from .config import DEFAULT, load_settings, overlay
 from .engine import MethodDescriptor, Status, Variant, estimate_limit
 from .errors import ConfigError, FlavorMismatch, HalfsumError
-from .kernels import Flavor, normalize, parse_kernel_arg
+from .kernels import Flavor, normalize, parse_kernel_arg, power
 from .spectrum import classify_wiener
 
 EXIT_OK = 0
@@ -102,7 +103,7 @@ def _lookup_function(name: str, flavor: Flavor):
 def classify(ctx, kernel_spec):
     """Zero-set verdict for a kernel's transform (whole line for closed forms)."""
     settings = ctx.obj["settings"]
-    kernel = normalize(parse_kernel_arg(kernel_spec, settings), settings)
+    kernel = normalize(parse_kernel_arg(kernel_spec), settings)
     profile = classify_wiener(kernel, settings)
     payload = profile.verdict.to_dict()
     payload["min_modulus"] = profile.min_modulus
@@ -119,7 +120,7 @@ def classify(ctx, kernel_spec):
 def spectrum(ctx, kernel_spec, points, out_path):
     """Export the transform on a frequency grid plus the zero-set verdict."""
     settings = ctx.obj["settings"]
-    kernel = normalize(parse_kernel_arg(kernel_spec, settings), settings)
+    kernel = normalize(parse_kernel_arg(kernel_spec), settings)
     profile = classify_wiener(kernel, settings, n_points=points)
     if ctx.obj["output"] == "json":
         _echo_json({
@@ -146,16 +147,18 @@ def spectrum(ctx, kernel_spec, points, out_path):
               help="Corpus function label (flavor follows the kernel).")
 @click.option("--variant", type=click.Choice(["forward", "dual"]), default="forward",
               show_default=True)
-@click.option("--iterations", type=int, default=1, show_default=True)
+@click.option("--iterations", type=int, default=1, show_default=True,
+              help="Run the method of the kernel's convolution power.")
 @click.option("--trace", "trace_path", type=click.Path(), default=None,
               help="Write the (x, value) ladder trace as CSV.")
 @click.pass_context
 def sum_cmd(ctx, kernel_spec, function_name, variant, iterations, trace_path):
     """Estimate the method value of a corpus function."""
     settings = ctx.obj["settings"]
-    kernel = normalize(parse_kernel_arg(kernel_spec, settings), settings)
+    kernel = normalize(parse_kernel_arg(kernel_spec), settings)
     f = _lookup_function(function_name, kernel.flavor)
-    method = MethodDescriptor(kernel, Variant(variant), iterations, label=f"cli:{kernel_spec}")
+    method = MethodDescriptor(power(kernel, iterations, settings), Variant(variant),
+                              label=f"cli:{kernel_spec}")
     result = estimate_limit(method, f, settings)
     if trace_path:
         _write_csv([["x", "re", "im"]]

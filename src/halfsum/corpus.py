@@ -109,12 +109,9 @@ def builtin_corpus() -> list[TestFunction]:
     return out
 
 
-def corpus_map(corpus: Optional[list] = None) -> dict:
+def corpus_map() -> dict:
     """Index the catalog by (label, flavor)."""
-    out = {}
-    for f in corpus if corpus is not None else builtin_corpus():
-        out[(f.label, f.support_flavor)] = f
-    return out
+    return {(f.label, f.support_flavor): f for f in builtin_corpus()}
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +119,25 @@ def corpus_map(corpus: Optional[list] = None) -> dict:
 
 def method_catalog() -> dict[str, MethodDescriptor]:
     """Named methods addressable from cases and the CLI."""
-    def relabel(m: MethodDescriptor, label: str) -> MethodDescriptor:
-        return MethodDescriptor(m.kernel, m.variant, m.iterations, label)
-
-    cat = {
+    return {
         # multiplicative flavor
-        "M": relabel(method_Mr(1.0), "M"),
-        "M_1/2": relabel(method_Mr(0.5), "M_1/2"),
-        "M_2": relabel(method_Mr(2.0), "M_2"),
-        "H_1": relabel(method_holder(1), "H_1"),
+        "M": replace(method_Mr(1.0), label="M"),
+        "M_1/2": replace(method_Mr(0.5), label="M_1/2"),
+        "M_2": replace(method_Mr(2.0), label="M_2"),
+        "H_1": method_holder(1),
         "H_2": method_holder(2),
         "H_3": method_holder(3),
-        "M*_1/2": relabel(method_Mr(0.5, Variant.DUAL), "M*_1/2"),
-        "M*_1": relabel(method_Mr(1.0, Variant.DUAL), "M*_1"),
-        "M*_2": relabel(method_Mr(2.0, Variant.DUAL), "M*_2"),
-        "P": relabel(k_estimator(Flavor.MULTIPLICATIVE), "P"),
+        "M*_1/2": replace(method_Mr(0.5, Variant.DUAL), label="M*_1/2"),
+        "M*_1": replace(method_Mr(1.0, Variant.DUAL), label="M*_1"),
+        "M*_2": replace(method_Mr(2.0, Variant.DUAL), label="M*_2"),
+        "P": replace(k_estimator(Flavor.MULTIPLICATIVE), label="P"),
         # additive flavor
-        "S_exp1": MethodDescriptor(exponential(1.0), Variant.FORWARD, 1, "S_exp1"),
-        "S_exp2": MethodDescriptor(exponential(2.0), Variant.FORWARD, 1, "S_exp2"),
-        "S*_exp1": MethodDescriptor(exponential(1.0), Variant.DUAL, 1, "S*_exp1"),
-        "K": relabel(k_estimator(Flavor.ADDITIVE), "K"),
-        "S_ce1": MethodDescriptor(counterexample_additive(1.0), Variant.FORWARD, 1, "S_ce1"),
+        "S_exp1": MethodDescriptor(exponential(1.0), Variant.FORWARD, "S_exp1"),
+        "S_exp2": MethodDescriptor(exponential(2.0), Variant.FORWARD, "S_exp2"),
+        "S*_exp1": MethodDescriptor(exponential(1.0), Variant.DUAL, "S*_exp1"),
+        "K": replace(k_estimator(Flavor.ADDITIVE), label="K"),
+        "S_ce1": MethodDescriptor(counterexample_additive(1.0), Variant.FORWARD, "S_ce1"),
     }
-    return cat
 
 
 # ---------------------------------------------------------------------------

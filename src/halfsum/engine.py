@@ -38,11 +38,12 @@ The dual's ``EDGE_CAP`` and its tail completion do not depend on the
 backend.
 
 Composition is convolution, U_psi(U_phi f) = U_(phi * psi) f.  A method
-iterated k times is the method of the kernel's k-th convolution power
-(``iterated_kernel``), and a chain of additive methods (``chain_apply``,
-``nested_apply``) the method of its kernels' convolution: closed forms stay
-``ExpPoly`` products, sampled kernels are convolved on a grid, and the
-product then runs through the same evaluators as any other kernel.
+is one kernel: a method iterated k times is built as the method of the
+kernel's k-th convolution power (``method_holder``, ``kernels.power``), and
+a chain of additive methods (``chain_apply``, ``nested_apply``) is the
+method of its kernels' convolution.  Closed forms stay ``ExpPoly``
+products, sampled kernels are convolved on a grid, and the product then
+runs through the same evaluators as any other kernel.
 
 Limit estimation is heuristic plateau detection on a geometric ladder of
 evaluation points.  The four statuses are honest: ``converged`` and
@@ -65,8 +66,8 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from .exppoly import ExpPoly, _real_if_exact
-from .kernels import (Flavor, Kernel, convolve, exponential, power, power_law,
-                      to_additive)
+from .kernels import (Flavor, Kernel, _is_count, convolve, exponential, power,
+                      power_law, to_additive)
 from .quadrature import PANEL_NODES, counter, integrate_adaptive
 
 
@@ -133,14 +134,15 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class MethodDescriptor:
+    """A method: the kernel its operator runs (an iterate's convolution power), either variant."""
+
     kernel: Kernel
     variant: Variant = Variant.FORWARD
-    iterations: int = 1
     label: str = ""
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidArgument("method iterations must be >= 1")
+        if not isinstance(self.label, str):
+            raise InvalidArgument(f"a method label must be a string, got {self.label!r}")
         if abs(self.kernel.mass() - 1.0) > 1e-6:
             raise InvalidArgument(f"method kernel is not normalized (mass {self.kernel.mass():.6g})")
 
@@ -227,34 +229,37 @@ def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> 
     """Step function f(x) = a_[x] on [1, inf) for a bounded sequence a_1, a_2, ...
 
     ``a`` is either a finite sequence (continued by zero) or a vectorized
-    callable on integer arrays.  A callable may declare its ``period`` P:
+    callable on integer arrays, whose first 4096 terms are checked as a list
+    is: one finite term per index.  A callable may declare its ``period`` P:
     its first 4096 terms must then repeat its first P, and the operators
     take its moments far out by parts at O(P) cost per piece (``_ByParts``)
     instead of one term per cell.
     """
     if callable(a):
         seq = a
-        probe = np.asarray(seq(np.arange(1, 4097)))
-        bound = float(np.abs(probe).max())
-        if period is not None:
-            if not (isinstance(period, (int, np.integer)) and 1 <= period <= probe.size):
-                raise InvalidArgument(f"a period must be an integer in 1..{probe.size}")
-            values = probe[:period].astype(np.result_type(probe, float))
-            if not np.array_equal(probe, np.resize(values, probe.size)):
-                raise InvalidArgument(f"the sequence's first {probe.size} terms do not "
-                                      f"repeat with period {period}")
-            seq = _PeriodicSequence(values)
+        terms = np.asarray(seq(np.arange(1, 4097)))
+        if terms.shape != (4096,):
+            raise InvalidArgument(f"a sequence callable must give one term per index: "
+                                  f"4096 indices gave shape {terms.shape}")
     else:
         if period is not None:
             raise InvalidArgument("only a callable sequence can declare a period")
-        arr = np.asarray(list(a))
-        arr = arr.astype(np.result_type(arr, float), copy=False)
-        if arr.size == 0:
+        terms = np.asarray(list(a))
+        terms = terms.astype(np.result_type(terms, float), copy=False)
+        if terms.size == 0:
             raise InvalidArgument("cannot embed an empty sequence")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgument("sequence entries must be finite")
-        seq = _FiniteSequence(arr)
-        bound = float(np.abs(arr).max())
+        seq = _FiniteSequence(terms)
+    if not np.all(np.isfinite(terms)):
+        raise InvalidArgument("sequence entries must be finite")
+    bound = float(np.abs(terms).max())
+    if period is not None:
+        if not (_is_count(period) and period <= terms.size):
+            raise InvalidArgument(f"a period must be an integer in 1..{terms.size}")
+        values = terms[:period].astype(np.result_type(terms, float))
+        if not np.array_equal(terms, np.resize(values, terms.size)):
+            raise InvalidArgument(f"the sequence's first {terms.size} terms do not "
+                                  f"repeat with period {period}")
+        seq = _PeriodicSequence(values)
 
     def evaluator(x, _seq=seq):
         n = np.floor(np.asarray(x, dtype=float))
@@ -301,7 +306,9 @@ class TrigPolynomial:
 
 
 def discrete_cesaro(a, n: int) -> complex:
-    """Plain arithmetic mean of a_1..a_n (the discrete bridge oracle)."""
+    """Plain arithmetic mean of a_1..a_n (the discrete bridge oracle), n >= 1."""
+    if not _is_count(n):
+        raise InvalidArgument(f"a Cesaro mean needs an integer count n >= 1, got {n!r}")
     idx = np.arange(1, n + 1)
     vals = a(idx) if callable(a) else np.asarray(list(a)[:n], dtype=complex)
     return complex(np.sum(vals) / n)
@@ -754,8 +761,11 @@ def uniform_continuity_bound(kernel: Kernel, delta: float,
     """Modulus-of-continuity bound for the forward operator on the unit ball.
 
     |U f(x) - U f(y)| <= ||f||_inf * (int |phi(t) - phi(t+d)| dt + int_0^d |phi|)
-    for |x - y| <= d, with both integrals evaluated by quadrature.
+    for |x - y| <= d, d = ``delta`` finite and >= 0, with both integrals
+    evaluated by quadrature.
     """
+    if not 0.0 <= delta < math.inf:
+        raise InvalidArgument(f"a continuity bound needs a finite delta >= 0, got {delta!r}")
     form = kernel.additive_form()
     if form is None:
         raise InvalidArgument("continuity bound needs a closed-form kernel")
@@ -775,14 +785,12 @@ def method_Mr(r: float, variant: Variant = Variant.FORWARD) -> MethodDescriptor:
     if not (r > 0):
         raise InvalidArgument("the power-mean family needs r > 0 for an integrable kernel")
     star = "*" if variant is Variant.DUAL else ""
-    return MethodDescriptor(power_law(r), variant, 1, label=f"M{star}_{r:g}")
+    return MethodDescriptor(power_law(r), variant, label=f"M{star}_{r:g}")
 
 
 def method_holder(k: int) -> MethodDescriptor:
-    """k-fold iterate of the continuous mean."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidArgument("iterate count must be an integer >= 1")
-    return MethodDescriptor(power_law(1.0), Variant.FORWARD, int(k), label=f"H_{k}")
+    """k-fold iterate of the continuous mean: the method of (t^-1)'s k-th power."""
+    return MethodDescriptor(power(power_law(1.0), k), Variant.FORWARD, label=f"H_{k}")
 
 
 def k_estimator(flavor: Flavor) -> MethodDescriptor:
@@ -792,9 +800,8 @@ def k_estimator(flavor: Flavor) -> MethodDescriptor:
     it on everything this engine can test.
     """
     if flavor is Flavor.ADDITIVE:
-        return MethodDescriptor(exponential(1.0), Variant.FORWARD, 1,
-                                label="K~S_exp(1)")
-    return MethodDescriptor(power_law(1.0), Variant.FORWARD, 1, label="P~M_1")
+        return MethodDescriptor(exponential(1.0), Variant.FORWARD, label="K~S_exp(1)")
+    return MethodDescriptor(power_law(1.0), Variant.FORWARD, label="P~M_1")
 
 
 # ---------------------------------------------------------------------------
@@ -805,29 +812,18 @@ def _spread(vals) -> float:
     return float(np.max(np.abs(arr[:, None] - arr[None, :]))) if arr.size > 1 else 0.0
 
 
-def iterated_kernel(method: MethodDescriptor, settings: Settings = DEFAULT) -> Kernel:
-    """The method's kernel to the power of its iterations, cached on the kernel."""
-    if method.iterations == 1:
-        return method.kernel
-    powers = method.kernel.meta.setdefault("_powers", {})
-    key = (method.iterations, settings)
-    if key not in powers:
-        powers[key] = power(method.kernel, method.iterations, settings)
-    return powers[key]
-
-
 def estimate_limit(method: MethodDescriptor, f: TestFunction,
-                   settings: Settings = DEFAULT, tol: Optional[float] = None) -> SummationResult:
-    """Plateau-detected limit of the (possibly iterated) operator along the ladder."""
-    _check_domain(method.kernel, f)
-    tol_limit = tol if tol is not None else settings.tol_limit(f.bound)
-    kern_eff = iterated_kernel(method, settings)
-    l1_eff = kern_eff.l1_norm()
+                   settings: Settings = DEFAULT) -> SummationResult:
+    """Plateau-detected limit of the method's operator along the ladder."""
+    kernel = method.kernel
+    _check_domain(kernel, f)
+    tol_limit = settings.tol_limit(f.bound)
+    l1 = kernel.l1_norm()
     # the kernel's norm quadrature ran above: only the operator's work counts
     start_evals = counter.count
-    evaluator = _make_evaluator(kern_eff, f, method.variant, settings)
+    evaluator = _make_evaluator(kernel, f, method.variant, settings)
 
-    cap = 10.0 * f.bound * max(l1_eff, 1.0) + 1e-12
+    cap = 10.0 * f.bound * max(l1, 1.0) + 1e-12
     window = settings.plateau_window
     trace: list[tuple[float, complex]] = []
     values: list[complex] = []
@@ -837,7 +833,7 @@ def estimate_limit(method: MethodDescriptor, f: TestFunction,
 
     x = settings.ladder_x0
     for j in range(settings.ladder_max_steps + 1):
-        if x <= kern_eff.support_origin():
+        if x <= kernel.support_origin():
             x *= settings.ladder_ratio
             continue
         try:

@@ -133,9 +133,9 @@ class ExpPoly:
         return float(sum(abs(t.coef) * _poly_exp_tail(t.power, -t.rate.real, a)
                          for t in self.terms))
 
-    def support_cutoff(self, eps: float, start: float = 1.0) -> float:
-        """Smallest grid point beyond which the absolute tail is below eps."""
-        a = max(start, 1.0)
+    def support_cutoff(self, eps: float) -> float:
+        """Smallest point of the grid 1.25^n beyond which the absolute tail is below eps."""
+        a = 1.0
         for _ in range(200):
             if self.abs_tail_bound(a) < eps:
                 return a

@@ -279,8 +279,7 @@ def finite_mixture(components, flavor: Flavor) -> Kernel:
     return Kernel(flavor, ClosedForm("finite_mixture", params, form))
 
 
-def sampled_kernel(abscissae, values, flavor: Flavor,
-                   settings: Settings = DEFAULT) -> Kernel:
+def sampled_kernel(abscissae, values, flavor: Flavor) -> Kernel:
     """Build a kernel from grid samples in native coordinates.
 
     Samples equally spaced in additive coordinates are kept as they are;
@@ -380,7 +379,7 @@ def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
 
 def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
     """k-fold convolution power; k = 1 is the identity."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_count(k):
         raise InvalidArgument("convolution power needs an integer k >= 1 (L1 has no unit)")
     if k == 1:
         return kernel
@@ -391,6 +390,11 @@ def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
     for _ in range(k - 1):
         out = convolve(out, kernel, settings)
     return out
+
+
+def _is_count(k) -> bool:
+    """Whether ``k`` is an integer >= 1; a bool is not a count."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
 
 
 def to_additive(kernel: Kernel) -> Kernel:
@@ -435,7 +439,7 @@ def from_catalog(name: str, args) -> Kernel:
     return ctor(*args)
 
 
-def load_kernel_spec(path: str, settings: Settings = DEFAULT) -> Kernel:
+def load_kernel_spec(path: str) -> Kernel:
     """Read the textual kernel spec format.
 
     ``{"flavor": "additive"|"multiplicative",
@@ -446,10 +450,10 @@ def load_kernel_spec(path: str, settings: Settings = DEFAULT) -> Kernel:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read kernel spec {path!r}: {exc}") from exc
-    return kernel_from_dict(raw, settings)
+    return kernel_from_dict(raw)
 
 
-def kernel_from_dict(raw: dict, settings: Settings = DEFAULT) -> Kernel:
+def kernel_from_dict(raw: dict) -> Kernel:
     if not isinstance(raw, dict) or "flavor" not in raw or "body" not in raw:
         raise ConfigError("kernel spec needs 'flavor' and 'body' fields")
     try:
@@ -478,7 +482,7 @@ def kernel_from_dict(raw: dict, settings: Settings = DEFAULT) -> Kernel:
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ConfigError("samples must be rows of [t, re, im]")
         values = samples[:, 1] + 1j * samples[:, 2] if samples[:, 2].any() else samples[:, 1]
-        return sampled_kernel(samples[:, 0], values, flavor, settings)
+        return sampled_kernel(samples[:, 0], values, flavor)
     raise ConfigError("kernel body needs either 'catalog' or 'samples'")
 
 
@@ -506,11 +510,11 @@ def _mixture_component(entry):
         raise ConfigError(f"mixture coefficient must be [re, im], got {coef!r}") from None
 
 
-def parse_kernel_arg(text: str, settings: Settings = DEFAULT) -> Kernel:
+def parse_kernel_arg(text: str) -> Kernel:
     """CLI grammar: ``catalog:<name>(<comma-separated reals>)`` or ``file:<path>``."""
     text = text.strip()
     if text.startswith("file:"):
-        return load_kernel_spec(text[5:], settings)
+        return load_kernel_spec(text[5:])
     if text.startswith("catalog:"):
         spec = text[len("catalog:"):]
         name, args = _parse_call(spec)

@@ -85,27 +85,26 @@ def mellin_transform(kernel: Kernel, x: float) -> complex:
     return fourier_transform(to_additive(kernel), x)
 
 
-def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT,
-                      tol: Optional[float] = None) -> np.ndarray:
+def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.ndarray:
     """Transform by adaptive quadrature of phi(u) e^(-i xi u), for every kernel.
 
     The route independent of ``transform_grid``'s formulas, used to cross-check
     them, over [0, cut], cut where the kernel's absolute tail falls below
-    tol / 10.  A sampled kernel's grid nodes are panel edges, so each panel
-    sees one linear piece of it.  Frequencies sorted by |xi| are integrated
-    in groups, one column ``integrate_adaptive`` per group: every frequency
-    of a group shares the nodes, and phi is evaluated once per node.  A
-    group stays within a factor-of-two band of |xi|, with every |xi| cut
-    <= 2 pi in the first band, since its top frequency sets the panels.  Each
-    column meets ``tol`` by itself (a panel is bisected when any column
-    misses), and ``settings.max_evals`` counts each node once per group.
-    A group holds ``max_columns`` frequencies, so one evaluation sees no
-    more panel-columns than a one-column call.  The result has the shape of
-    ``xi`` (a scalar gives one value); a NaN or infinite frequency raises
-    ``InvalidArgument``.
+    tol / 10, tol = ``settings.tol_quad``.  A sampled kernel's grid nodes
+    are panel edges, so each panel sees one linear piece of it.  Frequencies
+    sorted by |xi| are integrated in groups, one column ``integrate_adaptive``
+    per group: every frequency of a group shares the nodes, and phi is
+    evaluated once per node.  A group stays within a factor-of-two band of
+    |xi|, with every |xi| cut <= 2 pi in the first band, since its top
+    frequency sets the panels.  Each column meets tol by itself (a panel is
+    bisected when any column misses), and ``settings.max_evals`` counts each
+    node once per group.  A group holds ``max_columns`` frequencies, so one
+    evaluation sees no more panel-columns than a one-column call.  The
+    result has the shape of ``xi`` (a scalar gives one value); a NaN or
+    infinite frequency raises ``InvalidArgument``.
     """
     shape, breaks = kernel.shape, kernel.breaks
-    tol = tol if tol is not None else settings.tol_quad
+    tol = settings.tol_quad
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     flat = xi.ravel()
     finite = np.isfinite(flat)

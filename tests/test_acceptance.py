@@ -121,7 +121,7 @@ def test_criterion_5_forward_dual_equivalence():
 def test_criterion_6_transform_zero_separation():
     with Budget(30):
         char = corpus_map()[("char_1", Flavor.ADDITIVE)]
-        ce = MethodDescriptor(counterexample_additive(1.0), Variant.FORWARD, 1, "ce")
+        ce = MethodDescriptor(counterexample_additive(1.0), Variant.FORWARD, "ce")
         res_ce = estimate_limit(ce, char, DEFAULT)
         assert res_ce.status is Status.CONVERGED
         assert abs(res_ce.estimate) < 1e-3

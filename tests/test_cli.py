@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,36 @@ def test_sum_dual_variant(runner):
     payload = json.loads(res.output)
     assert payload["status"] == "converged"
     assert abs(payload["estimate"][0] - 0.3) < 2e-4
+
+
+def test_sum_iterations_run_the_kernel_power(runner):
+    res = runner.invoke(main, ["sum", "--kernel", "catalog:power_law(1)",
+                               "--function", "sin", "--iterations", "2"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["status"] == "converged"
+    assert abs(payload["estimate"][0]) < 2e-4
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sum_iterations_below_one_are_an_error(runner, count):
+    res = runner.invoke(main, ["sum", "--kernel", "catalog:power_law(1)",
+                               "--function", "one", "--iterations", count])
+    _assert_one_error_line(res)
+
+
+def test_sum_iterate_that_loses_mass_is_an_error(runner, tmp_path):
+    # a sampled e^(-u/10) on [0, 40], squared on the [0, 60] grid, has mass
+    # 1 + 6.9e-4: run as a method it would "converge" to 1.00067 on "one"
+    u = [40.0 * i / 511 for i in range(512)]
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"flavor": "additive", "body": {
+        "samples": [[t, math.exp(-0.1 * t), 0.0] for t in u]}}))
+    argv = ["sum", "--kernel", f"file:{path}", "--function", "one"]
+    assert runner.invoke(main, argv).exit_code == 0
+    res = runner.invoke(main, argv + ["--iterations", "2"])
+    _assert_one_error_line(res)
+    assert "not normalized" in res.output
 
 
 def test_compare_agreeing_methods(runner):

@@ -11,8 +11,8 @@ from halfsum.config import DEFAULT
 from halfsum.corpus import corpus_map, method_catalog
 from halfsum.engine import (MethodDescriptor, Status, Variant, apply_dual,
                             apply_forward, chain_apply, discrete_cesaro,
-                            embed_sequence, estimate_limit, iterated_kernel,
-                            k_estimator, method_Mr, method_holder, nested_apply,
+                            embed_sequence, estimate_limit, k_estimator,
+                            method_Mr, method_holder, nested_apply,
                             transport_function, uniform_continuity_bound)
 from halfsum.errors import FlavorMismatch, InvalidArgument, QuadratureFailed
 from halfsum.exppoly import ExpPoly, Term
@@ -145,7 +145,7 @@ def test_character_windows_match_the_exact_formula(name):
     # both window paths: additive methods in x, multiplicative ones in
     # u = log x, where chi_omega(t) = t^{i omega} is e^{i omega u}
     method = method_catalog()[name]
-    kernel = iterated_kernel(method)
+    kernel = method.kernel
     for omega in CHARACTER_OMEGAS:
         f = corpus_map()[(f"char_{omega:g}", kernel.flavor)]
         window = engine._make_evaluator(kernel, f, method.variant, DEFAULT)
@@ -265,10 +265,25 @@ def test_embed_rejects_bad_input():
         embed_sequence([1.0, float("inf")])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embed_rejects_a_callable_with_a_non_finite_term(bad):
+    # the 4096-term probe is checked as a list is: a NaN term would give a
+    # NaN bound and tolerance, an infinite one an infinite bound
+    with pytest.raises(InvalidArgument, match="finite"):
+        embed_sequence(lambda n: np.where(n == 4000, bad, 1.0), "bad")
+
+
+@pytest.mark.parametrize("seq", [lambda n: np.ones(3), lambda n: 1.0,
+                                 lambda n: np.ones((np.size(n), 2))])
+def test_embed_rejects_a_callable_that_is_not_one_term_per_index(seq):
+    with pytest.raises(InvalidArgument, match="one term per index"):
+        embed_sequence(seq, "bad")
+
+
 def test_embed_rejects_a_wrong_period():
     blocks = lambda n: ((n - 1) & 3) < 2
     assert embed_sequence(blocks, "blocks", period=4).bound == 1.0
-    for period in (3, 2, 0, 4097, 4.0):
+    for period in (3, 2, 0, 4097, 4.0, True):
         with pytest.raises(InvalidArgument):
             embed_sequence(blocks, "blocks", period=period)
     with pytest.raises(InvalidArgument):
@@ -285,6 +300,12 @@ def test_embed_sequence_rejects_index_past_int64():
 def test_discrete_cesaro():
     assert abs(discrete_cesaro(lambda n: (-1.0) ** n, 10)) < 1e-15
     assert abs(discrete_cesaro([1.0, 2.0, 3.0, 4.0], 4) - 2.5) < 1e-15
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, True])
+def test_discrete_cesaro_needs_a_count(n):
+    with pytest.raises(InvalidArgument):
+        discrete_cesaro([1.0, 2.0, 3.0, 4.0], n)
 
 
 def test_embedded_mean_tracks_discrete_mean():
@@ -356,7 +377,7 @@ def test_finite_sequence_stops_at_last_term():
         assert a.status is b.status is Status.CONVERGED
         assert abs(a.estimate - b.estimate) < 1e-12
         # cells only: the evaluator alone, at the ladder points the run visited
-        ev = engine._make_evaluator(iterated_kernel(method), finite, method.variant, DEFAULT)
+        ev = engine._make_evaluator(method.kernel, finite, method.variant, DEFAULT)
         start = counter.count
         for x, _ in a.trace:
             ev(x)
@@ -370,17 +391,9 @@ def test_evaluations_count_only_the_operator():
         reused = method_catalog()[label]
         estimate_limit(reused, f, DEFAULT)
         fresh = estimate_limit(method_catalog()[label], f, DEFAULT)
-        assert fresh.evaluations == estimate_limit(reused, f, DEFAULT).evaluations, label
-
-
-def test_iterated_kernel_is_cached():
-    f = corpus_map()[("finite_ones", Flavor.MULTIPLICATIVE)]
-    method = method_catalog()["H_2"]
-    assert iterated_kernel(method) is iterated_kernel(method)
-    estimate_limit(method, f, DEFAULT)
-    start = counter.count
-    res = estimate_limit(method, f, DEFAULT)
-    assert counter.count - start == res.evaluations
+        start = counter.count
+        again = estimate_limit(reused, f, DEFAULT)
+        assert counter.count - start == again.evaluations == fresh.evaluations, label
 
 
 def test_cell_sums_under_complex_rates_match_direct_sum():
@@ -671,12 +684,30 @@ def test_k_estimator_labels():
 
 
 def test_method_descriptor_validation():
-    with pytest.raises(InvalidArgument):
-        MethodDescriptor(exponential(1.0), Variant.FORWARD, 0)
+    # an iteration count where the label goes fails loudly: a method is its
+    # kernel, and an iterate is built with power() or method_holder()
+    for count in (0, 1, 2):
+        with pytest.raises(InvalidArgument):
+            MethodDescriptor(exponential(1.0), Variant.FORWARD, count)
     with pytest.raises(InvalidArgument):
         method_Mr(-1.0)
-    with pytest.raises(InvalidArgument):
-        method_holder(0)
+    for k in (0, -1, 2.0, True, False):
+        with pytest.raises(InvalidArgument):
+            method_holder(k)
+        with pytest.raises(InvalidArgument):
+            power(power_law(1.0), k)
+    assert method_holder(np.int64(2)).label == "H_2"
+
+
+def test_an_iterate_is_checked_for_mass():
+    # a sampled e^(-u/10) on [0, 40] squares on the [0, 60] grid, and the
+    # geometric tail fitted there puts its mass at 1 + 6.9e-4: as a method
+    # it would report 1.00067 on "one" as converged, against a tolerance of 2e-4
+    u = np.linspace(0.0, 40.0, 512)
+    k = normalize(sampled_kernel(u, np.exp(-0.1 * u), Flavor.ADDITIVE))
+    MethodDescriptor(k, Variant.FORWARD, "sampled")
+    with pytest.raises(InvalidArgument, match="not normalized"):
+        MethodDescriptor(power(k, 2), Variant.FORWARD, "sampled squared")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +738,7 @@ def _sampled_m1():
 
 
 def test_sampled_iterate_converges():
-    method = MethodDescriptor(_sampled_m1(), Variant.FORWARD, 2, "sampled H_2")
+    method = MethodDescriptor(power(_sampled_m1(), 2), Variant.FORWARD, "sampled H_2")
     res = estimate_limit(method, SETTLE_MUL, DEFAULT)
     assert res.status is Status.CONVERGED
     assert abs(res.estimate - 0.3) < 2 * DEFAULT.tol_limit(SETTLE_MUL.bound)
@@ -754,7 +785,7 @@ def test_sampled_window_past_the_noise_floor_stays_cheap():
 @pytest.mark.parametrize("label, limit", [("sin", 0.0), ("blocks", 0.5)])
 def test_sampled_mean_converges_on_functions_periodic_in_t(label, limit):
     f = corpus_map()[(label, Flavor.MULTIPLICATIVE)]
-    res = estimate_limit(MethodDescriptor(_sampled_m1(), Variant.FORWARD, 1, "sampled M_1"), f)
+    res = estimate_limit(MethodDescriptor(_sampled_m1(), Variant.FORWARD, "sampled M_1"), f)
     assert res.status is Status.CONVERGED
     assert abs(res.estimate - limit) < 2 * res.tolerance_used
 
@@ -898,7 +929,7 @@ def test_transported_method_agrees():
     res_mul = estimate_limit(method_Mr(1.0), SETTLE_MUL, DEFAULT)
     add_kernel = to_additive(power_law(1.0))
     res_add = estimate_limit(
-        MethodDescriptor(add_kernel, Variant.FORWARD, 1, "transported"),
+        MethodDescriptor(add_kernel, Variant.FORWARD, "transported"),
         transport_function(SETTLE_MUL), DEFAULT)
     assert res_mul.status is Status.CONVERGED
     assert res_add.status is Status.CONVERGED
@@ -913,6 +944,12 @@ def test_continuity_bound_exponential():
     for delta in (1e-1, 1e-2, 1e-3):
         got = uniform_continuity_bound(exponential(1.0), delta)
         assert abs(got - 2 * (1 - np.exp(-delta))) < 1e-9
+
+
+@pytest.mark.parametrize("delta", [-0.5, -1e-3, np.inf, np.nan])
+def test_continuity_bound_needs_a_finite_nonnegative_delta(delta):
+    with pytest.raises(InvalidArgument, match="delta"):
+        uniform_continuity_bound(exponential(1.0), delta)
 
 
 def test_continuity_bound_controls_operator():

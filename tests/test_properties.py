@@ -9,8 +9,7 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from halfsum import engine
 from halfsum.config import DEFAULT
 from halfsum.corpus import method_catalog
-from halfsum.engine import (Status, Variant, embed_sequence, estimate_limit,
-                            iterated_kernel, method_Mr)
+from halfsum.engine import Status, Variant, embed_sequence, estimate_limit, method_Mr
 from halfsum.engine import TestFunction as Probe
 from halfsum.exppoly import ExpPoly, Term
 from halfsum.kernels import (Flavor, convolve, counterexample_multiplicative,
@@ -97,7 +96,7 @@ def test_multiplicative_kernel_transport_pointwise(r, u):
 
 # the exponents s = -sign mu - 1 of the moments the multiplicative catalog
 # and the counterexample kernels take, forward and dual, complex ones included
-_MOMENT_KERNELS = ([(iterated_kernel(m), m.variant) for m in method_catalog().values()
+_MOMENT_KERNELS = ([(m.kernel, m.variant) for m in method_catalog().values()
                     if m.kernel.flavor is Flavor.MULTIPLICATIVE]
                    + [(counterexample_multiplicative(a), v) for a in (0.5, 1.0, 2.0)
                       for v in Variant])

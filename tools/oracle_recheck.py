@@ -152,14 +152,14 @@ def check_character_references():
     import numpy as np
     import test_engine as te
     from halfsum.corpus import method_catalog
-    from halfsum.engine import Variant, iterated_kernel
+    from halfsum.engine import Variant
     from halfsum.kernels import Flavor
     catalog = method_catalog()
     grids = ([(name, te.CHARACTER_OMEGAS, te.CHARACTER_XS) for name in sorted(catalog)]
              + [(name, te.OFFGRID_OMEGAS, te.OFFGRID_XS) for name in te.OFFGRID_METHODS])
     for name, omegas, xs in grids:
         method = catalog[name]
-        kernel = iterated_kernel(method)
+        kernel = method.kernel
         dual = method.variant is Variant.DUAL
         for omega in omegas:
             z = mp.mpc(0, -omega if dual else omega)
