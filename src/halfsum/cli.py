@@ -8,9 +8,10 @@ the natural shape) so scripts and CI can consume the results.
 
 Exit codes: 0 success; 1 any library error, printed as one ``error:`` line (a
 bad kernel spec, a zero-mass kernel, an iteration count below 1 or an iterate
-that is not normalized, bad or non-finite settings, a malformed case file, an
-unknown function or method); 2 an inconclusive verdict or
-status, and click's own option errors; 3 verification failure.
+that is not normalized, bad or non-finite settings, a malformed or empty case
+file, an unknown function or method, a method of the wrong flavor); 2 an
+inconclusive verdict or status, and click's own option errors; 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -71,17 +72,13 @@ class _Group(click.Group):
               help="Maximum number of ladder doublings: sets ladder_max_steps.")
 @click.option("--output", "output_fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Parallel workers for the verification matrix.")
 @click.pass_context
-def main(ctx, config_path, tol, max_ladder, output_fmt, jobs):
+def main(ctx, config_path, tol, max_ladder, output_fmt):
     """Summability methods on the half-line: classify kernels, estimate limits."""
     settings = load_settings(config_path) if config_path is not None else DEFAULT
     flags = {"tol_limit_scale": tol, "ladder_max_steps": max_ladder}
     settings = overlay({k: v for k, v in flags.items() if v is not None}, settings)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    ctx.obj = {"settings": settings, "output": output_fmt, "jobs": jobs}
+    ctx.obj = {"settings": settings, "output": output_fmt}
 
 
 def _lookup_function(name: str, flavor: Flavor):
@@ -225,7 +222,7 @@ def compare(ctx, method_a, method_b, function_name):
 def verify(ctx, cases_path):
     """Run the verification matrix and exit nonzero on any failure."""
     cases = corpus_mod.load_cases(cases_path) if cases_path else corpus_mod.builtin_cases()
-    report = corpus_mod.run_matrix(cases, ctx.obj["settings"], jobs=ctx.obj["jobs"])
+    report = corpus_mod.run_matrix(cases, ctx.obj["settings"])
     _echo_json(report.to_dict())
     sys.exit(EXIT_OK if report.passed else EXIT_VERIFY_FAIL)
 

@@ -6,12 +6,13 @@ the equivalence statements the engine is supposed to witness — agreement of
 the power-mean family, iterate and dual equivalence, regularity on convergent
 inputs, the discrete embedding bridge, and the spectral separation produced
 by a kernel whose transform vanishes at the test character's frequency.
+``run_matrix`` runs its cases one after another in the calling process, and
+its report counts the evaluations of the operators it ran.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -21,11 +22,10 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .engine import (MethodDescriptor, Status, TestFunction, TrigPolynomial,
-                     Variant, embed_sequence, estimate_limit, k_estimator,
-                     method_Mr, method_holder)
+                     Variant, _check_domain, embed_sequence, estimate_limit,
+                     k_estimator, method_Mr, method_holder)
 from .errors import ConfigError
 from .kernels import Flavor, counterexample_additive, exponential
-from .quadrature import counter
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,10 @@ class VerificationCase:
     def __post_init__(self):
         if self.expected not in ("all_agree", "separation"):
             raise ConfigError(f"unknown expectation kind {self.expected!r}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"case {self.case_id!r} needs one or more distinct methods")
+        if not set(self.statuses) <= {s.value for s in Status}:
+            raise ConfigError(f"case {self.case_id!r}: unknown status in {list(self.statuses)}")
         if self.expected == "separation" and len(self.methods) != 2:
             raise ConfigError("separation cases reference exactly two methods")
         if self.expected == "separation" and len(self.statuses) != 2:
@@ -217,13 +221,18 @@ class CaseOutcome:
 
 @dataclass
 class VerificationReport:
+    """Outcomes of cases run in one process; ``evaluations`` is their operators'
+    work, the sum of the ``evaluations`` of every ``measured`` record."""
     outcomes: list
     wall_time: float
-    evaluations: int
 
     @property
     def passed(self) -> bool:
         return all(o.passed for o in self.outcomes)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(r["evaluations"] for o in self.outcomes for r in o.measured.values())
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "wall_time": self.wall_time,
@@ -289,55 +298,46 @@ def load_cases(path: str) -> list[VerificationCase]:
     return [VerificationCase.from_dict(item) for item in raw]
 
 
-def _run_case(case: VerificationCase, settings: Settings) -> tuple[CaseOutcome, int]:
-    """The case's outcome and the evaluations it made (counted where it ran)."""
-    start = counter.count
-    f = corpus_map()[(case.function, case.flavor)]
-    methods = method_catalog()
+def _run_case(case: VerificationCase, f: TestFunction, methods: list,
+              settings: Settings) -> CaseOutcome:
     tol = case.tolerance if case.tolerance is not None \
         else 5.0 * settings.tol_limit(f.bound)
-    measured = {}
-    results = {}
-    for label in case.methods:
-        res = estimate_limit(methods[label], f, settings)
-        results[label] = res
-        measured[label] = res.to_dict()
-    return _judge(case, results, tol, measured), counter.count - start
+    results = {label: estimate_limit(m, f, settings) for label, m in zip(case.methods, methods)}
+    return _judge(case, results, tol)
 
 
 def run_matrix(cases: list[VerificationCase], settings: Settings = DEFAULT,
                jobs: int = 1) -> VerificationReport:
-    """Evaluate every case and collect an append-only pass/fail report.
+    """Evaluate every case in this process and collect a pass/fail report.
 
-    Cases are independent, so ``jobs > 1`` farms them out to worker processes,
-    no more than there are cases or cores; each case counts its evaluations
-    where it runs, and the report sums them.
+    Each case's function and methods are resolved before any case runs, so an
+    unknown label or a method of the wrong flavor aborts before any
+    evaluation, and so does an empty list of cases.  ``jobs`` is accepted and
+    ignored; it stays only for callers that still pass it.
     """
+    if not cases:
+        raise ConfigError("no verification cases to run")
     functions = corpus_map()
-    methods = method_catalog()
-    # validate all labels up front so a typo aborts before any evaluation
+    catalog = method_catalog()
+    runs = []
     for case in cases:
-        if (case.function, case.flavor) not in functions:
+        f = functions.get((case.function, case.flavor))
+        if f is None:
             raise ConfigError(f"case {case.case_id!r}: unknown function "
                               f"{case.function!r} ({case.flavor.value})")
         for m in case.methods:
-            if m not in methods:
+            if m not in catalog:
                 raise ConfigError(f"case {case.case_id!r}: unknown method {m!r}")
+            _check_domain(catalog[m].kernel, f)
+        runs.append((case, f, [catalog[m] for m in case.methods]))
 
     t_start = time.time()
-    workers = min(jobs, len(cases), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_case, cases, [settings] * len(cases)))
-    else:
-        runs = [_run_case(case, settings) for case in cases]
-    return VerificationReport([outcome for outcome, _ in runs], time.time() - t_start,
-                              sum(evals for _, evals in runs))
+    outcomes = [_run_case(case, f, methods, settings) for case, f, methods in runs]
+    return VerificationReport(outcomes, time.time() - t_start)
 
 
-def _judge(case: VerificationCase, results: dict, tol: float,
-           measured: dict) -> CaseOutcome:
+def _judge(case: VerificationCase, results: dict, tol: float) -> CaseOutcome:
+    measured = {label: r.to_dict() for label, r in results.items()}
     if case.expected == "all_agree":
         bad = [lab for lab, r in results.items() if r.status is not Status.CONVERGED]
         if bad:

@@ -224,6 +224,21 @@ def test_compare_agreeing_methods(runner):
     assert payload["max_delta"] <= payload["tolerance"]
 
 
+def test_compare_oscillating_methods_agree_by_status(runner):
+    res = runner.invoke(main, ["compare", "S_exp1", "K", "--function", "char_1"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["S_exp1"]["status"] == payload["K"]["status"] == "oscillating"
+    assert payload["agree"] is True and payload["max_delta"] is None
+
+
+def test_compare_inconclusive_exits_2(runner):
+    res = runner.invoke(main, ["--max-ladder", "2", "compare", "S_exp1", "K",
+                               "--function", "char_1"])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["agree"] is None
+
+
 def test_compare_unknown_method(runner):
     res = runner.invoke(main, ["compare", "M", "nope", "--function", "one"])
     _assert_one_error_line(res)
@@ -281,6 +296,14 @@ GOOD_CASE = {"case_id": "c", "function": "one", "flavor": "multiplicative",
     {key: v for key, v in GOOD_CASE.items() if key != "value"},
     {**GOOD_CASE, "function": "char_1", "flavor": "additive", "methods": ["S_ce1", "K"],
      "expected": "separation"},
+    # no methods ended in a traceback; a duplicate ran twice and was judged once
+    {**GOOD_CASE, "methods": []},
+    {**GOOD_CASE, "methods": ["M", "M"]},
+    # a status no run reports, or a method of the other flavor, stopped the
+    # matrix only after methods had run
+    {**GOOD_CASE, "function": "char_1", "flavor": "additive", "methods": ["S_ce1", "K"],
+     "expected": "separation", "statuses": ["converged", "wobbling"]},
+    {**GOOD_CASE, "flavor": "additive"},
 ])
 def test_verify_malformed_case_is_an_error_before_any_method_runs(runner, tmp_path,
                                                                    monkeypatch, entry):
@@ -292,6 +315,13 @@ def test_verify_malformed_case_is_an_error_before_any_method_runs(runner, tmp_pa
     path.write_text(json.dumps([entry]))
     res = runner.invoke(main, ["verify", "--cases", str(path)])
     _assert_one_error_line(res)
+
+
+def test_verify_empty_case_file_is_an_error(runner, tmp_path):
+    # it printed "passed": true and exited 0, having verified nothing
+    path = tmp_path / "cases.json"
+    path.write_text("[]")
+    _assert_one_error_line(runner.invoke(main, ["verify", "--cases", str(path)]))
 
 
 def test_verify_measured_entries_are_result_records(runner, tmp_path):
@@ -325,11 +355,12 @@ def test_flags_overlay_the_config_file(runner, tmp_path):
     assert json.loads(res.output)["tolerance"] == pytest.approx(2e-2)
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_must_be_positive(runner, jobs):
-    res = runner.invoke(main, ["--jobs", jobs, "verify"])
-    assert res.exit_code == 1
-    assert "error:" in res.output
+@pytest.mark.parametrize("content", [None, "[1, 2]"])
+def test_config_file_that_is_missing_or_not_an_object_is_an_error(runner, tmp_path, content):
+    cfg = tmp_path / "settings.json"
+    if content is not None:
+        cfg.write_text(content)
+    _assert_one_error_line(runner.invoke(main, ["--config", str(cfg), "verify"]))
 
 
 def test_config_file_overlay(runner, tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from halfsum.config import DEFAULT
-from halfsum.corpus import (VerificationCase, builtin_cases, builtin_corpus,
+from halfsum.corpus import (VerificationCase, _judge, builtin_cases, builtin_corpus,
                             corpus_map, load_cases, method_catalog, run_matrix)
-from halfsum.errors import ConfigError
+from halfsum.engine import Status, SummationResult, estimate_limit
+from halfsum.errors import ConfigError, FlavorMismatch
 from halfsum.kernels import Flavor
 from halfsum.spectrum import transform_grid
 
@@ -103,6 +104,15 @@ def test_case_validation():
         VerificationCase("x", "one", Flavor.ADDITIVE, ("K",), "separation")
     with pytest.raises(ConfigError):
         VerificationCase.from_dict({"case_id": "x"})
+    # no methods ended in a traceback from max() of nothing
+    with pytest.raises(ConfigError):
+        VerificationCase("x", "one", Flavor.ADDITIVE, (), "all_agree", 1.0)
+    with pytest.raises(ConfigError):
+        VerificationCase("x", "one", Flavor.ADDITIVE, ("K", "K"), "all_agree", 1.0)
+    # a status that no run can report failed the case only after both methods ran
+    with pytest.raises(ConfigError):
+        VerificationCase("x", "char_1", Flavor.ADDITIVE, ("S_ce1", "K"), "separation",
+                         statuses=("converged", "wobbling"))
 
 
 def test_load_cases(tmp_path):
@@ -150,40 +160,62 @@ def test_run_matrix_detects_wrong_value():
     assert "wrong" in report.to_dict()["outcomes"][0]["case_id"]
 
 
-def test_run_matrix_counts_evaluations_in_workers():
+def test_report_counts_only_its_operators_evaluations():
+    # the count leaves out the catalog builds and kernel norms around the
+    # operators, which made it 1 664 here against the operators' 270
     cases = {c.case_id: c for c in builtin_cases()}
     pair = [cases["bridge_alt"], cases["bridge_blocks"]]
-    serial = run_matrix(pair, DEFAULT, jobs=1)
-    parallel = run_matrix(pair, DEFAULT, jobs=2)
-    assert serial.evaluations > 0
-    assert parallel.evaluations == serial.evaluations
+    fns, cat = corpus_map(), method_catalog()
+    direct = sum(estimate_limit(cat[m], fns[(c.function, c.flavor)], DEFAULT).evaluations
+                 for c in pair for m in c.methods)
+    first, second = run_matrix(pair, DEFAULT), run_matrix(pair, DEFAULT)
+    assert first.evaluations == direct > 0
+    assert second.evaluations == first.evaluations
+    assert first.to_dict()["evaluations"] == direct
 
 
-def test_run_matrix_starts_no_more_workers_than_cases_or_cores(monkeypatch):
-    # a pool that records its size and maps serially: no process is started
-    import concurrent.futures
-    import os
-    sizes = []
+def test_run_matrix_checks_flavors_before_any_case_runs(monkeypatch):
+    # a method of the other flavor stopped the matrix with FlavorMismatch
+    # only after the cases before it had run
+    def no_run(*args):
+        raise AssertionError("a method ran before every case was resolved")
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    monkeypatch.setattr("halfsum.corpus.estimate_limit", no_run)
+    good = VerificationCase("good", "one", Flavor.MULTIPLICATIVE, ("M",), "all_agree", 1.0)
+    mixed = VerificationCase("mixed", "one", Flavor.ADDITIVE, ("M",), "all_agree", 1.0)
+    with pytest.raises(FlavorMismatch):
+        run_matrix([good, mixed], DEFAULT)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_run_matrix_needs_a_case():
+    # an empty matrix verified nothing and reported "passed"
+    with pytest.raises(ConfigError):
+        run_matrix([], DEFAULT)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    cases = [VerificationCase(f"one_{i}", "one", Flavor.MULTIPLICATIVE, ("M",),
-                              "all_agree", 1.0) for i in range(3)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert run_matrix(cases, DEFAULT, jobs=5000).passed
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run_matrix(cases, DEFAULT, jobs=5000).passed
-    run_matrix(cases[:1], DEFAULT, jobs=5000)
-    assert sizes == [3, 2]
+def _result(status, estimate=None, amplitude=0.0):
+    return SummationResult(estimate, Status(status), [], amplitude)
+
+
+_AGREE = VerificationCase("agree", "sin", Flavor.MULTIPLICATIVE, ("M", "M_2"), "all_agree", 0.0)
+_SEPARATE = VerificationCase("sep", "char_1", Flavor.ADDITIVE, ("S_ce1", "K"), "separation",
+                             0.0, statuses=("converged", "oscillating"))
+
+
+@pytest.mark.parametrize("case, results, detail", [
+    (_AGREE, {"M": _result("converged", 0j), "M_2": _result("inconclusive")},
+     "methods did not converge: ['M_2']"),
+    (_AGREE, {"M": _result("converged", 0j), "M_2": _result("converged", 0.5 + 0j)},
+     "max deviation 5.000e-01 exceeds tolerance 1.000e-03"),
+    (_SEPARATE, {"S_ce1": _result("oscillating", amplitude=1.0),
+                 "K": _result("oscillating", amplitude=1.0)},
+     "statuses (oscillating, oscillating) != expected (converged, oscillating)"),
+    (_SEPARATE, {"S_ce1": _result("converged", 0.5 + 0j), "K": _result("oscillating", amplitude=1.0)},
+     "S_ce1 converged to (0.5+0j), not 0.0"),
+    (_SEPARATE, {"S_ce1": _result("converged", 0j), "K": _result("oscillating", amplitude=1e-3)},
+     "oscillation amplitude 1.000e-03 too small to certify separation"),
+])
+def test_judge_says_why_a_case_failed(case, results, detail):
+    outcome = _judge(case, results, 1e-3)
+    assert not outcome.passed
+    assert outcome.detail == detail

@@ -959,3 +959,26 @@ def test_continuity_bound_controls_operator():
     for x in (5.0, 17.0):
         gap = abs(apply_forward(k, SIN_ADD, x + delta) - apply_forward(k, SIN_ADD, x))
         assert gap <= bound + 1e-6
+
+
+def test_unbounded_function_diverges():
+    # log t is declared bounded by 1, so its growing means pass the cap
+    # 10 * bound * ||phi||_1 three times in a row
+    log = engine.TestFunction("log", np.log, 1.0, Flavor.MULTIPLICATIVE, osc_scale="log")
+    res = estimate_limit(method_catalog()["M"], log, DEFAULT)
+    assert res.status is Status.DIVERGED
+    assert res.estimate is None
+    assert res.trace[-1][0] == 2.0 ** 18
+    assert [abs(v) for _, v in res.trace[-3:]] == sorted(abs(v) for _, v in res.trace[-3:])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: chain_apply([power_law(1.0)], corpus_map()[("one", Flavor.MULTIPLICATIVE)],
+                         [5.0], DEFAULT), FlavorMismatch),
+    (lambda: uniform_continuity_bound(
+        sampled_kernel(np.linspace(0.0, 10.0, 64), np.exp(-np.linspace(0.0, 10.0, 64)),
+                       Flavor.ADDITIVE), 0.1, DEFAULT), InvalidArgument),
+])
+def test_operator_inputs_are_checked(call, error):
+    with pytest.raises(error):
+        call()

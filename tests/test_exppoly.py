@@ -141,3 +141,14 @@ def test_complex_terms_stay_complex():
     vals = p(x)
     assert vals.dtype == np.complex128
     assert np.max(np.abs(vals - (c * np.exp(-x) - c / (1.0 + 1j) * np.exp((-1.0 + 1j) * x)))) < 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Term(1.0, 0, complex(np.nan, 0.0)),
+    lambda: Term(1.0, 0, complex(-np.inf, 0.0)),
+    lambda: Term(np.inf, 0, -1.0),
+    lambda: ExpPoly([Term(1.0, 0, -1.0)]).power(0),
+])
+def test_exppoly_inputs_are_checked(build):
+    with pytest.raises(InvalidKernel):
+        build()

@@ -295,3 +295,32 @@ def test_closed_form_product_moments():
         assert isinstance(k.body, ClosedForm)
         assert abs(k.l1_norm() - 1.0) < 1e-12
         assert abs(k.first_moment() - m1) < 1e-12
+
+
+_SAMPLED = (np.linspace(0.0, 10.0, 64), np.exp(-np.linspace(0.0, 10.0, 64)))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: finite_mixture([], Flavor.ADDITIVE), InvalidArgument),
+    (lambda: finite_mixture([(float("nan"), exponential(1.0))], Flavor.ADDITIVE), InvalidKernel),
+    (lambda: finite_mixture([(1.0, power_law(1.0))], Flavor.ADDITIVE), FlavorMismatch),
+    (lambda: finite_mixture([(1.0, sampled_kernel(*_SAMPLED, Flavor.ADDITIVE))],
+                            Flavor.ADDITIVE), InvalidKernel),
+    (lambda: sampled_kernel([0.0, 1.0, 2.0, 3.0], [1.0, np.nan, 0.5, 0.25], Flavor.ADDITIVE),
+     InvalidKernel),
+    (lambda: sampled_kernel([0.0, 1.0, 2.0, np.inf], [1.0, 0.7, 0.5, 0.25], Flavor.ADDITIVE),
+     InvalidKernel),
+    (lambda: sampled_kernel([-1.0, 1.0, 2.0, 3.0], [1.0, 0.7, 0.5, 0.25], Flavor.ADDITIVE),
+     InvalidKernel),
+    (lambda: kernel_from_dict({"flavor": "additive"}), ConfigError),
+    (lambda: kernel_from_dict({"flavor": "additive", "body": {
+        "catalog": "finite_mixture", "params": {"components": {}}}}), ConfigError),
+    (lambda: kernel_from_dict({"flavor": "additive", "body": {
+        "catalog": "exponential", "params": [1.0]}}), ConfigError),
+    (lambda: parse_kernel_arg("catalog:exponential(1"), ConfigError),
+    (lambda: parse_kernel_arg("catalog:exponential"), ConfigError),
+    (lambda: evaluate(exponential(1.0), [0.5, np.nan]), InvalidKernel),
+])
+def test_kernel_inputs_are_checked(build, error):
+    with pytest.raises(error):
+        build()

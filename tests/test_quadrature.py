@@ -253,3 +253,14 @@ def test_trapezoid_convolution_real_matches_complex():
     # int_0^t sin(t - s) e^-s ds = (sin t - cos t + e^-t) / 2
     t = np.arange(a.size) * h
     assert np.max(np.abs(real - (np.sin(t) - np.cos(t) + np.exp(-t)) / 2)) < 1e-5
+
+
+def test_budget_accepts_panels_whose_error_fits():
+    # |x - 0.3| needs bisections down to the kink; with the budget cut while
+    # rejected panels still wait, what is left is accepted only when their
+    # error estimates fit in tol
+    exact = (0.3 ** 2 + 0.7 ** 2) / 2
+    got = integrate_adaptive(lambda x: np.abs(x - 0.3), 0.0, 1.0, 1e-6, max_evals=8 * 41)
+    assert abs(got - exact) < 1e-6
+    with pytest.raises(QuadratureFailed):
+        integrate_adaptive(lambda x: np.abs(x - 0.3), 0.0, 1.0, 1e-6, max_evals=6 * 41)

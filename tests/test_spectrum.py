@@ -355,3 +355,16 @@ def test_reflection_identity_sampled_sees_a_wrong_transform(monkeypatch):
 def test_reflection_identity_needs_a_frequency(n_points):
     with pytest.raises(InvalidArgument, match="at least 1 frequency"):
         dual_transform_identity_check(exponential(1.0), DEFAULT, n_points=n_points)
+
+
+def test_sampled_triangle_has_its_zeros_found():
+    # five samples 0, 1/2, 1, 1/2, 0 on [0, 2] are their own interpolant, a
+    # hat with no tail to fit, whose transform e^(-i xi) sinc^2(xi / 2)
+    # vanishes at 2 pi k
+    hat = sampled_kernel([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0, 0.5, 0.0], Flavor.ADDITIVE)
+    assert (hat.body.tail_value, hat.body.tail_rate) == (0.0, 0.0)
+    verdict = classify_wiener(hat, DEFAULT).verdict
+    assert verdict.kind == "zero_found"
+    k = verdict.zero_at / (2.0 * np.pi)
+    assert round(k) != 0 and abs(k - round(k)) < 1e-9
+    assert verdict.zero_modulus < DEFAULT.zero_epsilon
