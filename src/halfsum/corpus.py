@@ -168,6 +168,8 @@ class VerificationCase:
             raise ConfigError("separation cases expect exactly two statuses")
         if self.expected == "all_agree" and self.value is None:
             raise ConfigError("all_agree cases need a value")
+        if self.expected == "all_agree" and self.statuses:
+            raise ConfigError("all_agree cases expect every method to converge: no statuses")
 
     def to_dict(self) -> dict:
         d = {"case_id": self.case_id, "function": self.function,
@@ -360,11 +362,10 @@ def _judge(case: VerificationCase, results: dict, tol: float) -> CaseOutcome:
         return CaseOutcome(case.case_id, False,
                            f"statuses ({ra.status.value}, {rb.status.value}) != "
                            f"expected ({want_a}, {want_b})", measured)
-    if want_a == "converged" and case.value is not None \
-            and abs(ra.estimate - case.value) > tol:
-        return CaseOutcome(case.case_id, False,
-                           f"{lab_a} converged to {ra.estimate}, not {case.value}",
-                           measured)
+    for lab, r, want in ((lab_a, ra, want_a), (lab_b, rb, want_b)):
+        if want == "converged" and case.value is not None and abs(r.estimate - case.value) > tol:
+            return CaseOutcome(case.case_id, False,
+                               f"{lab} converged to {r.estimate}, not {case.value}", measured)
     osc = rb if want_b == "oscillating" else ra
     if osc.oscillation_amplitude <= 10.0 * tol:
         return CaseOutcome(case.case_id, False,

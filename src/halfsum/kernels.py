@@ -7,7 +7,9 @@ additive one, so internally every closed-form kernel is stored as an
 :class:`~halfsum.exppoly.ExpPoly` in additive coordinates and the flavor
 only controls how abscissae are interpreted.  ``ExpPoly`` is closed under
 half-line convolution, so convolutions and powers of closed forms stay
-closed forms; only a sampled operand makes the result a sampled grid.
+closed forms.  A sampled operand gives an exact ``Convolved`` body when the
+other is a closed form or a sampled kernel on the same step; any other pair
+is convolved by the trapezoid rule on a grid.
 
 Closed-form catalog:
 
@@ -111,25 +113,235 @@ class Sampled:
         excess = abs(self.tail_value) / (self.tail_rate * eps)
         return float(self.grid[-1]) + math.log(max(excess, 1.0)) / self.tail_rate
 
+    def abs_moment(self, k: int) -> float:
+        """int u^k |phi(u)| du for k = 0, 1: trapezoid sums of the samples
+        (for k = 0 a bound on the interpolant's) plus the tail's exact share."""
+        val = float(np.trapezoid(self.grid ** k * np.abs(self.values), self.grid))
+        if self.tail_rate > 0:
+            g, u0 = self.tail_rate, self.grid[-1]
+            val += abs(self.tail_value) * (1.0 / g if k == 0 else u0 / g + 1.0 / g ** 2)
+        return val
+
+
+def _node_sums(weights: np.ndarray, z: complex, h: float, top: int) -> np.ndarray:
+    """s[K, r] = sum_{k <= K} w_k ((K - k) h)^r z^(K - k), r = 0..top, at every node K.
+
+    One inclusive scan in log2(N) rounds: round m adds A_m s[K - m] to s[K],
+    m = 1, 2, 4, ..., where (A_m)_rq = C(r, q) (m h)^(r - q) z^m carries a
+    node's sums m nodes on.  With |z| < 1 every added term is a weight times
+    nonnegative lengths, so no round cancels.
+    """
+    s = np.zeros((weights.size, top + 1), dtype=np.result_type(weights, z))
+    s[:, 0] = weights
+    r = np.arange(top + 1)
+    binom = np.array([[math.comb(i, j) for j in r] for i in r], dtype=float)
+    m = 1
+    while m < weights.size:
+        carry = binom * (m * h) ** np.maximum(r[:, None] - r, 0) * z ** m
+        s[m:] = s[m:] + s[:-m] @ carry.T
+        m *= 2
+    return s
+
+
+class _LinearConvolution:
+    """L * form, L the interpolant of a sampled body (zero off [g_0, g_n]).
+
+    Integrating by parts twice, with T1(y) = int_y^inf form and
+    T2(y) = int_y^inf T1 (both ``ExpPoly``), M0 and M1 the form's mass and
+    first moment and b_k the jump of L' at node g_k,
+
+        (L * form)(x) = M0 L(x) - M1 L'(x) - v_0 T1(x - g_0) + v_n T1(x - g_n)
+                        + sum_{g_k <= x} b_k T2(x - g_k).
+
+    Each term c y^j e^(mu y) of T2 is expanded about the last node g_K <= x,
+    d = x - g_K, as e^(mu d) sum_r C(j, r) d^(j - r) s[K, r], with the node
+    sums s of ``_node_sums`` built for every node once, so a value costs
+    O(1) and is exact up to rounding.
+    """
+
+    def __init__(self, body: "Sampled", form: ExpPoly):
+        grid, values, h = body.grid, body.values, _step(body)
+        self.grid = grid
+        slope = np.diff(values) / h
+        jumps = np.diff(slope, prepend=0.0, append=0.0)
+        self.slope = np.append(slope, 0.0)           # L' and L just right of each node
+        self.right = np.append(values[:-1], 0.0)
+        t1 = form.tail_form()
+        t2 = t1.tail_form()
+        self.m0, self.m1 = _real_if_exact(form.mass()), _real_if_exact(t1.mass())
+        self.ends = ((grid[0], t1.scaled(-values[0])), (grid[-1], t1.scaled(values[-1])))
+        self.sums = []
+        for mu in {t.rate for t in t2}:
+            coef = {t.power: t.coef for t in t2 if t.rate == mu}
+            top = max(coef)
+            table = np.array([[coef.get(r + e, 0.0) * math.comb(r + e, r) for e in range(top + 1)]
+                              for r in range(top + 1)])
+            table = table.real if not table.imag.any() else table
+            mu = _real_if_exact(mu)
+            self.sums.append((mu, table, _node_sums(jumps, np.exp(mu * h), h, top)))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(self.grid, x, side="right") - 1
+        inside = k >= 0
+        k = np.maximum(k, 0)
+        d = np.where(inside, x - self.grid[k], 0.0)
+        val = self.m0 * (self.right[k] + self.slope[k] * d) - self.m1 * self.slope[k]
+        for shift, t1 in self.ends:
+            val = val + t1(x - shift)
+        for mu, table, s in self.sums:
+            powers = d[:, None] ** np.arange(table.shape[1])
+            val = val + np.exp(mu * d) * np.einsum("nr,re,ne->n", s[k], table, powers)
+        return np.where(inside, val, 0.0)
+
+
+class _CubicConvolution:
+    """L_a * L_b for the interpolants of two sampled bodies on one step h.
+
+    On cell k of the sum grid a_0 + b_0 + k h, with y in [0, 1) across it, the
+    product is a cubic in y.  A cell i of a, v_i + dv_i s, meets cells k - i
+    and k - 1 - i of b, so the cubic's coefficients are discrete convolutions
+    of the cells' values v and increments dv: C_vv = v_a * v_b and so on, at
+    k and at k - 1.
+    """
+
+    def __init__(self, a: "Sampled", b: "Sampled"):
+        h = _step(a)
+        (vv, vd), (dv, dd) = [[np.convolve(x, y) for y in (b.values[:-1], np.diff(b.values))]
+                              for x in (a.values[:-1], np.diff(a.values))]
+        mixed = vd + dv
+        at = lambda c: np.append(c, 0.0)                 # the convolution at k
+        before = lambda c: np.insert(c, 0, 0.0)          # and at k - 1
+        self.coefs = h * np.stack([before(vv + mixed / 2 + dd / 6),
+                                   at(vv) + before(dd / 2 - vv),
+                                   (at(mixed) - before(mixed + dd)) / 2,
+                                   (at(dd) - before(dd)) / 6])
+        self.origin, self.h = a.grid[0] + b.grid[0], h
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        cells = self.coefs.shape[1]
+        pos = np.clip((x - self.origin) / self.h, -1.0, cells)
+        k = np.clip(np.floor(pos).astype(np.int64), 0, cells - 1)
+        y = pos - k
+        c0, c1, c2, c3 = self.coefs[:, k]
+        return np.where((pos >= 0) & (pos < cells), ((c3 * y + c2) * y + c1) * y + c0, 0.0)
+
+
+def _pieces(body) -> list:
+    """``body`` as (shift, piece) pairs: an ``ExpPoly`` at 0, or a sampled
+    body's interpolant at 0 and its geometric tail, a one-term ``ExpPoly``,
+    at its last node."""
+    if isinstance(body, ExpPoly) or body.tail_rate <= 0:
+        return [(0.0, body)]
+    tail = ExpPoly([Term(complex(body.tail_value), 0, complex(-body.tail_rate))])
+    return [(0.0, body), (float(body.grid[-1]), tail)]
+
+
+def _l1_bound(body) -> float:
+    """An upper bound on int |body|, for an ``ExpPoly`` or a ``Sampled`` body."""
+    return body.abs_tail_bound(0.0) if isinstance(body, ExpPoly) else body.abs_moment(0)
+
+
+def _step(body: "Sampled") -> float:
+    return (body.grid[-1] - body.grid[0]) / (body.grid.size - 1)
+
+
+def _piece_product(p, q):
+    """The exact product of two pieces of ``_pieces``."""
+    if isinstance(p, ExpPoly) and isinstance(q, ExpPoly):
+        return p.convolve(q)
+    if isinstance(p, ExpPoly):
+        p, q = q, p
+    return _LinearConvolution(p, q) if isinstance(q, ExpPoly) else _CubicConvolution(p, q)
+
+
+class Convolved:
+    """The exact convolution of a ``Sampled`` body ``a`` with ``b``: an
+    ``ExpPoly``, or a ``Sampled`` body on the same step.
+
+    Each sampled operand is its interpolant plus its geometric tail, a
+    one-term ``ExpPoly`` shifted to its last node, so the product is a sum of
+    shifted pairs: interpolant * form (``_LinearConvolution``), interpolant *
+    interpolant (``_CubicConvolution``) and form * form (``ExpPoly.convolve``),
+    each built in one O(N) pass and exact at any u.  ``grid`` holds the
+    body's kinks, the nodes of ``a`` or, for two sampled operands, their
+    sums, and ``values`` the exact body there.  Mass and transform are the
+    products of the operands'.  Like ``Sampled`` it evaluates, integrates,
+    transforms, cuts and scales itself.
+    """
+
+    def __init__(self, a: "Sampled", b):
+        self.a, self.b = a, b
+        if isinstance(b, ExpPoly):
+            self.grid = a.grid
+        else:
+            self.grid = a.grid[0] + b.grid[0] + _step(a) * np.arange(a.grid.size + b.grid.size - 1)
+        self.parts = [(s + t, _piece_product(p, q)) for s, p in _pieces(a) for t, q in _pieces(b)]
+        self.values = self(self.grid)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        flat = u.ravel()
+        return sum(part(flat - shift) for shift, part in self.parts).reshape(u.shape)
+
+    def mass(self) -> complex:
+        return self.a.mass() * self.b.mass()
+
+    def transform(self, xi) -> np.ndarray:
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        return self.a.transform(xi) * self.b.transform(xi)
+
+    def scaled(self, c: complex) -> "Convolved":
+        return Convolved(self.a.scaled(c), self.b)
+
+    def support_cutoff(self, eps: float) -> float:
+        """Point past which the absolute tail is at most eps: the a-part beyond
+        A and the b-part beyond B each carry at most eps / 2 past A + B."""
+        return (self.a.support_cutoff(eps / (2.0 * _l1_bound(self.b)))
+                + self.b.support_cutoff(eps / (2.0 * _l1_bound(self.a))))
+
+
+def _exact_convolution(a, b):
+    """The exact body of a * b for bodies a and b; None where only the trapezoid rule serves.
+
+    Closed forms multiply as ``ExpPoly``; a sampled body with a closed form or
+    with a sampled body on its step gives a ``Convolved`` body; a
+    ``Convolved`` body of a closed form takes a further closed form into its
+    form, by associativity.
+    """
+    if isinstance(a, ExpPoly):
+        a, b = b, a
+    if isinstance(b, ExpPoly):
+        if isinstance(a, ExpPoly):
+            return a.convolve(b)
+        if isinstance(a, Sampled):
+            return Convolved(a, b)
+        return Convolved(a.a, a.b.convolve(b)) if isinstance(a.b, ExpPoly) else None
+    if isinstance(a, Sampled) and isinstance(b, Sampled) \
+            and math.isclose(_step(a), _step(b), rel_tol=1e-12):
+        return Convolved(a, b)
+    return None
+
 
 @dataclass(frozen=True)
 class Kernel:
     flavor: Flavor
-    body: object  # ClosedForm | Sampled
+    body: object  # ClosedForm | Sampled | Convolved
     meta: dict = field(default_factory=dict, compare=False)
 
     # ---- the body as a function of additive coordinates ------------------
 
     @property
     def shape(self):
-        """phi(u) in additive coordinates: the closed form's ``ExpPoly`` or the
-        ``Sampled`` body, both with ``__call__``, ``mass``, ``transform``,
-        ``support_cutoff`` and ``scaled``."""
+        """phi(u) in additive coordinates: the closed form's ``ExpPoly``, the
+        ``Sampled`` body or an exact ``Convolved`` body, each with
+        ``__call__``, ``mass``, ``transform``, ``support_cutoff`` and ``scaled``."""
         return self.body.form if isinstance(self.body, ClosedForm) else self.body
 
     @property
     def breaks(self) -> Optional[np.ndarray]:
-        """Points where phi has kinks: a sampled kernel's grid; None for a closed form."""
+        """Points where phi may have kinks: a sampled kernel's grid, or a
+        convolved body's (its sampled operand's nodes or their sums); None
+        for a closed form."""
         return None if isinstance(self.body, ClosedForm) else self.body.grid
 
     # ---- cached scalars --------------------------------------------------
@@ -154,21 +366,14 @@ class Kernel:
         return self.meta[key]
 
     def _abs_moment(self, k: int) -> float:
-        if isinstance(self.body, ClosedForm):
-            form = self.body.form
-            cut = form.support_cutoff(1e-14)
-            val = integrate_adaptive(lambda u: (u ** k) * np.abs(form(u)), 0.0, cut, 1e-12)
-            return float(val.real)
-        b = self.body
-        val = float(np.trapezoid(b.grid ** k * np.abs(b.values), b.grid))
-        if b.tail_rate > 0:
-            g = b.tail_rate
-            u0 = b.grid[-1]
-            if k == 0:
-                val += abs(b.tail_value) / g
-            else:
-                val += abs(b.tail_value) * (u0 / g + 1.0 / g ** 2)
-        return val
+        """A sampled body sums its samples; any other body is integrated over its breaks."""
+        shape = self.shape
+        if isinstance(shape, Sampled):
+            return shape.abs_moment(k)
+        cut = shape.support_cutoff(1e-14)
+        val = integrate_adaptive(lambda u: (u ** k) * np.abs(shape(u)), 0.0, cut, 1e-12,
+                                 breaks=self.breaks)
+        return float(val.real)
 
     # ---- coordinate helpers ---------------------------------------------
 
@@ -347,26 +552,31 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
 def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
     """Half-line convolution of two kernels of the same flavor.
 
-    Two closed forms give their exact product as a closed form; a sampled
-    operand gives a sampled kernel on [0, x_max_quad]: trapezoid sums on 2^14
-    cells, halved at most three times until the change at the coarser nodes
-    is below tol_quad.  It falls only about 4x per halving: a 512-sample
-    exp(-u), with exponential(1) or squared, meets tol_quad in the last round
-    (131 073 nodes); a miss there returns the last grid with no signal.
+    Two closed forms give their exact product as a closed form.  A sampled
+    kernel with a closed form, or with a sampled kernel on the same step,
+    gives an exact ``Convolved`` body built in one O(N) pass; a closed form
+    convolved further folds into that body's form, so a chain of one
+    sampled kernel and any closed forms stays exact.  Any other pair (grids
+    of different steps, or a third sampled factor) gets a sampled kernel on
+    [0, x_max_quad]: trapezoid sums on 2^14 cells, halved at most three times
+    until the change at the coarser nodes is below tol_quad, with that last
+    change in the result's ``meta["convolution_change"]``.
     """
     if k1.flavor is not k2.flavor:
         raise FlavorMismatch(f"cannot convolve {k1.flavor.value} with {k2.flavor.value}")
-    f1, f2 = k1.additive_form(), k2.additive_form()
-    if f1 is not None and f2 is not None:
-        return Kernel(k1.flavor, ClosedForm("convolution", {}, f1.convolve(f2)))
+    body = _exact_convolution(k1.shape, k2.shape)
+    if isinstance(body, ExpPoly):
+        return Kernel(k1.flavor, ClosedForm("convolution", {}, body))
+    if body is not None:
+        return Kernel(k1.flavor, body)
     n = 2 ** 14
     prev = None
     for _ in range(4):
         grid = np.linspace(0.0, settings.x_max_quad, n + 1)
         conv = trapezoid_convolution(k1.shape(grid), k2.shape(grid), grid[1] - grid[0])
         if prev is not None:
-            diff = np.max(np.abs(conv[::2] - prev))
-            if diff < settings.tol_quad:
+            change = float(np.max(np.abs(conv[::2] - prev)))
+            if change < settings.tol_quad:
                 break
         prev = conv
         n *= 2
@@ -374,11 +584,16 @@ def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
         tail_value, tail_rate = _fit_tail(grid, conv)
     except InvalidKernel:
         tail_value, tail_rate = 0.0, 0.0
-    return Kernel(k1.flavor, Sampled(grid, conv, tail_value, tail_rate))
+    return Kernel(k1.flavor, Sampled(grid, conv, tail_value, tail_rate),
+                  {"convolution_change": change})
 
 
 def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
-    """k-fold convolution power; k = 1 is the identity."""
+    """k-fold convolution power; k = 1 is the identity.
+
+    A closed form's power is exact.  A sampled kernel's square is an exact
+    ``Convolved`` body; each further factor is convolved by the trapezoid
+    rule (``convolve``)."""
     if not _is_count(k):
         raise InvalidArgument("convolution power needs an integer k >= 1 (L1 has no unit)")
     if k == 1:

@@ -19,9 +19,10 @@ Three tools:
   frequencies go through blocked chirp-z transforms, any other frequencies
   through a blocked direct product.
 * :func:`trapezoid_convolution` — trapezoid rule for the half-line
-  convolution of two functions sampled on one uniform grid (the product of
-  a sampled kernel with another), at every node from one zero-padded FFT
-  product: a real FFT when both operands are real, a complex one otherwise.
+  convolution of two functions sampled on one uniform grid (kernel pairs
+  that ``kernels.convolve`` has no exact body for), at every node from one
+  zero-padded FFT product: a real FFT when both operands are real, a
+  complex one otherwise.
 
 Integrands and operands keep their own dtype: real data is integrated and
 convolved in real arithmetic, complex data in complex arithmetic.  The FFTs

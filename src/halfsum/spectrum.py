@@ -66,7 +66,8 @@ def transform_grid(kernel: Kernel, xi: np.ndarray) -> np.ndarray:
     Closed forms use their analytic transform.  A sampled kernel takes one pass
     of :func:`fourier_piecewise_linear` over the whole array (chirp-z blocks
     when ``xi`` is equally spaced, a direct product otherwise) plus the
-    closed-form transform of the geometric tail.
+    closed-form transform of the geometric tail, and a convolved body the
+    product of its operands' transforms.
     """
     return kernel.shape.transform(xi)
 

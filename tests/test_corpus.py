@@ -113,6 +113,10 @@ def test_case_validation():
     with pytest.raises(ConfigError):
         VerificationCase("x", "char_1", Flavor.ADDITIVE, ("S_ce1", "K"), "separation",
                          statuses=("converged", "wobbling"))
+    # statuses on an all_agree case were never checked
+    with pytest.raises(ConfigError):
+        VerificationCase("x", "one", Flavor.MULTIPLICATIVE, ("M",), "all_agree", 1.0,
+                         statuses=("oscillating",))
 
 
 def test_load_cases(tmp_path):
@@ -200,6 +204,9 @@ def _result(status, estimate=None, amplitude=0.0):
 _AGREE = VerificationCase("agree", "sin", Flavor.MULTIPLICATIVE, ("M", "M_2"), "all_agree", 0.0)
 _SEPARATE = VerificationCase("sep", "char_1", Flavor.ADDITIVE, ("S_ce1", "K"), "separation",
                              0.0, statuses=("converged", "oscillating"))
+# the converging method second: its value was checked only when it came first
+_SEPARATE_SECOND = VerificationCase("sep2", "char_1", Flavor.ADDITIVE, ("K", "S_ce1"),
+                                    "separation", 5.0, statuses=("oscillating", "converged"))
 
 
 @pytest.mark.parametrize("case, results, detail", [
@@ -214,6 +221,9 @@ _SEPARATE = VerificationCase("sep", "char_1", Flavor.ADDITIVE, ("S_ce1", "K"), "
      "S_ce1 converged to (0.5+0j), not 0.0"),
     (_SEPARATE, {"S_ce1": _result("converged", 0j), "K": _result("oscillating", amplitude=1e-3)},
      "oscillation amplitude 1.000e-03 too small to certify separation"),
+    (_SEPARATE_SECOND, {"K": _result("oscillating", amplitude=1.0),
+                        "S_ce1": _result("converged", 0j)},
+     "S_ce1 converged to 0j, not 5.0"),
 ])
 def test_judge_says_why_a_case_failed(case, results, detail):
     outcome = _judge(case, results, 1e-3)

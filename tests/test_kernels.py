@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from halfsum.config import DEFAULT
 from halfsum.errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                             InvalidArgument, InvalidKernel)
 from halfsum.kernels import (ClosedForm, Flavor, convolve,
@@ -140,7 +141,7 @@ def test_sampled_kernel_fits_a_tail_to_four_samples():
 
 def test_sampled_kernel_dtype_follows_its_samples():
     # real samples stay real through normalization, convolution and powers,
-    # so their grids take the real FFT; complex samples stay complex
+    # so their convolutions run in real arithmetic; complex samples stay complex
     t = np.linspace(0.0, 40.0, 512)
     k = normalize(sampled_kernel(t, 2.0 * np.exp(-t), Flavor.ADDITIVE))
     assert k.body.values.dtype == np.float64 and isinstance(k.body.tail_value, float)
@@ -155,6 +156,21 @@ def test_sampled_kernel_dtype_follows_its_samples():
     assert z.shape(u).dtype == np.complex128
     resampled = sampled_kernel(t ** 1.5, np.exp(-t), Flavor.ADDITIVE)
     assert resampled.body.values.dtype == np.float64
+
+
+def test_sampled_convolutions_are_exact_or_report_their_change():
+    # one sampled factor with closed forms, or two on one step, give an exact
+    # body with the operands' nodes as kinks; a third sampled factor, or two
+    # steps, take the trapezoid rule, which records its last change between
+    # step halvings instead of returning a miss with no signal
+    t = np.linspace(0.0, 40.0, 512)
+    k = normalize(sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE))
+    chain = convolve(convolve(exponential(1.0), k), exponential(2.0))
+    assert np.array_equal(chain.breaks, t) and "convolution_change" not in chain.meta
+    assert power(k, 2).breaks.size == 2 * t.size - 1
+    assert 0.0 <= power(k, 3).meta["convolution_change"] < DEFAULT.tol_quad
+    coarse = sampled_kernel(t[::3], np.exp(-t[::3]), Flavor.ADDITIVE)
+    assert "convolution_change" in convolve(k, coarse).meta
 
 
 def test_sampled_kernel_rejects_growth():

@@ -12,10 +12,12 @@ from halfsum.corpus import method_catalog
 from halfsum.engine import Status, Variant, embed_sequence, estimate_limit, method_Mr
 from halfsum.engine import TestFunction as Probe
 from halfsum.exppoly import ExpPoly, Term
-from halfsum.kernels import (Flavor, convolve, counterexample_multiplicative,
-                             evaluate, exponential, finite_mixture, normalize,
-                             parse_kernel_arg, power, power_law)
+from halfsum.kernels import (Flavor, convolve, counterexample_additive,
+                             counterexample_multiplicative, evaluate, exponential,
+                             finite_mixture, normalize, parse_kernel_arg, power, power_law,
+                             sampled_kernel)
 from halfsum.quadrature import counter
+from halfsum.spectrum import transform_grid, transform_numeric
 
 rates = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 coeffs = st.floats(min_value=-2.0, max_value=2.0).filter(lambda c: abs(c) > 0.05)
@@ -185,3 +187,71 @@ def test_by_parts_holds_from_its_first_piece():
         got = moments.segment(lo, 2.0 ** (m + 1), m)
         want = _cell_by_cell_moments(values, s, p, lo, 2.0 ** (m + 1), m)
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want))), (values, s, p)
+
+
+# ---------------------------------------------------------------------------
+# exact sampled convolutions
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _cellwise_convolution(a, b, u, kinks):
+    """int_0^u a(s) b(u - s) ds by 20-point Gauss-Legendre on every piece
+    between the points of ``kinks``, u - ``kinks`` and a 0.25 raster."""
+    cuts = np.concatenate([kinks, u - kinks, np.arange(0.0, u, 0.25), [u]])
+    cuts = np.unique(cuts[(cuts >= 0.0) & (cuts <= u)])
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_NODES
+    return np.sum(0.5 * (hi - lo) * _GL_WEIGHTS * a(s.ravel()).reshape(s.shape)
+                  * b((u - s).ravel()).reshape(s.shape))
+
+
+@st.composite
+def sampled_kernels(draw):
+    """A sampled kernel of 8-64 real or complex samples on [g0, g0 + (n-1) h], g0 >= 0,
+    whose last tenth decays geometrically, so its fitted tail is that decay."""
+    n = draw(st.integers(8, 64))
+    g0 = draw(st.floats(0.0, 3.0))
+    h = draw(st.floats(0.05, 0.5))
+    decay = draw(st.floats(0.3, 3.0))
+    u = g0 + h * np.arange(n)
+    shape = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        shape = shape + 1j * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    shape[-(n // 10 + 2):] = 1.0
+    return sampled_kernel(u, shape * np.exp(-decay * (u - g0)), Flavor.ADDITIVE)
+
+
+closed_forms = st.one_of(st.builds(exponential, rates),
+                         st.builds(counterexample_additive, st.floats(0.5, 3.0)))
+
+
+@hyp_settings(max_examples=25, deadline=None)
+@given(sampled_kernels(), closed_forms, st.booleans(),
+       st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+def test_sampled_convolution_is_exact(k, closed, squared, where):
+    other = k if squared else closed
+    conv = power(k, 2) if squared else convolve(k, closed)
+    kinks = k.body.grid
+    ends = kinks[-1] + (kinks[-1] if squared else 0.0)
+    u = 0.1 + (ends + 5.0) * np.array(where)
+    got = conv.shape(u)
+    for x, value in zip(u, got):
+        want = _cellwise_convolution(k.shape, other.shape, x, kinks)
+        assert abs(value - want) <= 1e-12 * (1 + abs(value)), x
+    assert abs(conv.mass() - k.mass() * other.mass()) <= 1e-12 * (1 + abs(conv.mass()))
+    xi = np.array([-3.0, -0.5, 0.0, 0.7, 4.0])
+    product = transform_grid(k, xi) * transform_grid(other, xi)
+    numeric = transform_numeric(conv, xi, DEFAULT.replace(tol_quad=1e-11))
+    assert np.max(np.abs(numeric - product)) < 1e-9
+
+
+def test_sampled_convolution_meets_an_independent_reference():
+    # a 400-sample exp(-u) on [0, 30] with exponential(2), between and past its nodes
+    u = np.linspace(0.0, 30.0, 400)
+    k = sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE)
+    e2 = exponential(2.0)
+    conv = convolve(k, e2)
+    xs = np.random.default_rng(7).uniform(0.0, 40.0, 200)
+    want = np.array([_cellwise_convolution(k.shape, e2.shape, x, u) for x in xs])
+    assert np.max(np.abs(conv.shape(xs) - want)) < 1e-12
