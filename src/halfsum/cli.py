@@ -154,7 +154,7 @@ def sum_cmd(ctx, kernel_spec, function_name, variant, iterations, trace_path):
     settings = ctx.obj["settings"]
     kernel = normalize(parse_kernel_arg(kernel_spec), settings)
     f = _lookup_function(function_name, kernel.flavor)
-    method = MethodDescriptor(power(kernel, iterations, settings), Variant(variant),
+    method = MethodDescriptor(power(kernel, iterations), Variant(variant),
                               label=f"cli:{kernel_spec}")
     result = estimate_limit(method, f, settings)
     if trace_path:

@@ -20,7 +20,6 @@ class Settings:
     # quadrature
     tol_quad: float = 1e-8          # absolute, per evaluation point
     mass_epsilon: float = 1e-10     # below this |mass| a kernel cannot be normalized
-    x_max_quad: float = 60.0        # additive support window for sampled grids
     max_evals: int = 60_000_000     # integrand-evaluation budget per quadrature call
 
     # spectrum
@@ -58,7 +57,7 @@ class Settings:
 # value may be infinite or NaN: an infinite tolerance "converges" anything.
 _BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
            "tol_limit_scale": (0, False), "mass_epsilon": (0, False),
-           "x_max_quad": (0, False), "max_evals": (0, True),
+           "max_evals": (0, True),
            "freq_window": (0, False), "refine_max_iter": (0, True),
            "grid_pass_limit": (-1, True),
            "ladder_x0": (0, False), "ladder_ratio": (1, False),

@@ -42,9 +42,9 @@ is one kernel: a method iterated k times is built as the method of the
 kernel's k-th convolution power (``method_holder``, ``kernels.power``), and
 a chain of additive methods (``chain_apply``, ``nested_apply``) is the
 method of its kernels' convolution.  Closed forms stay ``ExpPoly``
-products, a sampled kernel's products are exact ``Convolved`` bodies
-(``kernels.convolve``), and the product then runs through the same
-evaluators as any other kernel.
+products; products and powers with sampled factors, all on one step, are
+exact ``Convolved`` bodies (``kernels.convolve``, ``kernels.power``), and
+the product then runs through the same evaluators as any other kernel.
 
 Limit estimation is heuristic plateau detection on a geometric ladder of
 evaluation points.  The four statuses are honest: ``converged`` and
@@ -615,12 +615,11 @@ class _AddWindow:
     dual window f(x + s) phi(s) over [0, cut], with cut the point past which
     the kernel's absolute tail is negligible: the closed form's tail bound,
     a sampled kernel's geometric tail model past its last sample, or a
-    convolved body's bound from its operands.  phi is ``Kernel.shape``, so a
+    convolved body's bound from its factors.  phi is ``Kernel.shape``, so a
     sampled kernel is its linear interpolant, and its grid nodes
     (``Kernel.breaks``) are panel edges: each panel sees one linear piece.  A
-    convolved body's kinks are its sampled operand's nodes, or their sums
-    for a sampled square, and it is smooth between them, so they serve as
-    edges the same way.
+    convolved body's kinks lie on the sums of its sampled factors' nodes,
+    and it is smooth between them, so they serve as edges the same way.
 
     A function with ``noise`` floors the quadrature target at its noise n
     at the window's far end times ||phi||_1: past x ~ 2^26 f(x -+ s) rounds
@@ -722,10 +721,10 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
     Composition is convolution: U_psi(U_phi f) = U_(phi * psi) f, so the
     chain is the forward operator of its kernels' convolution, evaluated at
     each probe by the one additive window.  ``convolve`` makes that product
-    exact for closed forms with at most one sampled kernel, or two on one
-    step; further sampled kernels take its trapezoid rule on ``settings``'
-    grid.  ``grid_points`` is accepted and
-    ignored; it stays only for callers that still pass it.
+    exact for closed forms and sampled kernels on one step, and raises
+    :class:`InvalidArgument` for sampled kernels on different steps.
+    ``grid_points`` is accepted and ignored; it stays only for callers that
+    still pass it.
     Returns complex128 values, one per probe.
     """
     kernels = list(kernels)
@@ -737,7 +736,7 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
     for k in kernels:
         if k.flavor is not Flavor.ADDITIVE:
             raise FlavorMismatch("chain_apply works in additive coordinates")
-    kernel = functools.reduce(lambda a, b: convolve(a, b, settings), kernels)
+    kernel = functools.reduce(convolve, kernels)
     window = _make_evaluator(kernel, f, Variant.FORWARD, settings)
     return np.array([window(float(x)) for x in xs], dtype=complex)
 

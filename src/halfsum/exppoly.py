@@ -128,13 +128,6 @@ class ExpPoly:
         """Integral over [a, inf)."""
         return self.mass() - complex(self.antiderivative(a))
 
-    def tail_form(self) -> "ExpPoly":
-        """The function a -> integral over [a, inf), itself an ``ExpPoly``:
-        int_a^inf s^p e^{mu s} ds = -e^{mu a} sum_{i=0..p} (-1)^i p!/(p-i)! a^{p-i} / mu^{i+1}."""
-        return ExpPoly([Term(-t.coef * (-1) ** i * math.factorial(t.power)
-                             / math.factorial(t.power - i) / t.rate ** (i + 1), t.power - i, t.rate)
-                        for t in self.terms for i in range(t.power + 1)])
-
     def abs_tail_bound(self, a: float) -> float:
         """Upper bound on the integral of |f| over [a, inf)."""
         return float(sum(abs(t.coef) * _poly_exp_tail(t.power, -t.rate.real, a)

@@ -7,9 +7,10 @@ additive one, so internally every closed-form kernel is stored as an
 :class:`~halfsum.exppoly.ExpPoly` in additive coordinates and the flavor
 only controls how abscissae are interpreted.  ``ExpPoly`` is closed under
 half-line convolution, so convolutions and powers of closed forms stay
-closed forms.  A sampled operand gives an exact ``Convolved`` body when the
-other is a closed form or a sampled kernel on the same step; any other pair
-is convolved by the trapezoid rule on a grid.
+closed forms.  A product with sampled factors, all on one step, is an exact
+``Convolved`` body: every factor is a sum of shifted parts, each a piecewise
+polynomial, an ``ExpPoly`` or the two convolved, and so is the product,
+part by part.  Sampled factors on different steps are refused.
 
 Closed-form catalog:
 
@@ -24,6 +25,8 @@ Closed-form catalog:
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,8 +38,8 @@ from .config import DEFAULT, Settings
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                      InvalidArgument, InvalidKernel, QuadratureFailed)
 from .exppoly import ExpPoly, Term, _real_if_exact
-from .quadrature import (_is_uniform, fourier_piecewise_linear, integrate_adaptive,
-                         trapezoid_convolution)
+from .quadrature import (_fft_convolve, _is_uniform, fourier_piecewise_linear,
+                         integrate_adaptive)
 
 
 class Flavor(enum.Enum):
@@ -124,116 +127,216 @@ class Sampled:
 
 
 def _node_sums(weights: np.ndarray, z: complex, h: float, top: int) -> np.ndarray:
-    """s[K, r] = sum_{k <= K} w_k ((K - k) h)^r z^(K - k), r = 0..top, at every node K.
+    """s[K, ..., r] = sum_{k <= K} w_k ((K - k) h)^r z^(K - k), r = 0..top, at every node K.
 
-    One inclusive scan in log2(N) rounds: round m adds A_m s[K - m] to s[K],
-    m = 1, 2, 4, ..., where (A_m)_rq = C(r, q) (m h)^(r - q) z^m carries a
-    node's sums m nodes on.  With |z| < 1 every added term is a weight times
-    nonnegative lengths, so no round cancels.
+    ``weights`` holds one value per node, or one row of columns per node,
+    each column summed on its own.  One inclusive scan in log2(N) rounds:
+    round m adds A_m s[K - m] to s[K], m = 1, 2, 4, ..., where
+    (A_m)_rq = C(r, q) (m h)^(r - q) z^m carries a node's sums m nodes on.
+    With |z| < 1 every added term is a weight times nonnegative lengths, so
+    no round cancels.
     """
-    s = np.zeros((weights.size, top + 1), dtype=np.result_type(weights, z))
-    s[:, 0] = weights
+    s = np.zeros(weights.shape + (top + 1,), dtype=np.result_type(weights, z))
+    s[..., 0] = weights
     r = np.arange(top + 1)
     binom = np.array([[math.comb(i, j) for j in r] for i in r], dtype=float)
     m = 1
-    while m < weights.size:
+    while m < weights.shape[0]:
         carry = binom * (m * h) ** np.maximum(r[:, None] - r, 0) * z ** m
         s[m:] = s[m:] + s[:-m] @ carry.T
         m *= 2
     return s
 
 
-class _LinearConvolution:
-    """L * form, L the interpolant of a sampled body (zero off [g_0, g_n]).
+class _Cells:
+    """A piecewise polynomial in pp-form (de Boor 1978) on uniform cells.
 
-    Integrating by parts twice, with T1(y) = int_y^inf form and
-    T2(y) = int_y^inf T1 (both ``ExpPoly``), M0 and M1 the form's mass and
-    first moment and b_k the jump of L' at node g_k,
-
-        (L * form)(x) = M0 L(x) - M1 L'(x) - v_0 T1(x - g_0) + v_n T1(x - g_n)
-                        + sum_{g_k <= x} b_k T2(x - g_k).
-
-    Each term c y^j e^(mu y) of T2 is expanded about the last node g_K <= x,
-    d = x - g_K, as e^(mu d) sum_r C(j, r) d^(j - r) s[K, r], with the node
-    sums s of ``_node_sums`` built for every node once, so a value costs
-    O(1) and is exact up to rounding.
+    On cell k, [origin + k h, origin + (k + 1) h), it is sum_j coefs[j, k] y^j
+    with y = (x - origin) / h - k in [0, 1); it is zero off the cells.  A
+    sampled body's interpolant is the degree-1 case, coefs = (v_k, v_(k+1) - v_k).
     """
 
-    def __init__(self, body: "Sampled", form: ExpPoly):
-        grid, values, h = body.grid, body.values, _step(body)
-        self.grid = grid
-        slope = np.diff(values) / h
-        jumps = np.diff(slope, prepend=0.0, append=0.0)
-        self.slope = np.append(slope, 0.0)           # L' and L just right of each node
-        self.right = np.append(values[:-1], 0.0)
-        t1 = form.tail_form()
-        t2 = t1.tail_form()
-        self.m0, self.m1 = _real_if_exact(form.mass()), _real_if_exact(t1.mass())
-        self.ends = ((grid[0], t1.scaled(-values[0])), (grid[-1], t1.scaled(values[-1])))
-        self.sums = []
-        for mu in {t.rate for t in t2}:
-            coef = {t.power: t.coef for t in t2 if t.rate == mu}
-            top = max(coef)
-            table = np.array([[coef.get(r + e, 0.0) * math.comb(r + e, r) for e in range(top + 1)]
-                              for r in range(top + 1)])
-            table = table.real if not table.imag.any() else table
-            mu = _real_if_exact(mu)
-            self.sums.append((mu, table, _node_sums(jumps, np.exp(mu * h), h, top)))
+    def __init__(self, origin: float, h: float, coefs: np.ndarray):
+        self.origin, self.h, self.coefs = origin, h, coefs
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(self.grid, x, side="right") - 1
-        inside = k >= 0
-        k = np.maximum(k, 0)
-        d = np.where(inside, x - self.grid[k], 0.0)
-        val = self.m0 * (self.right[k] + self.slope[k] * d) - self.m1 * self.slope[k]
-        for shift, t1 in self.ends:
-            val = val + t1(x - shift)
-        for mu, table, s in self.sums:
-            powers = d[:, None] ** np.arange(table.shape[1])
-            val = val + np.exp(mu * d) * np.einsum("nr,re,ne->n", s[k], table, powers)
-        return np.where(inside, val, 0.0)
-
-
-class _CubicConvolution:
-    """L_a * L_b for the interpolants of two sampled bodies on one step h.
-
-    On cell k of the sum grid a_0 + b_0 + k h, with y in [0, 1) across it, the
-    product is a cubic in y.  A cell i of a, v_i + dv_i s, meets cells k - i
-    and k - 1 - i of b, so the cubic's coefficients are discrete convolutions
-    of the cells' values v and increments dv: C_vv = v_a * v_b and so on, at
-    k and at k - 1.
-    """
-
-    def __init__(self, a: "Sampled", b: "Sampled"):
-        h = _step(a)
-        (vv, vd), (dv, dd) = [[np.convolve(x, y) for y in (b.values[:-1], np.diff(b.values))]
-                              for x in (a.values[:-1], np.diff(a.values))]
-        mixed = vd + dv
-        at = lambda c: np.append(c, 0.0)                 # the convolution at k
-        before = lambda c: np.insert(c, 0, 0.0)          # and at k - 1
-        self.coefs = h * np.stack([before(vv + mixed / 2 + dd / 6),
-                                   at(vv) + before(dd / 2 - vv),
-                                   (at(mixed) - before(mixed + dd)) / 2,
-                                   (at(dd) - before(dd)) / 6])
-        self.origin, self.h = a.grid[0] + b.grid[0], h
+    def locate(self, x: np.ndarray, last: int):
+        """The cell index of each x, clipped to [0, last], and x's offset from that cell's start."""
+        k = np.clip(np.floor((x - self.origin) / self.h), 0, last).astype(np.int64)
+        return k, x - (self.origin + k * self.h)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         cells = self.coefs.shape[1]
-        pos = np.clip((x - self.origin) / self.h, -1.0, cells)
-        k = np.clip(np.floor(pos).astype(np.int64), 0, cells - 1)
-        y = pos - k
-        c0, c1, c2, c3 = self.coefs[:, k]
-        return np.where((pos >= 0) & (pos < cells), ((c3 * y + c2) * y + c1) * y + c0, 0.0)
+        k, d = self.locate(x, cells - 1)
+        val = self.coefs[-1, k]
+        for c in self.coefs[-2::-1]:       # Horner's rule in y = d / h
+            val = val * (d / self.h) + c[k]
+        return np.where((x >= self.origin) & (x - self.origin < cells * self.h), val, 0.0)
+
+    def convolve(self, other: "_Cells") -> "_Cells":
+        """The exact product of two piecewise polynomials on one step h.
+
+        With x = a_0 + b_0 + (k + y) h, cell i of a meets cell k - i of b
+        where s < y and cell k - 1 - i where s > y, s the offset in cell i,
+        so the product on cell k is h sum_(j, l) [(a_j * b_l)[k] F_jl(y) +
+        (a_j * b_l)[k - 1] G_jl(y)], a polynomial of degree d_a + d_b + 1 with
+        F_jl(y) = int_0^y s^j (y - s)^l ds and G_jl(y) = int_y^1 s^j (1 + y - s)^l ds.
+        The discrete convolutions a_j * b_l of the coefficient rows come from
+        one batched FFT product, so the whole product costs O(N log N).
+        """
+        at, before = _cell_product_weights(self.coefs.shape[0] - 1, other.coefs.shape[0] - 1)
+        conv = _fft_convolve(self.coefs[:, None, :], other.coefs[None, :, :])
+        coefs = (np.pad(np.tensordot(at, conv, 2), ((0, 0), (0, 1)))
+                 + np.pad(np.tensordot(before, conv, 2), ((0, 0), (1, 0))))
+        return _Cells(self.origin + other.origin, self.h, self.h * coefs)
 
 
-def _pieces(body) -> list:
-    """``body`` as (shift, piece) pairs: an ``ExpPoly`` at 0, or a sampled
-    body's interpolant at 0 and its geometric tail, a one-term ``ExpPoly``,
-    at its last node."""
-    if isinstance(body, ExpPoly) or body.tail_rate <= 0:
-        return [(0.0, body)]
-    tail = ExpPoly([Term(complex(body.tail_value), 0, complex(-body.tail_rate))])
-    return [(0.0, body), (float(body.grid[-1]), tail)]
+def _cell_product_weights(da: int, db: int):
+    """F[m, j, l] and G[m, j, l], the coefficients of y^m in F_jl and G_jl of ``_Cells.convolve``.
+
+    F_jl(y) = B(j, l) y^(j + l + 1), B(j, l) = j! l! / (j + l + 1)!, and
+    with (1 + y - s)^l = sum_a C(l, a) (1 - s)^a y^(l - a),
+    G_jl(y) = sum_a C(l, a) y^(l - a) [B(j, a) - sum_b C(a, b) (-1)^b y^(j + b + 1) / (j + b + 1)].
+    """
+    beta = lambda j, l: math.factorial(j) * math.factorial(l) / math.factorial(j + l + 1)
+    at, before = (np.zeros((da + db + 2, da + 1, db + 1)) for _ in range(2))
+    for j in range(da + 1):
+        for l in range(db + 1):
+            at[j + l + 1, j, l] = beta(j, l)
+            for a in range(l + 1):
+                before[l - a, j, l] += math.comb(l, a) * beta(j, a)
+                for b in range(a + 1):
+                    before[l - a + j + b + 1, j, l] -= (math.comb(l, a) * math.comb(a, b)
+                                                        * (-1) ** b / (j + b + 1))
+    return at, before
+
+
+def _cell_moments(z: np.ndarray, jmax: int, pmax: int) -> np.ndarray:
+    """M[j, p, i] = int_0^1 (1 - s)^j s^p e^(z_i s) ds for a 1-D array z, Re z <= 0.
+
+    Below |z| = r = max(1/2, (jmax + pmax) / 2), where closed forms cancel,
+    the Taylor series sum_m z^m / m! j! (p + m)! / (j + p + m + 1)! up to its
+    first term below 1e-20; from r on, M[j, p] = sum_a C(j, a) (-1)^a I_(p+a)
+    with I_i = int_0^1 s^i e^(z s) ds from I_0 = (e^z - 1) / z by the upward
+    recurrence I_i = (e^z - i I_(i-1)) / z, which loses at most i! / r^i <= 2.
+    """
+    out = np.empty((jmax + 1, pmax + 1, z.size), dtype=np.result_type(z, float))
+    r = max(0.5, (jmax + pmax) / 2)
+    small = np.abs(z) < r
+    top = np.abs(z[small]).max(initial=0.0)
+    terms = next(n for n in itertools.count(1) if top ** n / math.factorial(n) < 1e-20)
+    # term m over term m - 1 is z (p + m) / (m (j + p + m + 1))
+    j, p, m = np.arange(jmax + 1)[:, None], np.arange(pmax + 1), np.arange(terms)[:, None, None]
+    series = (p + m) / (np.maximum(m, 1) * (j + p + m + 1))
+    series[0] = [[math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+                  for b in range(pmax + 1)] for a in range(jmax + 1)]
+    series = np.cumprod(series, axis=0)
+    zs, acc = z[small], 0.0
+    for c in series[::-1]:
+        acc = acc * zs + c[..., None]
+    out[..., small] = acc
+    large = ~small
+    e, inv = np.exp(z[large]), 1.0 / z[large]
+    rising = [(e - 1.0) * inv]
+    for i in range(1, jmax + pmax + 1):
+        rising.append((e - i * rising[-1]) * inv)
+    for j in range(jmax + 1):
+        for p in range(pmax + 1):
+            out[j, p, large] = sum((math.comb(j, a) * (-1) ** a * rising[p + a]
+                                    for a in range(1, j + 1)), rising[p])
+    return out
+
+
+class _CellsTimesForm:
+    """P * form for a piecewise polynomial P (``_Cells``) and an ``ExpPoly``, exact at any x.
+
+    Each cell is integrated exactly against the form's terms c s^p e^(mu s),
+    one rate at a time, with M the ``_cell_moments``.  Cell k, ending at
+    g_(k+1) = x - D, gives h e^(mu D) sum_q C(p, q) D^(p - q) h^q
+    sum_j c_j[k] M[j, q](mu h): weights at node k + 1 that ``_node_sums``
+    carries to every node at once.  With g_K the last node <= x and
+    d = x - g_K, the cell from g_K to x gives
+    sum_(j, p) c_j[K] (d / h)^j d^(p + 1) M[j, p](mu d).  No two pieces
+    cancel, unlike d + 1 integrations by parts (which lose (h |mu|)^-d),
+    and a value costs O(1).
+    """
+
+    def __init__(self, cells: _Cells, form: ExpPoly):
+        self.cells = cells
+        c, h = cells.coefs, cells.h
+        deg, n = c.shape[0] - 1, c.shape[1]
+        self.rates = []
+        for mu in {t.rate for t in form}:
+            coef = {t.power: t.coef for t in form if t.rate == mu}
+            top = max(coef)
+            r = range(top + 1)
+            cp = np.array([coef.get(p, 0.0) for p in r])
+            cp = cp.real if not cp.imag.any() else cp
+            mu = _real_if_exact(mu)
+            moments = _cell_moments(np.array([mu * h]), deg, top)[..., 0]
+            weights = np.zeros((n + 1, top + 1), dtype=np.result_type(c, moments))
+            weights[1:] = h ** np.arange(1, top + 2) * (c.T @ moments)
+            # table[q, t, e]: the coefficient of s[K, q, t] d^e in (h tau + (K - k) h + d)^p
+            f = math.factorial
+            table = np.array([[[cp[q + t + e] * f(q + t + e) / (f(q) * f(t) * f(e))
+                                if q + t + e <= top else 0.0 for e in r] for t in r] for q in r])
+            sums = np.einsum("kqt,qte->ke", _node_sums(weights, np.exp(mu * h), h, top), table)
+            self.rates.append((mu, cp, sums))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        cells = self.cells
+        c, h = cells.coefs, cells.h
+        k, d = cells.locate(x, c.shape[1])
+        part = (k < c.shape[1]) & (x >= cells.origin) & (d > 0)
+        kp, dp = k[part], d[part]
+        near = c[:, kp] * (dp / h) ** np.arange(c.shape[0])[:, None]
+        val = 0.0
+        for mu, cp, sums in self.rates:
+            val = val + np.exp(mu * d) * np.einsum("ne,ne->n", sums[k],
+                                                    d[:, None] ** np.arange(cp.size))
+            within = cp[:, None] * dp ** np.arange(1, cp.size + 1)[:, None]
+            val[part] += np.einsum("jn,jpn,pn->n", near, _cell_moments(mu * dp, c.shape[0] - 1,
+                                                                       cp.size - 1), within)
+        return np.where(x >= cells.origin, val, 0.0)
+
+
+def _parts(body) -> dict:
+    """``body`` as parts (shift, P, psi), the function shift + P * psi, by key.
+
+    A closed form is one part (0, no P, the form); a sampled body is its
+    interpolant (0, L, no psi) plus its geometric tail, a one-term
+    ``ExpPoly`` at its last node (g_n, no P, tail).  The key, the sorted
+    ``id``s of the sampled bodies whose interpolants P multiplies, names P,
+    and with it which factors gave their tails.
+    """
+    if isinstance(body, ExpPoly):
+        return {(): (0.0, None, body)}
+    cells = _Cells(float(body.grid[0]), _step(body),
+                   np.stack([body.values[:-1], np.diff(body.values)]))
+    parts = {(id(body),): (0.0, cells, None)}
+    if body.tail_rate > 0:
+        tail = ExpPoly([Term(complex(body.tail_value), 0, complex(-body.tail_rate))])
+        parts[()] = (float(body.grid[-1]), None, tail)
+    return parts
+
+
+def _times(a: dict, b: dict, products: dict) -> dict:
+    """The parts of the product of two sums of parts, pair by pair.
+
+    Shifts add, P * P is ``_Cells.convolve`` (each key's product computed
+    once, in ``products``) and psi * psi is ``ExpPoly.convolve``; pairs of one
+    key are one part whose forms add, so a power (L + T)^k has k + 1 parts.
+    """
+    out = {}
+    for key_p, (s, p, f) in a.items():
+        for key_q, (t, q, g) in b.items():
+            key = tuple(sorted(key_p + key_q))
+            if key not in products:
+                products[key] = q if p is None else p if q is None else p.convolve(q)
+            fg = g if f is None else f if g is None else f.convolve(g)
+            if key in out:
+                fg = out[key][2] + fg
+            out[key] = (s + t, products[key], fg)
+    return out
 
 
 def _l1_bound(body) -> float:
@@ -242,40 +345,31 @@ def _l1_bound(body) -> float:
 
 
 def _step(body: "Sampled") -> float:
-    return (body.grid[-1] - body.grid[0]) / (body.grid.size - 1)
-
-
-def _piece_product(p, q):
-    """The exact product of two pieces of ``_pieces``."""
-    if isinstance(p, ExpPoly) and isinstance(q, ExpPoly):
-        return p.convolve(q)
-    if isinstance(p, ExpPoly):
-        p, q = q, p
-    return _LinearConvolution(p, q) if isinstance(q, ExpPoly) else _CubicConvolution(p, q)
+    return float(body.grid[-1] - body.grid[0]) / (body.grid.size - 1)
 
 
 class Convolved:
-    """The exact convolution of a ``Sampled`` body ``a`` with ``b``: an
-    ``ExpPoly``, or a ``Sampled`` body on the same step.
+    """The exact convolution of ``factors``: ``ExpPoly`` forms and at least
+    one ``Sampled`` body, all sampled ones on one step h.
 
-    Each sampled operand is its interpolant plus its geometric tail, a
-    one-term ``ExpPoly`` shifted to its last node, so the product is a sum of
-    shifted pairs: interpolant * form (``_LinearConvolution``), interpolant *
-    interpolant (``_CubicConvolution``) and form * form (``ExpPoly.convolve``),
-    each built in one O(N) pass and exact at any u.  ``grid`` holds the
-    body's kinks, the nodes of ``a`` or, for two sampled operands, their
-    sums, and ``values`` the exact body there.  Mass and transform are the
-    products of the operands'.  Like ``Sampled`` it evaluates, integrates,
-    transforms, cuts and scales itself.
+    The product is a sum of parts shift + P * psi (``_parts``, ``_times``),
+    exact at any u: P alone is ``_Cells``, psi alone the ``ExpPoly`` and both
+    ``_CellsTimesForm``.  ``grid`` holds the body's kinks, the lattice of
+    summed first nodes plus multiples of h, and ``values`` the exact body
+    there.  Mass and transform are the products of the factors'.  Like
+    ``Sampled`` it evaluates, integrates, transforms, cuts and scales itself.
     """
 
-    def __init__(self, a: "Sampled", b):
-        self.a, self.b = a, b
-        if isinstance(b, ExpPoly):
-            self.grid = a.grid
-        else:
-            self.grid = a.grid[0] + b.grid[0] + _step(a) * np.arange(a.grid.size + b.grid.size - 1)
-        self.parts = [(s + t, _piece_product(p, q)) for s, p in _pieces(a) for t, q in _pieces(b)]
+    def __init__(self, factors: list):
+        self.factors = factors
+        sampled = [f for f in factors if isinstance(f, Sampled)]
+        h = _step(sampled[0])
+        products = {}
+        parts = functools.reduce(lambda a, b: _times(a, b, products), map(_parts, factors))
+        self.parts = [(shift, psi if p is None else p if psi is None else _CellsTimesForm(p, psi))
+                      for shift, p, psi in parts.values()]
+        cells = sum(f.grid.size - 1 for f in sampled)
+        self.grid = sum(float(f.grid[0]) for f in sampled) + h * np.arange(cells + 1)
         self.values = self(self.grid)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -284,42 +378,41 @@ class Convolved:
         return sum(part(flat - shift) for shift, part in self.parts).reshape(u.shape)
 
     def mass(self) -> complex:
-        return self.a.mass() * self.b.mass()
+        return math.prod(f.mass() for f in self.factors)
 
     def transform(self, xi) -> np.ndarray:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return self.a.transform(xi) * self.b.transform(xi)
+        return math.prod(f.transform(xi) for f in self.factors)
 
     def scaled(self, c: complex) -> "Convolved":
-        return Convolved(self.a.scaled(c), self.b)
+        return Convolved([self.factors[0].scaled(c)] + self.factors[1:])
 
     def support_cutoff(self, eps: float) -> float:
-        """Point past which the absolute tail is at most eps: the a-part beyond
-        A and the b-part beyond B each carry at most eps / 2 past A + B."""
-        return (self.a.support_cutoff(eps / (2.0 * _l1_bound(self.b)))
-                + self.b.support_cutoff(eps / (2.0 * _l1_bound(self.a))))
+        """Point past which the absolute tail is at most eps: past the sum of
+        points c_i, some factor is past its c_i, so each factor i beyond c_i
+        may carry eps / m times the other factors' L1 bounds."""
+        bounds = [_l1_bound(f) for f in self.factors]
+        share = eps / len(bounds)
+        return sum(f.support_cutoff(share / math.prod(bounds[:i] + bounds[i + 1:]))
+                   for i, f in enumerate(self.factors))
 
 
-def _exact_convolution(a, b):
-    """The exact body of a * b for bodies a and b; None where only the trapezoid rule serves.
+def _product(flavor: "Flavor", bodies: list) -> "Kernel":
+    """The kernel of the convolution of ``bodies``: a closed form when every
+    factor is one, else an exact ``Convolved`` body.
 
-    Closed forms multiply as ``ExpPoly``; a sampled body with a closed form or
-    with a sampled body on its step gives a ``Convolved`` body; a
-    ``Convolved`` body of a closed form takes a further closed form into its
-    form, by associativity.
+    Raises :class:`InvalidArgument` for sampled factors on different steps.
     """
-    if isinstance(a, ExpPoly):
-        a, b = b, a
-    if isinstance(b, ExpPoly):
-        if isinstance(a, ExpPoly):
-            return a.convolve(b)
-        if isinstance(a, Sampled):
-            return Convolved(a, b)
-        return Convolved(a.a, a.b.convolve(b)) if isinstance(a.b, ExpPoly) else None
-    if isinstance(a, Sampled) and isinstance(b, Sampled) \
-            and math.isclose(_step(a), _step(b), rel_tol=1e-12):
-        return Convolved(a, b)
-    return None
+    factors = [f for b in bodies for f in (b.factors if isinstance(b, Convolved) else [b])]
+    steps = [_step(f) for f in factors if isinstance(f, Sampled)]
+    if not steps:
+        return Kernel(flavor, ClosedForm("convolution", {}, functools.reduce(ExpPoly.convolve,
+                                                                            factors)))
+    for h in steps[1:]:
+        if not math.isclose(h, steps[0], rel_tol=1e-12):
+            raise InvalidArgument(f"cannot convolve sampled kernels on different steps "
+                                  f"{steps[0]!r} and {h!r}: resample one onto the other's step")
+    return Kernel(flavor, Convolved(factors))
 
 
 @dataclass(frozen=True)
@@ -340,8 +433,8 @@ class Kernel:
     @property
     def breaks(self) -> Optional[np.ndarray]:
         """Points where phi may have kinks: a sampled kernel's grid, or a
-        convolved body's (its sampled operand's nodes or their sums); None
-        for a closed form."""
+        convolved body's (sums of its sampled factors' nodes); None for a
+        closed form."""
         return None if isinstance(self.body, ClosedForm) else self.body.grid
 
     # ---- cached scalars --------------------------------------------------
@@ -550,50 +643,28 @@ def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
 
 
 def convolve(k1: Kernel, k2: Kernel, settings: Settings = DEFAULT) -> Kernel:
-    """Half-line convolution of two kernels of the same flavor.
+    """Half-line convolution of two kernels of the same flavor, exact.
 
-    Two closed forms give their exact product as a closed form.  A sampled
-    kernel with a closed form, or with a sampled kernel on the same step,
-    gives an exact ``Convolved`` body built in one O(N) pass; a closed form
-    convolved further folds into that body's form, so a chain of one
-    sampled kernel and any closed forms stays exact.  Any other pair (grids
-    of different steps, or a third sampled factor) gets a sampled kernel on
-    [0, x_max_quad]: trapezoid sums on 2^14 cells, halved at most three times
-    until the change at the coarser nodes is below tol_quad, with that last
-    change in the result's ``meta["convolution_change"]``.
+    Two closed forms give their product as a closed form; any pair with a
+    sampled factor gives a ``Convolved`` body of both kernels' factors,
+    exact at any u, so chains of closed forms and sampled kernels on one
+    step stay exact.  Sampled factors on different steps raise
+    :class:`InvalidArgument`.  ``settings`` is accepted and ignored; it
+    stays only for callers that still pass it.
     """
     if k1.flavor is not k2.flavor:
         raise FlavorMismatch(f"cannot convolve {k1.flavor.value} with {k2.flavor.value}")
-    body = _exact_convolution(k1.shape, k2.shape)
-    if isinstance(body, ExpPoly):
-        return Kernel(k1.flavor, ClosedForm("convolution", {}, body))
-    if body is not None:
-        return Kernel(k1.flavor, body)
-    n = 2 ** 14
-    prev = None
-    for _ in range(4):
-        grid = np.linspace(0.0, settings.x_max_quad, n + 1)
-        conv = trapezoid_convolution(k1.shape(grid), k2.shape(grid), grid[1] - grid[0])
-        if prev is not None:
-            change = float(np.max(np.abs(conv[::2] - prev)))
-            if change < settings.tol_quad:
-                break
-        prev = conv
-        n *= 2
-    try:
-        tail_value, tail_rate = _fit_tail(grid, conv)
-    except InvalidKernel:
-        tail_value, tail_rate = 0.0, 0.0
-    return Kernel(k1.flavor, Sampled(grid, conv, tail_value, tail_rate),
-                  {"convolution_change": change})
+    return _product(k1.flavor, [k1.shape, k2.shape])
 
 
 def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
     """k-fold convolution power; k = 1 is the identity.
 
-    A closed form's power is exact.  A sampled kernel's square is an exact
-    ``Convolved`` body; each further factor is convolved by the trapezoid
-    rule (``convolve``)."""
+    A closed form's power is exact; any other body's is a ``Convolved``
+    body of k copies of its factors, a sampled kernel's being the k + 1
+    parts of (L + T)^k by the binomial theorem.  ``settings`` is accepted
+    and ignored; it stays only for callers that still pass it.
+    """
     if not _is_count(k):
         raise InvalidArgument("convolution power needs an integer k >= 1 (L1 has no unit)")
     if k == 1:
@@ -601,10 +672,7 @@ def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
     form = kernel.additive_form()
     if form is not None:
         return Kernel(kernel.flavor, ClosedForm("power", {"k": int(k)}, form.power(k)))
-    out = kernel
-    for _ in range(k - 1):
-        out = convolve(out, kernel, settings)
-    return out
+    return _product(kernel.flavor, [kernel.shape] * k)
 
 
 def _is_count(k) -> bool:

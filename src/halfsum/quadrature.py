@@ -19,10 +19,11 @@ Three tools:
   frequencies go through blocked chirp-z transforms, any other frequencies
   through a blocked direct product.
 * :func:`trapezoid_convolution` — trapezoid rule for the half-line
-  convolution of two functions sampled on one uniform grid (kernel pairs
-  that ``kernels.convolve`` has no exact body for), at every node from one
-  zero-padded FFT product: a real FFT when both operands are real, a
-  complex one otherwise.
+  convolution of two functions sampled on one uniform grid, at every node
+  from one zero-padded FFT product (``_fft_convolve``, which also multiplies
+  the piecewise polynomials of ``kernels``): a real FFT when both operands
+  are real, a complex one otherwise.  The library convolves kernels
+  exactly; the trapezoid rule stays as a reference for tests.
 
 Integrands and operands keep their own dtype: real data is integrated and
 convolved in real arithmetic, complex data in complex arithmetic.  The FFTs
@@ -395,21 +396,27 @@ def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray,
     return e0 * sums[0] + e1 * sums[1]
 
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The linear convolutions of ``a`` and ``b`` along their last axis, leading axes broadcast.
+
+    One zero-padded FFT product: ``rfft`` when both operands are real, and
+    then a real result, ``fft`` otherwise.
+    """
+    n = a.shape[-1] + b.shape[-1] - 1
+    size = _fast_len(n)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return ifft(fft(a, size) * fft(b, size))[..., :n]
+    return irfft(rfft(a, size) * rfft(b, size), size)[..., :n]
+
+
 def trapezoid_convolution(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid values of ``int_0^t a(t - s) b(s) ds`` at every node ``t`` of a grid.
 
     ``a`` and ``b`` are samples at ``0, h, 2h, ...`` on the same grid; the
     rule at node i is ``h sum_{j<=i} a[i-j] b[j] - h (a[0] b[i] + b[0] a[i]) / 2``,
-    taken at every node from one zero-padded FFT product: ``rfft`` when both
-    operands are real, ``fft`` otherwise.  The result is real when both
-    operands are.
+    taken at every node from one FFT product (``_fft_convolve``).  The
+    result is real when both operands are.
     """
-    dtype = np.result_type(a, b, float)
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    size = _fast_len(a.size + b.size - 1)
-    if dtype == complex:
-        out = ifft(fft(a, size) * fft(b, size))[:a.size] * h
-    else:
-        out = irfft(rfft(a, size) * rfft(b, size), size)[:a.size] * h
+    out = _fft_convolve(a, b)[:a.size] * h
     out -= 0.5 * h * (a[0] * b + b[0] * a)
     return out

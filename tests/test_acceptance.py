@@ -12,6 +12,8 @@ at its stated numeric tolerance and wall-clock budget.  The nine criteria:
 7.  the continuous/discrete averaging bridge
 8.  regularity (classical limits are preserved) with zero false statuses
 9.  uniform-continuity bound on the smoothed output
+
+and the wall-clock gate of an exact sampled square.
 """
 
 import time
@@ -26,7 +28,7 @@ from halfsum.engine import (MethodDescriptor, Status, Variant, apply_forward,
                             estimate_limit, method_Mr, nested_apply,
                             uniform_continuity_bound)
 from halfsum.kernels import (Flavor, convolve, counterexample_additive,
-                             exponential, power_law)
+                             exponential, normalize, power, power_law, sampled_kernel)
 from halfsum.spectrum import classify_wiener, transform_numeric
 from test_engine import COMPOSITION, COMPOSITION_KERNELS, COMPOSITION_XS
 
@@ -168,3 +170,18 @@ def test_criterion_9_uniform_continuity_bound():
                 abs(apply_forward(kernel, f, x + delta) - apply_forward(kernel, f, x))
                 for x in probes)
             assert measured <= bound + 1e-5, delta
+
+
+def test_sampled_square_is_fast():
+    # the square of a normalized 32 768-sample e^(-u) is exact, u e^(-u), at
+    # its 65 535 kinks; an O(N^2) direct product of the cells took 0.85-0.89 s
+    # on a 2-core Xeon, the FFT product of the cells about 0.03 s there
+    t = np.linspace(0.0, 40.0, 32768)
+    k = normalize(sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE))
+    start = time.perf_counter()
+    square = power(k, 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.25, f"squaring took {elapsed:.3f}s"
+    u = square.breaks
+    assert u.size == 2 * t.size - 1
+    assert np.max(np.abs(square.body.values - u * np.exp(-u))) < 1e-10

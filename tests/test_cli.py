@@ -202,20 +202,21 @@ def test_sum_iterations_below_one_are_an_error(runner, count):
     _assert_one_error_line(res)
 
 
-def test_sum_iterate_that_loses_mass_is_an_error(runner, tmp_path):
-    # a sampled e^(-u/10) on [0, 40] squares exactly, but its third factor
-    # is convolved on the [0, 60] grid, and the tail refitted there puts the
-    # cube's mass at 1.0068: run as a method it would "converge" to it on "one"
+def test_sum_iterate_of_a_sampled_kernel_keeps_its_mass(runner, tmp_path):
+    # a sampled e^(-u/10) on [0, 40]: its cube was a trapezoid sum on a
+    # [0, 60] grid of mass 1.0068, refused as "not normalized"; it is an
+    # exact body now, of mass 1, whose mean of "one" converges to 1
     u = [40.0 * i / 511 for i in range(512)]
     path = tmp_path / "slow.json"
     path.write_text(json.dumps({"flavor": "additive", "body": {
         "samples": [[t, math.exp(-0.1 * t), 0.0] for t in u]}}))
     argv = ["sum", "--kernel", f"file:{path}", "--function", "one"]
-    assert runner.invoke(main, argv).exit_code == 0
-    assert runner.invoke(main, argv + ["--iterations", "2"]).exit_code == 0
-    res = runner.invoke(main, argv + ["--iterations", "3"])
-    _assert_one_error_line(res)
-    assert "not normalized" in res.output
+    for count in ("1", "2", "3"):
+        res = runner.invoke(main, argv + ["--iterations", count])
+        assert res.exit_code == 0, count
+        payload = json.loads(res.output)
+        assert payload["status"] == "converged", count
+        assert abs(payload["estimate"][0] - 1.0) < 2e-4, count
 
 
 def test_compare_agreeing_methods(runner):
@@ -393,7 +394,6 @@ def test_config_file_overlay(runner, tmp_path):
     {"max_evals": "1e5"},
     {"max_evals": 0},
     {"freq_window": -5},
-    {"x_max_quad": 0},
     {"refine_max_iter": 0},
     {"tol_limit_scale": float("inf")},
     {"tol_quad": float("inf")},
@@ -407,6 +407,19 @@ def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
                                "--function", "sin"])
     assert res.exit_code == 1
     assert "error:" in res.output and "Traceback" not in res.output
+
+
+def test_config_file_naming_a_removed_setting_is_an_error(runner, tmp_path):
+    # sampled convolutions are exact, so the trapezoid grid's window
+    # x_max_quad is no longer a setting: a config file naming it is refused
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"x_max_quad": 60.0}))
+    res = runner.invoke(main, ["--config", str(path), "sum",
+                               "--kernel", "catalog:power_law(1)", "--function", "one"])
+    _assert_one_error_line(res)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown config keys")
+    assert "x_max_quad" in lines[0] and "Traceback" not in res.output
 
 
 # library callers meet the config file's check: DEFAULT.replace with a NaN

@@ -844,7 +844,8 @@ def _full_grid_chain(kernels, f, xs, grid_points):
     return np.interp(xs, grid, values)
 
 
-@pytest.mark.parametrize("labels", [("e1",), ("sampled",), ("e1", "ce"), ("sampled", "e2")])
+@pytest.mark.parametrize("labels", [("e1",), ("sampled",), ("e1", "ce"), ("sampled", "e2"),
+                                    ("sampled", "e1", "sampled")])
 @pytest.mark.parametrize("function", ["sin", "char_1"])
 def test_chain_apply_probe_sums_match_full_grid(labels, function):
     # the trapezoid chain on 2^20 cells (h = 3e-5) is good to about 3e-10,

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from halfsum.config import DEFAULT
 from halfsum.errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                             InvalidArgument, InvalidKernel)
 from halfsum.kernels import (ClosedForm, Flavor, convolve,
@@ -158,19 +157,27 @@ def test_sampled_kernel_dtype_follows_its_samples():
     assert resampled.body.values.dtype == np.float64
 
 
-def test_sampled_convolutions_are_exact_or_report_their_change():
-    # one sampled factor with closed forms, or two on one step, give an exact
-    # body with the operands' nodes as kinks; a third sampled factor, or two
-    # steps, take the trapezoid rule, which records its last change between
-    # step halvings instead of returning a miss with no signal
+def test_sampled_convolutions_are_exact():
+    # one sampled factor with closed forms, or any power or product of
+    # sampled factors on one step, is an exact body whose kinks lie on the
+    # lattice of summed first nodes plus multiples of the step; the cube
+    # was a trapezoid sum of mass 1.0068 that the CLI refused as not
+    # normalized, and two steps were convolved with an unreported miss
     t = np.linspace(0.0, 40.0, 512)
-    k = normalize(sampled_kernel(t, np.exp(-t), Flavor.ADDITIVE))
+    k = normalize(sampled_kernel(t, np.exp(-t / 10), Flavor.ADDITIVE))
     chain = convolve(convolve(exponential(1.0), k), exponential(2.0))
-    assert np.array_equal(chain.breaks, t) and "convolution_change" not in chain.meta
+    assert np.allclose(chain.breaks, t, rtol=0.0, atol=1e-12)
     assert power(k, 2).breaks.size == 2 * t.size - 1
-    assert 0.0 <= power(k, 3).meta["convolution_change"] < DEFAULT.tol_quad
+    cube = power(k, 3)
+    assert abs(cube.mass() - 1.0) < 1e-12
+    assert abs(cube.l1_norm() - 1.0) < 1e-10
+    shifted = sampled_kernel(t + 0.5, np.exp(-t / 10), Flavor.ADDITIVE)
+    h = t[1] - t[0]
+    lattice = 3 * 0.5 + h * np.arange(3 * (t.size - 1) + 1)
+    assert np.allclose(power(shifted, 3).breaks, lattice, rtol=0.0, atol=1e-12)
     coarse = sampled_kernel(t[::3], np.exp(-t[::3]), Flavor.ADDITIVE)
-    assert "convolution_change" in convolve(k, coarse).meta
+    with pytest.raises(InvalidArgument, match=r"different steps 0\.07827\d* and 0\.23483"):
+        convolve(k, coarse)
 
 
 def test_sampled_kernel_rejects_growth():

@@ -227,13 +227,15 @@ closed_forms = st.one_of(st.builds(exponential, rates),
 
 
 @hyp_settings(max_examples=25, deadline=None)
-@given(sampled_kernels(), closed_forms, st.booleans(),
+@given(sampled_kernels(), closed_forms, st.sampled_from([1, 2, 3]),
        st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
-def test_sampled_convolution_is_exact(k, closed, squared, where):
-    other = k if squared else closed
-    conv = power(k, 2) if squared else convolve(k, closed)
-    kinks = k.body.grid
-    ends = kinks[-1] + (kinks[-1] if squared else 0.0)
+def test_sampled_convolution_is_exact(k, closed, k_th, where):
+    # k * closed, k * k, and k * k^2 = k^3 against a cellwise reference on
+    # the union of both operands' kinks
+    other = closed if k_th == 1 else power(k, k_th - 1)
+    conv = convolve(k, closed) if k_th == 1 else power(k, k_th)
+    kinks = k.body.grid if k_th == 1 else np.union1d(k.body.grid, other.breaks)
+    ends = k.body.grid[-1] * k_th
     u = 0.1 + (ends + 5.0) * np.array(where)
     got = conv.shape(u)
     for x, value in zip(u, got):
