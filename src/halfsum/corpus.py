@@ -12,6 +12,7 @@ its report counts the evaluations of the operators it ran.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .engine import (MethodDescriptor, Status, TestFunction, TrigPolynomial,
+from .engine import (Chirp, MethodDescriptor, Status, TestFunction, TrigPolynomial,
                      Variant, _check_domain, embed_sequence, estimate_limit,
                      k_estimator, method_Mr, method_holder)
 from .errors import ConfigError
@@ -41,6 +42,17 @@ def _ulp(t):
     return np.spacing(np.abs(t)) + _ULP_1
 
 
+# oscillation declarations hold no state that changes, so each is built once
+_SIN = TrigPolynomial((-0.5j, 0.5j), (1.0, -1.0))
+_COS = TrigPolynomial((0.5, 0.5), (1.0, -1.0))
+_SIN_SQ = Chirp()
+
+
+@functools.cache
+def _character(alpha: float) -> TrigPolynomial:
+    return TrigPolynomial((1.0,), (alpha,))
+
+
 def _const(c: complex, flavor: Flavor, label: str) -> TestFunction:
     return TestFunction(label=label,
                         evaluator=lambda x, _c=c: np.full(np.shape(x), _c),
@@ -55,15 +67,18 @@ def _char_additive(alpha: float) -> TestFunction:
                         bound=1.0, support_flavor=Flavor.ADDITIVE,
                         osc_scale="linear",
                         noise=lambda t, a=alpha: 2 * a * np.spacing(np.abs(t)) + _ULP_1,
-                        known_values=(("K", None, "no generalized limit; pure character"),))
+                        known_values=(("K", None, "no generalized limit; pure character"),),
+                        oscillation=_character(alpha))
 
 
 def _char_multiplicative(alpha: float) -> TestFunction:
+    # t^(i alpha) is e^(i alpha u) in u = log t, the coordinate osc_scale names
     return TestFunction(label=f"char_{alpha:g}",
                         evaluator=lambda x, a=alpha: np.exp(1j * a * np.log(x)),
                         bound=1.0, support_flavor=Flavor.MULTIPLICATIVE,
                         osc_scale="log",
-                        known_values=(("M", None, "mean modulus 1/sqrt(1+alpha^2)"),))
+                        known_values=(("M", None, "mean modulus 1/sqrt(1+alpha^2)"),),
+                        oscillation=_character(alpha))
 
 
 def builtin_corpus() -> list[TestFunction]:
@@ -78,24 +93,29 @@ def builtin_corpus() -> list[TestFunction]:
         TestFunction("settle", lambda x: 0.3 + np.exp(-x), 1.3, mul,
                      classical_limit=0.3, osc_scale="log",
                      known_values=(("*", 0.3, "classical limit"),)),
+        # every oscillating function declares its oscillation: the additive
+        # windows of sin, cos and the characters are exact and sin(t^2)'s go by
+        # parts (engine._AddWindow), and the multiplicative sin and cos take
+        # far moments by parts (engine._ByParts); noise serves their undeclared
+        # copies' panels
         TestFunction("sin", lambda x: np.sin(x), 1.0, add, osc_scale="linear",
                      known_values=(("S_exp1", None, "oscillating: (sin x - cos x)/2 + e^-x/2"),),
-                     noise=_ulp),
-        # the multiplicative sin and cos declare their oscillation, so their
-        # closed-form operators take far moments by parts (engine._ByParts)
+                     noise=_ulp, oscillation=_SIN),
         TestFunction("sin", lambda x: np.sin(x), 1.0, mul, osc_scale="linear",
                      known_values=(("M", 0.0, "(cos 1 - cos x)/x -> 0"),
                                    ("M_2", 0.0, "(2/x^2)(sin t - t cos t) -> 0"),
                                    ("H_2", 0.0, "second mean of an O(1/x) mean"),
                                    ("M*_1", 0.0, "x * int_x^inf sin(t)/t^2 dt -> 0"),),
-                     oscillation=TrigPolynomial((-0.5j, 0.5j), (1.0, -1.0))),
-        TestFunction("cos", lambda x: np.cos(x), 1.0, add, osc_scale="linear", noise=_ulp),
+                     oscillation=_SIN),
+        TestFunction("cos", lambda x: np.cos(x), 1.0, add, osc_scale="linear", noise=_ulp,
+                     oscillation=_COS),
         TestFunction("cos", lambda x: np.cos(x), 1.0, mul, osc_scale="linear",
                      known_values=(("M", 0.0, "(sin x - sin 1)/x -> 0"),),
-                     oscillation=TrigPolynomial((0.5, 0.5), (1.0, -1.0))),
+                     oscillation=_COS),
         TestFunction("sin_sq", lambda x: np.sin(x ** 2), 1.0, add, osc_scale="linear",
                      known_values=(("S_exp1", 0.0, "Fresnel-tail decay"),),
-                     noise=lambda t: 3 * np.abs(t) * np.spacing(np.abs(t))),
+                     noise=lambda t: 3 * np.abs(t) * np.spacing(np.abs(t)),
+                     oscillation=_SIN_SQ),
     ]
     for alpha in (0.5, 1.0, 2.0):
         out.append(_char_additive(alpha))

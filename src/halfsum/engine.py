@@ -9,13 +9,21 @@ the one place that chooses the coordinate.
 
 Every additive operator, and every multiplicative one that runs at log x
 (sampled kernels, and closed forms on functions that oscillate in log t),
-is one evaluator for both variants, ``_AddWindow``: one adaptive quadrature
-of the window per point, with the kernel read through its body
-(``Kernel.shape``), so closed forms and sampled kernels differ only in
+is one evaluator for both variants, ``_AddWindow``, with the kernel read
+through its body (``Kernel.shape``).  A function that declares its
+oscillation gives what it can of the window without panels: on a
+trigonometric polynomial (sin, cos and the characters, the multiplicative
+ones in u = log t) every window is exact, e^(i w x) times the body's
+transform, or a closed form's exact integral below the kernel's cut; on the
+chirp sin(t^2) a closed form's window goes by parts where the chirp is fast
+(Iserles and Norsett, Proc. R. Soc. A 461, 2005).  Panels, one adaptive
+quadrature per point, integrate what is left, and all of an undeclared
+function's window; closed forms and sampled kernels differ there only in
 their cut and in the panel edges a sampled grid adds.  A function that
-declares its rounding noise gets a quadrature target floored at that noise,
-so windows far out, where f(x - s) rounds its argument to ulp(x), stop
-bisecting the rounding.
+declares its rounding noise gets a panel target floored at that noise, so
+windows far out, where f(x - s) rounds its argument to ulp(x), stop
+bisecting the rounding; declared windows leave panels only slow arguments,
+so the floor serves undeclared functions.
 
 Closed forms on sequences and on functions that oscillate in t stay in t,
 in one evaluator for both variants, ``_MultClosed``.  It cuts the window at
@@ -66,7 +74,7 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, QuadratureFailed
-from .exppoly import ExpPoly, _real_if_exact
+from .exppoly import ExpPoly, Term, _real_if_exact
 from .kernels import (Flavor, Kernel, _is_count, convolve, exponential, power,
                       power_law, to_additive)
 from .quadrature import PANEL_NODES, counter, integrate_adaptive
@@ -97,22 +105,30 @@ class TestFunction:
     integrates in that coordinate.
     ``sequence`` is set for step embeddings and unlocks exact cell sums.
     ``oscillation``, when set, declares f = mean + b with b's antiderivatives
-    B_1 .. B_K bounded: an object with ``mean``, ``ORDER`` (K),
-    ``antiderivatives(t)`` (rows B_1 .. B_K, one column per point of t, each
-    row the derivative of the next) and ``bound`` (on |B_K|).  A closed-form
-    multiplicative operator then takes the moments of every dyadic piece past
-    a reach of about 10^2-10^3 by parts at a fixed cost per piece, where
-    panels cost O(piece length).  ``embed_sequence(..., period=P)`` declares
-    the period's antiderivatives; ``TrigPolynomial`` declares those of
-    sum c_k e^(i w_k t), as the corpus' multiplicative sin and cos do.  The
-    declaration must match the evaluator, which nothing checks at run time.
+    B_1 .. B_K bounded, in the coordinate ``osc_scale`` names (t, or u = log t,
+    where ``transport_function`` carries it): an object with ``mean``,
+    ``ORDER`` (K), ``t_min``, ``antiderivatives(t)`` (rows B_1 .. B_K for
+    t >= t_min, one column per point of t, each row the derivative of the
+    next), ``bound`` (on |B_K| past t_min) and ``window(shape, forward, cut,
+    target)``, the part of an additive window it gives without panels.  A
+    closed-form multiplicative operator takes the moments of every dyadic
+    piece past a reach of about 10^2-10^3 (and past t_min) by parts at a
+    fixed cost per piece, where panels cost O(piece length), and the additive
+    window leaves panels only what the declaration does not give
+    (``_AddWindow``).  ``embed_sequence(..., period=P)`` declares the period's
+    antiderivatives; ``TrigPolynomial`` declares those of sum c_k e^(i w_k t),
+    as the corpus' sin, cos and characters do, and ``Chirp`` those of
+    sin(t^2).  The declaration must match the evaluator, which nothing checks
+    at run time.
     ``noise(t)``, when set, bounds the absolute error of the double-precision
     value at an argument near t, from the argument's rounding and from the
-    evaluation itself, and does not decrease in |t|.  The additive window
-    floors its quadrature target there (``_AddWindow``); a function without
-    it has no floor, and at x >~ 2^28, where f(x - s) rounds its argument
-    to ulp(x), its windows may spend up to the ``max_evals`` budget (6e7)
-    per point bisecting that rounding.
+    evaluation itself, and does not decrease in |t|.  The additive window's
+    panels floor their target there (``_AddWindow``); a function without it
+    has no floor, and at x >~ 2^28, where f(x - s) rounds its argument to
+    ulp(x), its windows may spend up to the ``max_evals`` budget (6e7) per
+    point bisecting that rounding.  Declared windows take no panels there, so
+    the floor serves undeclared functions (and a chirp on a body that is not
+    a closed form).
     Calling it returns the evaluator's values as float64 when they are real
     and as complex128 when they are complex.
     """
@@ -198,6 +214,7 @@ class _PeriodicSequence:
     """
 
     ORDER = 8
+    t_min = 0.0
 
     def __init__(self, values: np.ndarray):
         self.values = values
@@ -224,6 +241,10 @@ class _PeriodicSequence:
         r = (n.astype(np.int64) - 1) % self.values.size
         return np.einsum("kti,ti->kt", self.poly[:, r],
                          (t - n)[:, None] ** np.arange(self.ORDER + 1))
+
+    def window(self, shape, forward: bool, cut: float, target: float):
+        """None: an additive window of a step function runs on panels."""
+        return None
 
 
 def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> TestFunction:
@@ -273,17 +294,42 @@ def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> 
                         sequence=seq, oscillation=seq if period is not None else None)
 
 
+def _expi(a, b):
+    """e^(i a b), with the phase a b formed exactly as p + e (Dekker's two-product).
+
+    Rounded to one double, a phase errs by up to ulp(a b) / 2: 2.4e-7 radians
+    at a = 3.7, b = 1.5 * 2^29.  Veltkamp's split halves each factor into 26
+    bits (T. J. Dekker, Numer. Math. 18, 1971), so p + e is a b exactly, and
+    e^(i a b) = e^(i p) e^(i e).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return np.exp(1j * p) * np.exp(1j * e)
+
+
+def _split(v):
+    """Veltkamp's split v = hi + lo, each part of at most 26 significant bits."""
+    c = 134217729.0 * v          # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
 class TrigPolynomial:
     """The oscillation declaration of f(t) = sum_k c_k e^(i w_k t), every w_k nonzero.
 
     Its mean is 0, its antiderivatives are B_k = sum c_k (i w_k)^-k e^(i w_k t),
-    and sum |c_k| |w_k|^-K bounds |B_K|.  When its terms come in conjugate
-    pairs (c, w), (conj c, -w), f is real and so are the B_k it returns:
-    sin t is ((-i/2, 1), (i/2, -1)) and cos t is ((1/2, 1), (1/2, -1)).
+    and sum |c_k| |w_k|^-K bounds |B_K|, for every t.  When its terms come in
+    conjugate pairs (c, w), (conj c, -w), f is real and so are the B_k it
+    returns: sin t is ((-i/2, 1), (i/2, -1)) and cos t is ((1/2, 1), (1/2, -1)).
+    Its additive windows are exact (``window``).
     """
 
     ORDER = 8
     mean = 0.0
+    t_min = 0.0
 
     def __init__(self, coefs, freqs):
         coefs = np.asarray(coefs, dtype=complex)
@@ -295,15 +341,124 @@ class TrigPolynomial:
                                   "finite nonzero frequencies")
         terms = set(zip(freqs.tolist(), coefs.tolist()))
         self.real = all((-w, c.conjugate()) in terms for w, c in terms)
-        self.freqs = freqs
+        self.amplitudes, self.freqs = coefs, freqs
         # row k - 1: c (i w)^-k, by products of -i / w, which are exact for w = +-1
         self.coefs = coefs * np.cumprod(np.tile(-1j / freqs, (self.ORDER, 1)), axis=0)
-        self.bound = float(np.abs(self.coefs[-1]).sum())
+        # |e^(i w t)| as computed may pass 1 by a few ulps
+        self.bound = float(np.abs(self.coefs[-1]).sum()) * (1.0 + 4 * np.finfo(float).eps)
 
     def antiderivatives(self, t: np.ndarray) -> np.ndarray:
         """B_1, ..., B_K as rows, one column per point of ``t``."""
-        rows = self.coefs @ np.exp(1j * np.multiply.outer(self.freqs, t))
+        rows = self.coefs @ _expi(self.freqs[:, None], np.asarray(t)[None])
         return rows.real if self.real else rows
+
+    def window(self, shape, forward: bool, cut: float, target: float):
+        """x -> (value, lo, hi): the additive window of the kernel body ``shape``
+        at x, but for s in [lo, hi], which is left to panels.
+
+        On e^(i w t) the window is e^(i w x) times a constant of the body: the
+        dual's is its transform at -w, int phi(s) e^(i w s) ds, and the forward
+        window's, once x >= cut, its transform at w (which adds the tail past
+        cut that the panels' window leaves out, within ``target``).  Below cut
+        a closed form's forward window is exact too, int_0^x phi(s) e^(-i w s) ds
+        being the integral of phi with every rate shifted by -i w; any other
+        body leaves [0, x] to panels.  The phase w x is formed exactly
+        (``_expi``), and no value costs an evaluation.
+        """
+        c, w = self.amplitudes, self.freqs
+        at_cut = c * shape.transform(w if forward else -w)
+        whole = lambda x: (complex(at_cut @ _expi(w, x)), 0.0, 0.0)
+        if not forward:
+            return whole
+        if isinstance(shape, ExpPoly):
+            shifted = [ExpPoly([Term(t.coef, t.power, t.rate - 1j * wk) for t in shape])
+                       for wk in w]
+            near = lambda x: (complex((c * [g.integral(0.0, x) for g in shifted]) @ _expi(w, x)),
+                              0.0, 0.0)
+        else:
+            near = lambda x: (0.0, 0.0, x)
+        return lambda x: whole(x) if x >= cut else near(x)
+
+
+class Chirp:
+    """The oscillation declaration of sin(t^2), for t >= ``t_min``.
+
+    B_k = Im(e^(i t^2) A_k(t)) with 2 i t A_k + A_k' = A_(k-1) and A_0 = 1, so
+    that B_k' = B_(k-1) and B_0 = sin t^2; each B_k falls to zero like
+    (2 t)^-k (DLMF 7.12 for k = 1).  A_k is its asymptotic series in 1/t,
+    ``series[k - 1, n]`` the coefficient of t^-n, cut after ``TERMS`` powers;
+    past t_min = 8 the terms cut off leave the recurrence a residual below
+    1e-17.  The mean is 0 and ``bound`` bounds |B_K| for t >= t_min.  Its
+    additive windows go by parts (``window``).
+    """
+
+    ORDER = 12
+    TERMS = 40
+    mean = 0.0
+    t_min = 8.0
+
+    def __init__(self):
+        # with A_k = sum_n a[k, n] t^-n, 2 i a[k, n + 1] = a[k - 1, n] + (n - 1) a[k, n - 1]
+        a = np.zeros((self.ORDER + 1, self.TERMS + 1), dtype=complex)
+        a[0, 0] = 1.0
+        for n in range(self.TERMS):
+            a[1:, n + 1] = (a[:-1, n] + ((n - 1) * a[1:, n - 1] if n else 0.0)) / 2j
+        self.series = a[1:]
+        self.powers = -np.arange(self.TERMS + 1.0)
+        self.bound = self.tail_bound(self.t_min)
+
+    def tail_bound(self, t: float) -> float:
+        """sup |B_K| on [t, inf) for t >= t_min: sum_n |a[K, n]| t^-n, which falls with t."""
+        return float(np.abs(self.series[-1]) @ t ** self.powers)
+
+    def antiderivatives(self, t: np.ndarray) -> np.ndarray:
+        """B_1, ..., B_K as rows, one column per point of ``t`` (each >= t_min)."""
+        t = np.asarray(t, dtype=float)
+        return (_expi(t, t) * (self.series @ t ** self.powers[:, None])).imag
+
+    def window(self, shape, forward: bool, cut: float, target: float):
+        """x -> (value, lo, hi) as ``TrigPolynomial.window``, by parts for a closed form.
+
+        With d/ds B_k(x -+ s) = -+B_(k-1)(x -+ s), K integrations by parts give
+        the window over the s where x -+ s >= T as boundary terms:
+
+            forward: -sum_k [B_k(x - s) phi^(k-1)(s)],
+            dual:    sum_k (-1)^(k-1) [B_k(x + s) phi^(k-1)(s)],
+
+        taken from s = 0 (forward) or T - x (dual, if x < T) to the end: s = x - T
+        forward, and infinity dual.  What is dropped is at most
+        sup_(t >= T) |B_K| ||phi^(K)||_1; T is the first point of t_min 1.25^n
+        where that falls below ``target``.  The rest of the window, where the
+        chirp is slow, goes to panels, and so does every window of any other
+        body.  A window charges the evaluation counter K per end, one per
+        antiderivative value.
+        """
+        if not isinstance(shape, ExpPoly):
+            return None
+        derivs = [shape]
+        for _ in range(self.ORDER):
+            derivs.append(derivs[-1].derivative())
+        rest = derivs.pop().abs_tail_bound(0.0)
+        start = self.t_min
+        while self.tail_bound(start) * rest > target:
+            start *= 1.25
+        at = lambda s: np.array([d(s) for d in derivs])       # phi^(k-1)(s), k = 1..K
+        signs = (-1.0) ** np.arange(1, self.ORDER + 1)         # (-1)^k
+
+        def forward_window(x):
+            if x <= start:
+                return 0.0, 0.0, x
+            counter.add(2 * self.ORDER)
+            b = self.antiderivatives(np.array([x, start])) * at(np.array([0.0, x - start]))
+            return complex(np.sum(b[:, 0] - b[:, 1])), x - start, x
+
+        def dual_window(x):
+            counter.add(self.ORDER)
+            s = max(0.0, start - x)
+            b = self.antiderivatives(np.array([max(x, start)]))[:, 0] * at(s)
+            return complex(signs @ b), 0.0, s
+
+        return forward_window if forward else dual_window
 
 
 def discrete_cesaro(a, n: int) -> complex:
@@ -435,7 +590,7 @@ class _ByParts:
         self.near = near
         self.p, self.s, self.sigma = near.p, near.s, near.s + 1.0
         self.min_length = min_length
-        self.reach = self._reach(amplitude)
+        self.reach = max(self._reach(amplitude), osc.t_min)
 
     def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
         """int_lo^hi f(t) (log tau)^j tau^(s+1) dt/t for j = 0..p, tau = t / 2^m."""
@@ -609,26 +764,37 @@ class _MultClosed:
 # additive window
 
 class _AddWindow:
-    """Operator of an additive kernel, closed-form or sampled, by quadrature.
+    """Operator of an additive kernel, closed-form or sampled, either variant.
 
     The forward window integrates f(x - s) phi(s) over [0, min(x, cut)], the
     dual window f(x + s) phi(s) over [0, cut], with cut the point past which
     the kernel's absolute tail is negligible: the closed form's tail bound,
     a sampled kernel's geometric tail model past its last sample, or a
-    convolved body's bound from its factors.  phi is ``Kernel.shape``, so a
-    sampled kernel is its linear interpolant, and its grid nodes
+    convolved body's bound from its factors.  phi is ``Kernel.shape``.
+
+    A function that declares its oscillation gives what it can of the window
+    without panels (``TestFunction.oscillation``'s ``window``), built once per
+    evaluator: a trigonometric polynomial every window of a closed form, and
+    every dual window and every forward window at x >= cut of any body, from
+    the body's transform; a chirp the part of a closed form's window where it
+    is fast, by parts.  Panels integrate only what is left, and all of the
+    window for an undeclared function.
+
+    On panels a sampled kernel is its linear interpolant, and its grid nodes
     (``Kernel.breaks``) are panel edges: each panel sees one linear piece.  A
     convolved body's kinks lie on the sums of its sampled factors' nodes,
     and it is smooth between them, so they serve as edges the same way.
-
-    A function with ``noise`` floors the quadrature target at its noise n
-    at the window's far end times ||phi||_1: past x ~ 2^26 f(x -+ s) rounds
-    its argument to ulp(x), and no error estimate on that staircase falls
-    much below n.  When the floor passes the target, a closed form's window
-    is split where n times phi's absolute tail falls to half the target.
-    The head runs on panels of at most 41 (tol / n)^2, (n / tol)^2 nodes per
-    unit of s, so its K41 sums average the rounding down to about the
-    target; the tail's rounding is below half the target outright.
+    A function with ``noise`` floors the panels' target at its noise n at
+    the far end of their arguments times ||phi||_1: past x ~ 2^26 f(x -+ s)
+    rounds its argument to ulp(x), and no error estimate on that staircase
+    falls much below n.  When the floor passes the target, a closed form's
+    range is split where n times phi's absolute tail falls to half the
+    target.  The head runs on panels of at most 41 (tol / n)^2,
+    (n / tol)^2 nodes per unit of s, so its K41 sums average the rounding
+    down to about the target; the tail's rounding is below half the target
+    outright.  Declared windows leave panels only arguments below about
+    t_min, so the floor serves undeclared functions, and the windows of a
+    chirp on a body that is not a closed form.
     """
 
     def __init__(self, kernel: Kernel, f: TestFunction, variant: Variant,
@@ -637,34 +803,44 @@ class _AddWindow:
         self.f = f
         self.forward = variant is Variant.FORWARD
         self.settings = settings
+        self.tol = settings.tol_quad * (1.0 + f.bound)
         eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
         self.shape, self.breaks = kernel.shape, kernel.breaks
         self.cut = self.shape.support_cutoff(eps)
         self.form = kernel.additive_form()
+        osc = f.oscillation
+        self.declared = (None if osc is None
+                         else osc.window(self.shape, self.forward, self.cut, 0.1 * self.tol))
 
     def __call__(self, x: float) -> complex:
-        f, kernel, shape = self.f, self.kernel, self.shape
+        upper = min(x, self.cut) if self.forward else self.cut
+        if self.declared is None:
+            return self._panels(x, 0.0, upper)
+        value, lo, hi = self.declared(x)
+        hi = min(hi, upper)
+        return value + self._panels(x, lo, hi) if lo < hi else value
+
+    def _panels(self, x: float, lo: float, hi: float) -> complex:
+        """The window's integral over s in [lo, hi], on panels."""
+        f, shape, tol = self.f, self.shape, self.tol
         if self.forward:
             g = lambda s: f(x - s) * shape(s)
-            upper = min(x, self.cut)
-            far = x
+            far = x - lo
         else:
             g = lambda s: f(x + s) * shape(s)
-            upper = self.cut
-            far = x + upper
-        tol = self.settings.tol_quad * (1.0 + f.bound)
+            far = x + hi
         noise = 0.0 if f.noise is None else float(f.noise(far))
-        target = max(tol, noise * kernel.l1_norm()) if noise else tol
+        target = max(tol, noise * self.kernel.l1_norm()) if noise else tol
         if target == tol or self.form is None:
-            return integrate_adaptive(g, 0.0, upper, target, breaks=self.breaks,
+            return integrate_adaptive(g, lo, hi, target, breaks=self.breaks,
                                       max_evals=self.settings.max_evals)
-        head = min(upper, self.form.support_cutoff(0.5 * tol / noise))
-        share = target * head / upper
-        value = integrate_adaptive(g, 0.0, head, share,
-                                   panel=min(head / 4, PANEL_NODES * (tol / noise) ** 2),
+        head = max(lo, min(hi, self.form.support_cutoff(0.5 * tol / noise)))
+        share = target * (head - lo) / (hi - lo)
+        value = integrate_adaptive(g, lo, head, share,
+                                   panel=min((head - lo) / 4, PANEL_NODES * (tol / noise) ** 2),
                                    max_evals=self.settings.max_evals)
-        if head < upper:
-            value += integrate_adaptive(g, head, upper, target - share,
+        if head < hi:
+            value += integrate_adaptive(g, head, hi, target - share,
                                         max_evals=self.settings.max_evals)
         return value
 
@@ -758,7 +934,8 @@ def transport_function(f: TestFunction) -> TestFunction:
 
     return TestFunction(label=f.label + "@log", evaluator=evaluator, bound=f.bound,
                         support_flavor=Flavor.ADDITIVE,
-                        classical_limit=f.classical_limit)
+                        classical_limit=f.classical_limit,
+                        oscillation=f.oscillation if f.osc_scale == "log" else None)
 
 
 def uniform_continuity_bound(kernel: Kernel, delta: float,

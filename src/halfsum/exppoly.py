@@ -92,6 +92,12 @@ class ExpPoly:
         out[pos] = vals
         return out if out.ndim else out[()]
 
+    def derivative(self) -> "ExpPoly":
+        """f' on (0, inf): (c x^p e^(mu x))' = c p x^(p-1) e^(mu x) + c mu x^p e^(mu x)."""
+        return ExpPoly([Term(t.coef * t.rate, t.power, t.rate) for t in self.terms]
+                       + [Term(t.coef * t.power, t.power - 1, t.rate)
+                          for t in self.terms if t.power])
+
     def scaled(self, factor: complex) -> "ExpPoly":
         return ExpPoly([Term(t.coef * factor, t.power, t.rate) for t in self.terms])
 
@@ -102,7 +108,11 @@ class ExpPoly:
 
     def mass(self) -> complex:
         """Integral over [0, inf)."""
-        return complex(sum(t.coef * math.factorial(t.power) / (-t.rate) ** (t.power + 1)
+        return self.moment(0)
+
+    def moment(self, j: int) -> complex:
+        """int_0^inf x^j f(x) dx = sum c (p + j)! / (-mu)^(p + j + 1)."""
+        return complex(sum(t.coef * math.factorial(t.power + j) / (-t.rate) ** (t.power + j + 1)
                            for t in self.terms))
 
     def antiderivative(self, x):

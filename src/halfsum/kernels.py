@@ -116,14 +116,24 @@ class Sampled:
         excess = abs(self.tail_value) / (self.tail_rate * eps)
         return float(self.grid[-1]) + math.log(max(excess, 1.0)) / self.tail_rate
 
-    def abs_moment(self, k: int) -> float:
-        """int u^k |phi(u)| du for k = 0, 1: trapezoid sums of the samples
-        (for k = 0 a bound on the interpolant's) plus the tail's exact share."""
-        val = float(np.trapezoid(self.grid ** k * np.abs(self.values), self.grid))
+    def moment(self, j: int) -> complex:
+        """int u^j phi(u) du for j = 0, 1, exact for the interpolant and its tail:
+        a cell [a, b] gives (b - a) (v_a + v_b) / 2, or (b - a) ((2a + b) v_a + (a + 2b) v_b) / 6."""
+        if j == 0:
+            return self.mass()
+        a, b, va, vb = self.grid[:-1], self.grid[1:], self.values[:-1], self.values[1:]
+        m = complex(np.sum((b - a) * ((2 * a + b) * va + (a + 2 * b) * vb)) / 6)
         if self.tail_rate > 0:
             g, u0 = self.tail_rate, self.grid[-1]
-            val += abs(self.tail_value) * (1.0 / g if k == 0 else u0 / g + 1.0 / g ** 2)
-        return val
+            m += self.tail_value * (u0 / g + 1.0 / g ** 2)
+        return m
+
+    def abs_moment(self, k: int) -> float:
+        """An upper bound on int u^k |phi(u)| du for k = 0, 1: the exact moment of
+        |samples| interpolated and |tail|, which bound |phi| (u >= 0), equal to it
+        when no cell changes sign."""
+        magnitude = Sampled(self.grid, np.abs(self.values), abs(self.tail_value), self.tail_rate)
+        return float(magnitude.moment(k).real)
 
 
 def _node_sums(weights: np.ndarray, z: complex, h: float, top: int) -> np.ndarray:
@@ -344,6 +354,15 @@ def _l1_bound(body) -> float:
     return body.abs_tail_bound(0.0) if isinstance(body, ExpPoly) else body.abs_moment(0)
 
 
+def _nonnegative(body) -> bool:
+    """Whether ``body`` is evidently >= 0: a closed form of real rates and
+    nonnegative real coefficients, or real nonnegative samples and tail."""
+    if isinstance(body, ExpPoly):
+        return all(t.coef.imag == 0 <= t.coef.real and t.rate.imag == 0 for t in body)
+    return (not np.iscomplexobj(body.values) and bool(np.all(body.values >= 0))
+            and complex(body.tail_value).imag == 0 <= complex(body.tail_value).real)
+
+
 def _step(body: "Sampled") -> float:
     return float(body.grid[-1] - body.grid[0]) / (body.grid.size - 1)
 
@@ -383,6 +402,18 @@ class Convolved:
     def transform(self, xi) -> np.ndarray:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         return math.prod(f.transform(xi) for f in self.factors)
+
+    def abs_moment(self, k: int) -> Optional[float]:
+        """int u^k |phi(u)| du for k = 0, 1 when every factor is nonnegative, and so
+        the product: its mass, or sum_i m1_i prod_(j != i) M_j, from the factors'
+        exact moments m1 and masses M.  None when a factor may change sign."""
+        if not all(map(_nonnegative, self.factors)):
+            return None
+        masses = [f.moment(0).real for f in self.factors]
+        if k == 0:
+            return math.prod(masses)
+        return sum(f.moment(1).real * math.prod(masses[:i] + masses[i + 1:])
+                   for i, f in enumerate(self.factors))
 
     def scaled(self, c: complex) -> "Convolved":
         return Convolved([self.factors[0].scaled(c)] + self.factors[1:])
@@ -459,10 +490,13 @@ class Kernel:
         return self.meta[key]
 
     def _abs_moment(self, k: int) -> float:
-        """A sampled body sums its samples; any other body is integrated over its breaks."""
+        """A sampled body bounds it by its samples' magnitudes, a nonnegative
+        convolved one takes its factors' exact moments; any other body is
+        integrated over its breaks."""
         shape = self.shape
-        if isinstance(shape, Sampled):
-            return shape.abs_moment(k)
+        known = shape.abs_moment(k) if isinstance(shape, (Sampled, Convolved)) else None
+        if known is not None:
+            return known
         cut = shape.support_cutoff(1e-14)
         val = integrate_adaptive(lambda u: (u ** k) * np.abs(shape(u)), 0.0, cut, 1e-12,
                                  breaks=self.breaks)

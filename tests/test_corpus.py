@@ -2,13 +2,14 @@
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from halfsum.config import DEFAULT
 from halfsum.corpus import (VerificationCase, _judge, builtin_cases, builtin_corpus,
                             corpus_map, load_cases, method_catalog, run_matrix)
-from halfsum.engine import Status, SummationResult, estimate_limit
+from halfsum.engine import Chirp, Status, SummationResult, estimate_limit, transport_function
 from halfsum.errors import ConfigError, FlavorMismatch
 from halfsum.kernels import Flavor
 from halfsum.spectrum import transform_grid
@@ -60,20 +61,52 @@ def test_bit_form_sequences_equal_their_arithmetic_forms():
 
 def test_declared_oscillations_match_their_functions():
     # f = mean + B_1', B_k = B_(k+1)' and |B_K| <= bound, by central
-    # differences at random t in [1, 1e4], kept inside a cell for sequences
+    # differences at random t in [1, 1e4], kept inside a cell for sequences,
+    # in the coordinate osc_scale names: u = log t for the multiplicative
+    # characters, at u = t / 20.  The chirp sin(t^2) is checked below
     declared = [f for f in builtin_corpus() if f.oscillation is not None]
-    assert {f.label for f in declared} == {"sin", "cos", "alt", "blocks"}
+    assert {f.label for f in declared} == {"sin", "cos", "alt", "blocks", "char_0.5",
+                                           "char_1", "char_2", "sin_sq"}
     rng = np.random.default_rng(11)
     t = rng.integers(1, 10 ** 4, 200) + rng.uniform(0.1, 0.9, 200)
-    up, down = t + 1e-5, t - 1e-5     # the steps as rounded, not 2e-5
     for f in declared:
+        if isinstance(f.oscillation, Chirp):
+            continue
+        g, at = (transport_function(f), t / 20) if f.osc_scale == "log" else (f, t)
+        up, down = at + 1e-5, at - 1e-5     # the steps as rounded, not 2e-5
         osc = f.oscillation
-        rows = osc.antiderivatives(t)
+        rows = osc.antiderivatives(at)
         slope = (osc.antiderivatives(up) - osc.antiderivatives(down)) / (up - down)
         assert rows.shape == (osc.ORDER, t.size), f.label
-        assert np.max(np.abs(slope[0] - (f(t) - osc.mean))) < 1e-8, f.label
+        assert np.max(np.abs(slope[0] - (g(at) - osc.mean))) < 1e-8, f.label
         assert np.max(np.abs(slope[1:] - rows[:-1])) < 1e-8, f.label
         assert np.max(np.abs(rows[-1])) <= osc.bound, f.label
+
+
+def test_chirp_antiderivatives_integrate_each_other():
+    # B_1(t) = -int_t^inf sin(s^2) ds through erfc at 50 digits (mpmath),
+    # and B_k(t + 2h) - B_k(t) = int B_(k-1) over [t, t + 2h] by 20-point
+    # Gauss-Legendre at random t in [t_min, 1e4], h a power of two, so both
+    # ends are exact, near 1/(2t), so the chirp turns 2 radians there
+    osc = corpus_map()[("sin_sq", Flavor.ADDITIVE)].oscillation
+    for t in (osc.t_min, 37.5, 1e4 + 0.3, 1.5 * 2.0 ** 29, 2.0 ** 30):
+        with mp.workdps(50):
+            rot = mp.expjpi(mp.mpf(1) / 4)
+            want = -mp.im(rot * mp.sqrt(mp.pi) / 2 * mp.erfc(mp.mpf(t) / rot))
+        assert abs(osc.antiderivatives(np.array([t]))[0, 0] - want) <= 1e-15 * abs(want), t
+    rng = np.random.default_rng(3)
+    t = np.exp(rng.uniform(np.log(osc.t_min), np.log(1e4), 100))
+    h = 2.0 ** np.floor(np.log2(0.5 / t))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    inside = (t + h)[:, None] + h[:, None] * nodes
+    rows = osc.antiderivatives(inside.ravel()).reshape(osc.ORDER, *inside.shape)
+    integrals = h * (rows * weights).sum(axis=-1)
+    steps = osc.antiderivatives(t + 2 * h) - osc.antiderivatives(t)
+    k = np.arange(1, osc.ORDER)[:, None]
+    # the truncated series leave the recurrence a residual below 1e-17
+    assert np.all(np.abs(steps[1:] - integrals[:-1])
+                  <= 2 * h * (1e-17 + 1e-12 * (2 * t) ** (1.0 - k)))
+    assert np.max(np.abs(osc.antiderivatives(t)[-1])) <= osc.bound
 
 
 def test_method_catalog_is_normalized():

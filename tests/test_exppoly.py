@@ -35,6 +35,16 @@ def test_mass_polynomial_weight():
     assert abs(p.mass() - 2.0) < 1e-14
 
 
+def test_moments_and_derivative_are_exact():
+    # int x^j x^2 e^(-x) dx = (2 + j)!, and the derivative against central differences
+    p = ExpPoly([Term(1.0, 2, -1.0)])
+    assert [p.moment(j) for j in range(3)] == [2.0, 6.0, 24.0]
+    q = ExpPoly([Term(1.0, 1, -0.5 + 0.3j), Term(2.0, 0, -2.0), Term(-0.5, 3, -1.0)])
+    x, h = np.linspace(0.1, 8.0, 50), 1e-5
+    slope = (q(x + h) - q(x - h)) / (2 * h)
+    assert np.max(np.abs(q.derivative()(x) - slope)) < 1e-9
+
+
 def test_antiderivative_matches_numeric():
     p = ExpPoly([Term(1.0, 1, -0.5 + 0.3j), Term(2.0, 0, -2.0)])
     grid = np.linspace(0.0, 8.0, 20001)

@@ -12,6 +12,7 @@ from halfsum.kernels import (ClosedForm, Flavor, convolve,
                              evaluate, exponential, finite_mixture, from_catalog,
                              kernel_from_dict, normalize, parse_kernel_arg,
                              power, power_law, sampled_kernel, to_additive)
+from halfsum.quadrature import counter, integrate_adaptive
 
 
 def test_catalog_masses_are_one():
@@ -318,6 +319,44 @@ def test_closed_form_product_moments():
         assert isinstance(k.body, ClosedForm)
         assert abs(k.l1_norm() - 1.0) < 1e-12
         assert abs(k.first_moment() - m1) < 1e-12
+
+
+def test_nonnegative_convolved_norms_are_exact():
+    # the square of a normalized sampled exp(-u) is nonnegative, so its L1
+    # norm is its mass and its first absolute moment the factors' m1 M + M m1:
+    # no quadrature at any size, where one over every lattice node took
+    # 2.7e6 evaluations at 32 768 samples; at 512 samples the quadrature agrees
+    for n in (32768, 512):
+        u = np.linspace(0.0, 40.0, n)
+        squared = power(normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE)), 2)
+        start = counter.count
+        norms = squared.l1_norm(), squared.first_moment()
+        assert counter.count == start, n
+    shape, cut = squared.shape, squared.shape.support_cutoff(1e-14)
+    for k, got in enumerate(norms):
+        want = integrate_adaptive(lambda v: v ** k * np.abs(shape(v)), 0.0, cut, 1e-12,
+                                  breaks=squared.breaks).real
+        assert abs(got - want) < 1e-12, k
+    # a factor that changes sign keeps the quadrature, which bounds the mass
+    mixed = convolve(squared, counterexample_additive(1.0))
+    start = counter.count
+    assert mixed.l1_norm() >= abs(mixed.mass())
+    assert counter.count > start
+
+
+def test_sampled_absolute_moments_bound_the_body():
+    # spectrum takes first_moment as a Lipschitz bound on the transform; a
+    # trapezoid sum of u |v| fell 6.5% short of int u |phi| on these 64
+    # samples of e^-u.  The bound is exact where no cell changes sign
+    u = np.linspace(0.0, 40.0, 64)
+    for values, exact in ((np.exp(-u), True), (np.cos(u) * np.exp(-u), False)):
+        kernel = sampled_kernel(u, values, Flavor.ADDITIVE)
+        shape, cut = kernel.shape, kernel.shape.support_cutoff(1e-14)
+        for k, got in enumerate((kernel.l1_norm(), kernel.first_moment())):
+            want = integrate_adaptive(lambda v: v ** k * np.abs(shape(v)), 0.0, cut, 1e-13,
+                                      breaks=kernel.breaks).real
+            assert got >= want - 1e-12, k
+            assert (abs(got - want) < 1e-12) is exact, k
 
 
 _SAMPLED = (np.linspace(0.0, 10.0, 64), np.exp(-np.linspace(0.0, 10.0, 64)))

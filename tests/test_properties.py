@@ -1,5 +1,6 @@
 """Structural invariants checked over randomized inputs."""
 
+import dataclasses
 import itertools
 import math
 
@@ -257,3 +258,41 @@ def test_sampled_convolution_meets_an_independent_reference():
     xs = np.random.default_rng(7).uniform(0.0, 40.0, 200)
     want = np.array([_cellwise_convolution(k.shape, e2.shape, x, u) for x in xs])
     assert np.max(np.abs(conv.shape(xs) - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# declared oscillation: the additive windows without panels
+
+@st.composite
+def trig_polynomials(draw):
+    """1-2 conjugate pairs (c, w), (conj c, -w): a real trigonometric polynomial."""
+    pairs = draw(st.lists(st.tuples(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                                    st.floats(0.1, 5.0)), min_size=1, max_size=2))
+    coefs = [c for c, _ in pairs] + [c.conjugate() for c, _ in pairs]
+    freqs = [w for _, w in pairs] + [-w for _, w in pairs]
+    return engine.TrigPolynomial(coefs, freqs)
+
+
+def _sampled_exp():
+    u = np.linspace(0.0, 30.0, 400)
+    return normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+
+
+window_kernels = st.one_of(st.builds(exponential, rates),
+                           st.builds(counterexample_additive, st.floats(0.5, 3.0)),
+                           st.builds(lambda r: power(exponential(r), 2), rates),
+                           st.builds(_sampled_exp))
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(window_kernels, trig_polynomials(), st.sampled_from(list(Variant)),
+       st.one_of(st.floats(0.5, 40.0), st.floats(40.0, 2000.0)))
+def test_declared_and_undeclared_windows_agree(kernel, osc, variant, x):
+    # the transform identity (and a closed form's exact integral below cut)
+    # against panels over the window
+    f = Probe("trig", lambda t, o=osc: (o.amplitudes @ np.exp(1j * np.multiply.outer(o.freqs, t))).real,
+              float(np.abs(osc.amplitudes).sum()), Flavor.ADDITIVE, oscillation=osc)
+    undeclared = dataclasses.replace(f, oscillation=None)
+    got = engine._make_evaluator(kernel, f, variant, DEFAULT)(x)
+    want = engine._make_evaluator(kernel, undeclared, variant, DEFAULT)(x)
+    assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound)

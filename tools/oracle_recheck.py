@@ -463,6 +463,20 @@ def main():
         closed = sin_sq_mean(mp.mpf(x))
         check(f"S_exp1 on sin(t^2) at {x}", closed, want, 2e-16 * abs(closed))
 
+    # --- S*_exp1 on sin(t^2): int_x^inf e^(x - t) sin(t^2) dt -------------------
+    # i t^2 - t = i (t + i/2)^2 + i/4, and int_w^inf e^(i v^2) dv = e^(i pi/4)
+    # sqrt(pi)/2 erfc(e^(-i pi/4) w); checked against oscillatory quadrature
+    # between the zeros sqrt(pi n) of sin(t^2) at a small x, then against the
+    # values frozen in tests/test_engine.py
+    tail = lambda w: rot * mp.sqrt(mp.pi) / 2 * mp.erfc(w / rot)
+    sin_sq_dual = lambda x: mp.im(mp.exp(x + 0.25j) * tail(x + 0.5j))
+    got = mp.quadosc(lambda t: mp.sin(t ** 2) * mp.e ** (xm - t), [xm, mp.inf],
+                     zeros=lambda n: mp.sqrt(mp.pi * (n + 127)))
+    check("S*_exp1 on sin(t^2) by quadrature at 20", got, sin_sq_dual(xm), mp.mpf("1e-40"))
+    for x, want in frozen("test_engine.py", "SIN_SQ_S_STAR_EXP1").items():
+        closed = sin_sq_dual(mp.mpf(x))
+        check(f"S*_exp1 on sin(t^2) at {x}", closed, want, 2e-16 * abs(closed))
+
     if FAILURES:
         print(f"\n{len(FAILURES)} mismatches: {', '.join(FAILURES)}")
         return 1
