@@ -1,7 +1,9 @@
 """Runtime settings with package-wide defaults.
 
-All numerical knobs live here so the CLI and tests can override them in one
-place.  Tolerances are absolute unless noted otherwise.
+The numerical values that callers vary live here, so the CLI and tests can
+override them in one place; fixed numerical policies are constants beside
+their one reader in ``spectrum``, ``kernels`` and ``engine``.  Tolerances are
+absolute unless noted otherwise.
 """
 
 from __future__ import annotations
@@ -19,20 +21,11 @@ from .errors import ConfigError
 class Settings:
     # quadrature
     tol_quad: float = 1e-8          # absolute, per evaluation point
-    mass_epsilon: float = 1e-10     # below this |mass| a kernel cannot be normalized
     max_evals: int = 60_000_000     # integrand-evaluation budget per quadrature call
 
-    # spectrum
-    zero_epsilon: float = 1e-9
-    freq_window: float = 50.0
-    refine_max_iter: int = 60
-    grid_pass_limit: int = 3        # Lipschitz-driven step refinements
-
     # limit estimation
-    ladder_x0: float = 4.0
     ladder_ratio: float = 2.0
     ladder_max_steps: int = 28
-    plateau_window: int = 5
     tol_limit_scale: float = 1e-4   # tol_limit = scale * (1 + ||f||_inf)
 
     def __post_init__(self):
@@ -51,17 +44,12 @@ class Settings:
 
 
 # key: (the value must exceed this bound, the value must be an integer).  A
-# ladder that does not grow, or a one-point plateau window, would report
-# "converged" at once; a frequency window of no width would certify nothing,
-# and a budget, grid or pass count below its bound would fail mid-run.  No
-# value may be infinite or NaN: an infinite tolerance "converges" anything.
-_BOUNDS = {"tol_quad": (0, False), "zero_epsilon": (0, False),
-           "tol_limit_scale": (0, False), "mass_epsilon": (0, False),
-           "max_evals": (0, True),
-           "freq_window": (0, False), "refine_max_iter": (0, True),
-           "grid_pass_limit": (-1, True),
-           "ladder_x0": (0, False), "ladder_ratio": (1, False),
-           "ladder_max_steps": (0, True), "plateau_window": (1, True)}
+# ladder that does not grow would report "converged" at once, and a budget
+# or step count below its bound would fail mid-run.  No value may be
+# infinite or NaN: an infinite tolerance "converges" anything.
+_BOUNDS = {"tol_quad": (0, False), "tol_limit_scale": (0, False),
+           "max_evals": (0, True), "ladder_ratio": (1, False),
+           "ladder_max_steps": (0, True)}
 
 DEFAULT = Settings()
 

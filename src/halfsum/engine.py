@@ -367,13 +367,15 @@ class TrigPolynomial:
         """
         c, w = self.amplitudes, self.freqs
         at_cut = c * shape.transform(w if forward else -w)
-        whole = lambda x: (complex(at_cut @ _expi(w, x)), 0.0, 0.0)
+        # a real f on a real body has a real window, as on panels
+        cast = (lambda v: v.real) if self.real and shape(np.zeros(1)).dtype == float else complex
+        whole = lambda x: (cast(at_cut @ _expi(w, x)), 0.0, 0.0)
         if not forward:
             return whole
         if isinstance(shape, ExpPoly):
             shifted = [ExpPoly([Term(t.coef, t.power, t.rate - 1j * wk) for t in shape])
                        for wk in w]
-            near = lambda x: (complex((c * [g.integral(0.0, x) for g in shifted]) @ _expi(w, x)),
+            near = lambda x: (cast((c * [g.integral(0.0, x) for g in shifted]) @ _expi(w, x)),
                               0.0, 0.0)
         else:
             near = lambda x: (0.0, 0.0, x)
@@ -994,6 +996,10 @@ def _spread(vals) -> float:
     return float(np.max(np.abs(arr[:, None] - arr[None, :]))) if arr.size > 1 else 0.0
 
 
+LADDER_X0 = 4.0      # the ladder's first abscissa
+PLATEAU_WINDOW = 5   # "converged" needs this many consecutive values within the tolerance
+
+
 def estimate_limit(method: MethodDescriptor, f: TestFunction,
                    settings: Settings = DEFAULT) -> SummationResult:
     """Plateau-detected limit of the method's operator along the ladder."""
@@ -1006,14 +1012,14 @@ def estimate_limit(method: MethodDescriptor, f: TestFunction,
     evaluator = _make_evaluator(kernel, f, method.variant, settings)
 
     cap = 10.0 * f.bound * max(l1, 1.0) + 1e-12
-    window = settings.plateau_window
+    window = PLATEAU_WINDOW
     trace: list[tuple[float, complex]] = []
     values: list[complex] = []
     status = Status.INCONCLUSIVE
     estimate = None
     amplitude = 0.0
 
-    x = settings.ladder_x0
+    x = LADDER_X0
     for j in range(settings.ladder_max_steps + 1):
         if x <= kernel.support_origin():
             x *= settings.ladder_ratio

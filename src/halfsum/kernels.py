@@ -663,10 +663,13 @@ def _fit_tail(grid: np.ndarray, values: np.ndarray):
 # ---------------------------------------------------------------------------
 # algebra
 
+MASS_EPSILON = 1e-10   # below this |mass| a kernel cannot be normalized
+
+
 def normalize(kernel: Kernel, settings: Settings = DEFAULT) -> Kernel:
     m = kernel.mass()
-    if abs(m) < settings.mass_epsilon:
-        raise DegenerateKernel(f"kernel mass {m!r} below mass_epsilon")
+    if abs(m) < MASS_EPSILON:
+        raise DegenerateKernel(f"kernel mass {m!r} below {MASS_EPSILON:g}")
     if abs(m - 1.0) <= settings.tol_quad:
         return kernel
     scale = _real_if_exact(1.0 / m)
@@ -703,9 +706,6 @@ def power(kernel: Kernel, k: int, settings: Settings = DEFAULT) -> Kernel:
         raise InvalidArgument("convolution power needs an integer k >= 1 (L1 has no unit)")
     if k == 1:
         return kernel
-    form = kernel.additive_form()
-    if form is not None:
-        return Kernel(kernel.flavor, ClosedForm("power", {"k": int(k)}, form.power(k)))
     return _product(kernel.flavor, [kernel.shape] * k)
 
 

@@ -142,12 +142,17 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.nd
 # ---------------------------------------------------------------------------
 # classification
 
+FREQ_WINDOW = 50.0    # the classifier's frequency window is [-FREQ_WINDOW, FREQ_WINDOW]
+ZERO_EPSILON = 1e-9   # a minimum of |transform| below this is a zero
+GRID_PASSES = 3       # Lipschitz-driven refinements of a sampled kernel's window grid
+
+
 def _require_normalized(kernel: Kernel, settings: Settings):
     if abs(kernel.mass() - 1.0) > 100 * settings.tol_quad:
         raise InvalidArgument("classify_wiener expects a normalized kernel")
 
 
-def _rational_verdict(form: ExpPoly, settings: Settings) -> Verdict:
+def _rational_verdict(form: ExpPoly) -> Verdict:
     """Whole-line verdict from the roots of N, where the transform is N(z)/Q(z) in z = i*xi.
 
     Q = prod (z - mu)^m has no root on the axis Re z = 0, so F vanishes on the
@@ -180,35 +185,32 @@ def _rational_verdict(form: ExpPoly, settings: Settings) -> Verdict:
     reach = np.array([np.min(np.abs(z.real) - radius, where=group == g, initial=np.inf)
                       for g in group])   # per root: its group's distance from the axis
     if np.all(reach > 0):   # |Q(i xi)| <= qmax on the window
-        qmax = math.prod((settings.freq_window + abs(mu)) ** m for mu, m in pole.items())
+        qmax = math.prod((FREQ_WINDOW + abs(mu)) ** m for mu, m in pole.items())
         return Verdict("nonvanishing_on_window", margin=float(abs(num[-1]) * np.prod(reach) / qmax))
     # a group that meets the axis is a zero at its mean, if |F| is small there
     at = np.array([z[group == g].mean().imag for g in np.unique(group[reach <= 0])])
     modulus = np.abs(form.transform(at))
     k = int(np.argmin(modulus))
-    if modulus[k] < settings.zero_epsilon:
+    if modulus[k] < ZERO_EPSILON:
         return Verdict("zero_found", zero_at=float(at[k]), zero_modulus=float(modulus[k]))
     return Verdict("inconclusive")
 
 
 # frequencies per refinement round: each round narrows the bracket 64-fold,
-# as much as about 10 ternary-search steps
+# so six narrow it at least as far as 60 ternary-search steps, (2/3)^60-fold
 _REFINE_POINTS = 129
+REFINE_ROUNDS = 6
 
 
-def _refine_minimum(kernel: Kernel, lo: float, hi: float, iters: int):
+def _refine_minimum(kernel: Kernel, lo: float, hi: float):
     """Grid refinement of a bracketed minimum of |transform|.
 
-    Each round takes |transform| on ``_REFINE_POINTS`` equally spaced
-    frequencies of the bracket in one ``transform_grid`` call (chirp-z for
-    sampled kernels) and keeps the argmin's neighbours as the new bracket.
-    Rounds stop once the bracket is at least as narrow as ``iters``
-    ternary-search steps would leave it, (2/3)^iters of its starting width.
-    Returns the last argmin and its modulus.
+    Each of ``REFINE_ROUNDS`` rounds takes |transform| on ``_REFINE_POINTS``
+    equally spaced frequencies of the bracket in one ``transform_grid`` call
+    (chirp-z for sampled kernels) and keeps the argmin's neighbours as the
+    new bracket.  Returns the last argmin and its modulus.
     """
-    shrink = (_REFINE_POINTS - 1) / 2.0
-    rounds = max(1, math.ceil(iters * math.log(1.5) / math.log(shrink)))
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         xi = np.linspace(lo, hi, _REFINE_POINTS)
         mods = np.abs(transform_grid(kernel, xi))
         k = int(np.argmin(mods))
@@ -216,46 +218,44 @@ def _refine_minimum(kernel: Kernel, lo: float, hi: float, iters: int):
     return xi[k], mods[k]
 
 
-def _window_verdict(kernel: Kernel, xi: np.ndarray, values: np.ndarray, settings: Settings):
+def _window_verdict(kernel: Kernel, xi: np.ndarray, values: np.ndarray):
     """Verdict for a sampled kernel on the window, and the grid it ends on."""
-    width = settings.freq_window
     i0 = int(np.argmin(np.abs(values)))
-    at, modulus = _refine_minimum(kernel, xi[max(0, i0 - 1)], xi[min(xi.size - 1, i0 + 1)],
-                                  settings.refine_max_iter)
-    if modulus < settings.zero_epsilon:
+    at, modulus = _refine_minimum(kernel, xi[max(0, i0 - 1)], xi[min(xi.size - 1, i0 + 1)])
+    if modulus < ZERO_EPSILON:
         return xi, values, Verdict("zero_found", zero_at=float(at), zero_modulus=float(modulus))
     lip = kernel.first_moment()
     if lip is None or lip <= 0:
         # no Lipschitz certificate possible; never claim nonvanishing
         return xi, values, Verdict("inconclusive")
-    for passes in range(settings.grid_pass_limit + 1):
+    for passes in range(GRID_PASSES + 1):
         min_mod = float(np.abs(values).min())
         margin = min_mod - lip * (xi[1] - xi[0]) / 2.0
         if margin > 0:
             return xi, values, Verdict("nonvanishing_on_window", margin=float(margin))
-        n_new = int(min(200_001, np.ceil(2 * width / max(min_mod / (2.0 * lip), 1e-9)) + 1))
-        if passes == settings.grid_pass_limit or n_new <= xi.size:
+        n_new = int(min(200_001, np.ceil(2 * FREQ_WINDOW / max(min_mod / (2.0 * lip), 1e-9)) + 1))
+        if passes == GRID_PASSES or n_new <= xi.size:
             return xi, values, Verdict("inconclusive")
-        xi = np.linspace(-width, width, n_new)
+        xi = np.linspace(-FREQ_WINDOW, FREQ_WINDOW, n_new)
         values = transform_grid(kernel, xi)
 
 
 def classify_wiener(kernel: Kernel, settings: Settings = DEFAULT,
                     n_points: int = 1001) -> SpectrumProfile:
-    """Zero-set verdict for the kernel transform, and its values on [-freq_window, freq_window].
+    """Zero-set verdict for the kernel transform, and its values on [-FREQ_WINDOW, FREQ_WINDOW].
 
     Closed forms of either flavor get a verdict on the whole real line.
     """
     if n_points < 2:
         raise InvalidArgument(f"classify_wiener needs at least 2 frequencies, got {n_points}")
     _require_normalized(kernel, settings)
-    xi = np.linspace(-settings.freq_window, settings.freq_window, n_points)
+    xi = np.linspace(-FREQ_WINDOW, FREQ_WINDOW, n_points)
     values = transform_grid(kernel, xi)
     form = kernel.additive_form()
     if form is not None:
-        verdict = _rational_verdict(form, settings)
+        verdict = _rational_verdict(form)
     else:
-        xi, values, verdict = _window_verdict(kernel, xi, values, settings)
+        xi, values, verdict = _window_verdict(kernel, xi, values)
     return SpectrumProfile(xi, values, float(np.abs(values).min()), verdict)
 
 
@@ -272,7 +272,8 @@ class ReflectionReport:
 
 def dual_transform_identity_check(kernel: Kernel, settings: Settings = DEFAULT,
                                   n_points: int = 81) -> ReflectionReport:
-    """Check that reflecting the kernel flips the sign of the frequency.
+    """Check that reflecting the kernel flips the sign of the frequency, on
+    ``n_points`` frequencies of [-FREQ_WINDOW, FREQ_WINDOW].
 
     The reflected kernel lives on the negative half-line; its transform at
     xi, int_0^inf phi(t) e^(i xi t) dt, is ``transform_numeric`` at -xi
@@ -284,7 +285,7 @@ def dual_transform_identity_check(kernel: Kernel, settings: Settings = DEFAULT,
     if n_points < 1:
         raise InvalidArgument(
             f"dual_transform_identity_check needs at least 1 frequency, got {n_points}")
-    xi = np.linspace(-settings.freq_window, settings.freq_window, n_points)
+    xi = np.linspace(-FREQ_WINDOW, FREQ_WINDOW, n_points)
     lhs = transform_numeric(kernel, -xi, settings)
     rhs = transform_grid(kernel, -xi)
     dev = float(np.max(np.abs(lhs - rhs)))

@@ -375,26 +375,19 @@ def test_config_file_overlay(runner, tmp_path):
     assert res.exit_code == 0
 
 
-# a ladder that does not grow, or a one-point plateau window, reports
-# "converged" at once (sin x M gave 0.2985 where the limit is 0); iterates
-# run as kernel powers, so the nested-cache grid size is an unknown key; a
-# negative pass limit or a string budget crashed mid-run with a traceback,
-# and a negative frequency window "certified" with a negative margin
+# a ladder that does not grow reports "converged" at once (sin x M gave
+# 0.2985 where the limit is 0); iterates run as kernel powers, so the
+# nested-cache grid size is an unknown key; a string budget crashed mid-run
+# with a traceback
 @pytest.mark.parametrize("bad", [
     {"no_such_knob": 1},
     {"iterate_cache_points": 4096},
     {"ladder_ratio": 1.0},
     {"ladder_ratio": 0.5},
-    {"plateau_window": 1},
-    {"plateau_window": 2.5},
-    {"ladder_x0": 0.0},
     {"ladder_max_steps": 0},
     {"ladder_max_steps": 3.0},
-    {"grid_pass_limit": -1},
     {"max_evals": "1e5"},
     {"max_evals": 0},
-    {"freq_window": -5},
-    {"refine_max_iter": 0},
     {"tol_limit_scale": float("inf")},
     {"tol_quad": float("inf")},
     {"ladder_ratio": float("inf")},
@@ -409,17 +402,33 @@ def test_config_file_rejects_bad_settings(runner, tmp_path, bad):
     assert "error:" in res.output and "Traceback" not in res.output
 
 
-def test_config_file_naming_a_removed_setting_is_an_error(runner, tmp_path):
-    # sampled convolutions are exact, so the trapezoid grid's window
-    # x_max_quad is no longer a setting: a config file naming it is refused
+# sampled convolutions are exact, so the trapezoid grid's window x_max_quad
+# is no longer a setting; nor are the fixed policies that no caller varied,
+# now module constants: the values that once crashed mid-run (a negative
+# pass limit), "certified" with a negative margin (a negative frequency
+# window) or "converged" at once (a one-point plateau window) are refused
+# with every other value of those keys
+@pytest.mark.parametrize("old", [
+    {"x_max_quad": 60.0},
+    {"plateau_window": 1},
+    {"plateau_window": 2.5},
+    {"ladder_x0": 0.0},
+    {"grid_pass_limit": -1},
+    {"freq_window": -5},
+    {"refine_max_iter": 0},
+    {"zero_epsilon": 1e-9},
+    {"mass_epsilon": 1e-10},
+])
+def test_config_file_naming_a_removed_setting_is_an_error(runner, tmp_path, old):
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({"x_max_quad": 60.0}))
-    res = runner.invoke(main, ["--config", str(path), "sum",
-                               "--kernel", "catalog:power_law(1)", "--function", "one"])
-    _assert_one_error_line(res)
-    lines = res.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: unknown config keys")
-    assert "x_max_quad" in lines[0] and "Traceback" not in res.output
+    path.write_text(json.dumps(old))
+    for argv in (["sum", "--kernel", "catalog:power_law(1)", "--function", "one"],
+                 ["classify", "catalog:exponential(1)"]):
+        res = runner.invoke(main, ["--config", str(path), *argv])
+        _assert_one_error_line(res)
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: unknown config keys")
+        assert lines[0].endswith(str(sorted(old))) and "Traceback" not in res.output
 
 
 # library callers meet the config file's check: DEFAULT.replace with a NaN
@@ -428,7 +437,7 @@ def test_config_file_naming_a_removed_setting_is_an_error(runner, tmp_path):
     {"tol_limit_scale": float("nan")},
     {"tol_quad": float("inf")},
     {"ladder_ratio": 1.0},
-    {"plateau_window": True},
+    {"ladder_max_steps": True},
     {"max_evals": "1e5"},
 ])
 def test_settings_check_their_own_bounds(bad):

@@ -36,8 +36,17 @@ SETTLE_MUL = corpus_map()[("settle", Flavor.MULTIPLICATIVE)]
 
 def _undeclared(f):
     """f without its oscillation declaration: its additive windows run on panels,
-    floored at its noise, which is what the ``undeclared`` twins below guard."""
+    floored at its noise, which is what the ``declared=False`` cases below guard."""
     return dataclasses.replace(f, oscillation=None)
+
+
+# the floor tests below run each function as declared, and undeclared on panels
+DECLARED = pytest.mark.parametrize("declared", [True, False],
+                                   ids=["declared", "undeclared"])
+
+
+def _as_declared(f, declared: bool):
+    return f if declared else _undeclared(f)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +179,17 @@ OFFGRID_XS = (2.0 ** 24 + 0.3, 2.0 ** 27, 1.5 * 2.0 ** 29, 2.0 ** 30)
 OFFGRID_METHODS = ("S_exp1", "S*_exp1", "S_ce1")
 
 
+@DECLARED
 @pytest.mark.parametrize("name", OFFGRID_METHODS)
-def test_noise_floored_windows_stay_accurate_off_the_grid(name):
-    # the floor lifts the quadrature target to noise * ||phi||_1, up to
-    # 2.2e-6 here; the averaging head must still bring each value within the
-    # per-point target, and at bounded cost
+def test_noise_floored_windows_stay_accurate_off_the_grid(name, declared):
+    # on panels the floor lifts the quadrature target to noise * ||phi||_1,
+    # up to 2.2e-6 here; the averaging head must still bring each value
+    # within the per-point target, and at bounded cost
     method = method_catalog()[name]
     kernel = method.kernel
     kernel.l1_norm()
     for omega in OFFGRID_OMEGAS:
-        f = corpus._char_additive(omega)
+        f = _as_declared(corpus._char_additive(omega), declared)
         window = engine._make_evaluator(kernel, f, method.variant, DEFAULT)
         for x in OFFGRID_XS:
             start = counter.count
@@ -189,29 +199,13 @@ def test_noise_floored_windows_stay_accurate_off_the_grid(name):
             assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), (omega, x)
 
 
-@pytest.mark.parametrize("name", OFFGRID_METHODS)
-def test_noise_floored_windows_stay_accurate_off_the_grid_undeclared(name):
-    # the test above on panels: floored at the noise, up to 2.2e-6 here
-    method = method_catalog()[name]
-    kernel = method.kernel
-    kernel.l1_norm()
-    for omega in OFFGRID_OMEGAS:
-        f = _undeclared(corpus._char_additive(omega))
-        window = engine._make_evaluator(kernel, f, method.variant, DEFAULT)
-        for x in OFFGRID_XS:
-            start = counter.count
-            got = window(x)
-            assert counter.count - start <= 1e5, (omega, x)
-            want = character_reference(kernel.additive_form(), omega, x, method.variant)
-            assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), (omega, x)
-
-
-def test_character_ladder_past_the_noise_floor_stays_cheap():
+@DECLARED
+def test_character_ladder_past_the_noise_floor_stays_cheap(declared):
     # the K ladder on char_1 out to x = 2^30 stays cheap and every value
-    # within the per-point target.  It does not guard the floor: with
-    # noise=None the G20/K41 panels take 2.1e4 evaluations here too (the
-    # floor's guard is the sin_sq test below)
-    f = corpus_map()[("char_1", Flavor.ADDITIVE)]
+    # within the per-point target.  It does not guard the floor: on panels,
+    # floored past x ~ 2^26, and with noise=None the G20/K41 panels take
+    # 2.1e4 evaluations here too (the floor's guard is the sin_sq test below)
+    f = _as_declared(corpus_map()[("char_1", Flavor.ADDITIVE)], declared)
     method = method_catalog()["K"]
     res = estimate_limit(method, f, DEFAULT)
     assert res.trace[-1][0] == 2.0 ** 30
@@ -221,27 +215,16 @@ def test_character_ladder_past_the_noise_floor_stays_cheap():
         assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), x
 
 
-def test_character_ladder_past_the_noise_floor_stays_cheap_undeclared():
-    # the test above on panels, floored past x ~ 2^26 (unfloored they take
-    # 2.1e4 evaluations here too)
-    f = _undeclared(corpus_map()[("char_1", Flavor.ADDITIVE)])
-    method = method_catalog()["K"]
-    res = estimate_limit(method, f, DEFAULT)
-    assert res.trace[-1][0] == 2.0 ** 30
-    assert res.evaluations <= 1e5
-    for x, got in res.trace:
-        want = character_reference(method.kernel.additive_form(), 1.0, x, method.variant)
-        assert abs(got - want) <= DEFAULT.tol_quad * (1 + f.bound), x
-
-
+@DECLARED
 @pytest.mark.parametrize("label, apply, budget", [("S_exp2", apply_forward, 1e6),
                                                   ("S*_exp1", apply_dual, 2e6)])
-def test_sin_sq_window_is_cheap_at_its_noise_floor(label, apply, budget):
+def test_sin_sq_window_is_cheap_at_its_noise_floor(label, apply, budget, declared):
     # at x = 2^14 sin(t^2) is accurate only to about 3 t^2 eps; floored, the
-    # windows take 6.0e5 (forward) and 1.0e6 (dual) evaluations.  Without the
-    # floor the forward window bisects that rounding for 1.4e7 evaluations
-    # and the dual one spends the 6e7 budget and raises QuadratureFailed
-    f = corpus_map()[("sin_sq", Flavor.ADDITIVE)]
+    # panels' windows take 6.0e5 (forward) and 1.0e6 (dual) evaluations.
+    # Without the floor the forward window bisects that rounding for 1.4e7
+    # evaluations and the dual one spends the 6e7 budget and raises
+    # QuadratureFailed
+    f = _as_declared(corpus_map()[("sin_sq", Flavor.ADDITIVE)], declared)
     kernel = method_catalog()[label].kernel
     kernel.l1_norm()
     start = counter.count
@@ -249,34 +232,14 @@ def test_sin_sq_window_is_cheap_at_its_noise_floor(label, apply, budget):
     assert counter.count - start <= budget
 
 
-@pytest.mark.parametrize("label, apply, budget", [("S_exp2", apply_forward, 1e6),
-                                                  ("S*_exp1", apply_dual, 2e6)])
-def test_sin_sq_window_is_cheap_at_its_noise_floor_undeclared(label, apply, budget):
-    # the test above on panels, which the floor holds within the budget
-    f = _undeclared(corpus_map()[("sin_sq", Flavor.ADDITIVE)])
-    kernel = method_catalog()[label].kernel
-    kernel.l1_norm()
-    start = counter.count
-    apply(kernel, f, 2.0 ** 14)
-    assert counter.count - start <= budget
-
-
+@DECLARED
 @pytest.mark.parametrize("label", ["S_exp2", "S*_exp1"])
-def test_sin_sq_converges_past_its_rounding_noise(label):
+def test_sin_sq_converges_past_its_rounding_noise(label, declared):
     # sin(t^2) is accurate only to about t^2 eps, so past x ~ 2^14 no panel's
     # error estimate meets an unfloored target and a point spends the 6e7
-    # budget.  The limit is 0 (S_exp1's known value, and both kernels'
-    # transforms have no real zero)
-    f = corpus_map()[("sin_sq", Flavor.ADDITIVE)]
-    res = estimate_limit(method_catalog()[label], f, DEFAULT)
-    assert res.status is Status.CONVERGED
-    assert abs(res.estimate) <= res.tolerance_used
-
-
-@pytest.mark.parametrize("label", ["S_exp2", "S*_exp1"])
-def test_sin_sq_converges_past_its_rounding_noise_undeclared(label):
-    # the test above on panels: past x ~ 2^14 only the floor ends each point
-    f = _undeclared(corpus_map()[("sin_sq", Flavor.ADDITIVE)])
+    # budget: on panels only the floor ends each point.  The limit is 0
+    # (S_exp1's known value, and both kernels' transforms have no real zero)
+    f = _as_declared(corpus_map()[("sin_sq", Flavor.ADDITIVE)], declared)
     res = estimate_limit(method_catalog()[label], f, DEFAULT)
     assert res.status is Status.CONVERGED
     assert abs(res.estimate) <= res.tolerance_used
@@ -853,27 +816,13 @@ def test_sampled_dual_matches_closed_form():
         assert abs(apply_dual(k, SIN_ADD, x) - apply_dual(exponential(1.0), SIN_ADD, x)) < 1e-6, x
 
 
-def test_sampled_window_past_the_noise_floor_stays_cheap():
+@DECLARED
+def test_sampled_window_past_the_noise_floor_stays_cheap(declared):
     # past the window's cut the value is e^{ix} C for a constant C, so the
     # point x = 2^20, below the floor, gives every other value.  Without the
     # floor, panels one grid cell long bisect the ulp(x) staircase for
     # 5e5-5e6 evaluations per point at x = 2^28-2^30
-    f = corpus_map()[("char_1", Flavor.ADDITIVE)]
-    kernel = _sampled_exp()
-    kernel.l1_norm()
-    for variant in Variant:
-        window = engine._make_evaluator(kernel, f, variant, DEFAULT)
-        c = window(2.0 ** 20) * np.exp(-1j * 2.0 ** 20)
-        for x in (2.0 ** 28, 2.0 ** 29, 2.0 ** 30):
-            start = counter.count
-            got = window(x)
-            assert counter.count - start <= 5e4, (variant, x)
-            assert abs(got - np.exp(1j * x) * c) <= DEFAULT.tol_quad * (1 + f.bound), (variant, x)
-
-
-def test_sampled_window_past_the_noise_floor_stays_cheap_undeclared():
-    # the test above on panels one grid cell long, which the floor holds cheap
-    f = _undeclared(corpus_map()[("char_1", Flavor.ADDITIVE)])
+    f = _as_declared(corpus_map()[("char_1", Flavor.ADDITIVE)], declared)
     kernel = _sampled_exp()
     kernel.l1_norm()
     for variant in Variant:
@@ -900,6 +849,23 @@ def test_declared_character_windows_cost_no_evaluation():
             window(x)
         forward(2.0 ** 30)
         assert counter.count == start, label
+
+
+def test_real_declared_windows_stay_real():
+    # a real declaration on a real body has a real window, as on panels: the
+    # transform's rounding left imaginary parts of about 1e-17 (-0.0424+1.5e-17j
+    # for the first value, -5.0e-17j on the dual of the sampled e^-u)
+    u = np.linspace(0.0, 40.0, 512)
+    sampled = normalize(sampled_kernel(u, np.exp(-u), Flavor.ADDITIVE))
+    values = [apply_forward(exponential(1.0), SIN_ADD, 4.0), apply_dual(sampled, SIN_ADD, 4.0),
+              apply_forward(sampled, SIN_ADD, 100.0)]
+    res = estimate_limit(method_catalog()["S_exp1"], SIN_ADD, DEFAULT)
+    values += [v for _, v in res.trace]
+    assert len(values) == 3 + 29
+    assert all(complex(v).imag == 0 for v in values)
+    # a complex declaration keeps its imaginary part
+    char_1 = corpus_map()[("char_1", Flavor.ADDITIVE)]
+    assert complex(apply_forward(exponential(1.0), char_1, 4.0)).imag != 0
 
 
 @pytest.mark.parametrize("label, limit", [("sin", 0.0), ("blocks", 0.5)])

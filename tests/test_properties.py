@@ -13,7 +13,7 @@ from halfsum.corpus import method_catalog
 from halfsum.engine import Status, Variant, embed_sequence, estimate_limit, method_Mr
 from halfsum.engine import TestFunction as Probe
 from halfsum.exppoly import ExpPoly, Term
-from halfsum.kernels import (Flavor, convolve, counterexample_additive,
+from halfsum.kernels import (MASS_EPSILON, Flavor, convolve, counterexample_additive,
                              counterexample_multiplicative, evaluate, exponential,
                              finite_mixture, normalize, parse_kernel_arg, power, power_law,
                              sampled_kernel)
@@ -46,7 +46,7 @@ def test_transform_of_convolution_is_product(r1, r2, xi):
 @given(st.lists(st.tuples(coeffs, rates), min_size=1, max_size=3))
 def test_normalize_yields_unit_mass(parts):
     k = finite_mixture([(c, exponential(r)) for c, r in parts], Flavor.ADDITIVE)
-    if abs(k.mass()) <= DEFAULT.mass_epsilon:
+    if abs(k.mass()) <= MASS_EPSILON:
         return  # degenerate mixtures are rejected elsewhere
     assert abs(normalize(k).mass() - 1.0) < 1e-9
 

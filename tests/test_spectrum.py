@@ -144,7 +144,7 @@ def test_classify_exponential_is_analytic():
     profile = classify_wiener(exponential(1.0))
     assert profile.verdict.kind == "nonvanishing_on_window"
     # N = 1 and |Q| = |1 + i xi| <= 1 + W on the window |xi| <= W
-    assert abs(profile.verdict.margin - 1.0 / (1.0 + DEFAULT.freq_window)) < 1e-15
+    assert abs(profile.verdict.margin - 1.0 / (1.0 + spectrum.FREQ_WINDOW)) < 1e-15
     # analytic margin is a true lower bound on the grid
     assert profile.min_modulus >= profile.verdict.margin - 1e-12
 
@@ -167,15 +167,15 @@ def test_refinement_batches_its_probes(sampled, monkeypatch):
     calls = []
     monkeypatch.setattr(spectrum, "transform_grid",
                         lambda k, xi: calls.append(np.size(xi)) or transform_grid(k, xi))
-    at, modulus = spectrum._refine_minimum(kernel, 0.9, 1.1, DEFAULT.refine_max_iter)
+    at, modulus = spectrum._refine_minimum(kernel, 0.9, 1.1)
     assert calls == [129] * 6
     assert abs(modulus - abs(transform_grid(kernel, np.array([at]))[0])) < 1e-15
     if not sampled:
-        assert abs(at - 1.0) < 0.2 * (2.0 / 3.0) ** DEFAULT.refine_max_iter
-        assert modulus < DEFAULT.zero_epsilon
+        assert abs(at - 1.0) < 0.2 * (2.0 / 3.0) ** 60
+        assert modulus < spectrum.ZERO_EPSILON
     calls.clear()
     classify_wiener(kernel)
-    assert len(calls) <= 1 + 6 + DEFAULT.grid_pass_limit
+    assert len(calls) <= 1 + 6 + spectrum.GRID_PASSES
 
 
 def test_classify_mixture_certifies_window():
@@ -232,7 +232,7 @@ def test_closed_form_verdict_from_the_rational_transform(expr, monkeypatch):
         assert 0 < profile.verdict.margin <= profile.min_modulus
     else:
         assert abs(profile.verdict.zero_at - zero_at) < tol
-        assert profile.verdict.zero_modulus < DEFAULT.zero_epsilon
+        assert profile.verdict.zero_modulus < spectrum.ZERO_EPSILON
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -367,4 +367,4 @@ def test_sampled_triangle_has_its_zeros_found():
     assert verdict.kind == "zero_found"
     k = verdict.zero_at / (2.0 * np.pi)
     assert round(k) != 0 and abs(k - round(k)) < 1e-9
-    assert verdict.zero_modulus < DEFAULT.zero_epsilon
+    assert verdict.zero_modulus < spectrum.ZERO_EPSILON
