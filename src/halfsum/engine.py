@@ -63,9 +63,9 @@ stable spread across two doubling windows, and everything else is
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -678,12 +678,12 @@ def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> comple
     return val
 
 
-def _dyadic_pieces(a: float):
-    """[a, 2^(m+1)], [2^(m+1), 2^(m+2)], ... as (lo, hi, m), with 2^m <= a < 2^(m+1)."""
+def _dyadic_pieces(a: float, b: float = math.inf):
+    """[a, 2^(m+1)], [2^(m+1), 2^(m+2)], ..., [2^n, b] as (lo, hi, m), with 2^m <= a < 2^(m+1)."""
     m = math.frexp(a)[1] - 1
     lo = a
-    while True:
-        hi = 2.0 ** (m + 1)
+    while lo < b:
+        hi = min(2.0 ** (m + 1), b) if m < 1023 else b      # 2^1024 overflows
         yield lo, hi, m
         lo, m = hi, m + 1
 
@@ -731,8 +731,7 @@ class _MultClosed:
 
     def __call__(self, x: float) -> complex:
         if self.sign > 0:
-            pieces = itertools.takewhile(lambda piece: piece[0] < x, _dyadic_pieces(1.0))
-            return complex(sum((self._piece(x, lo, min(hi, x), m) for lo, hi, m in pieces),
+            return complex(sum((self._piece(x, lo, hi, m) for lo, hi, m in _dyadic_pieces(1.0, x)),
                                0.0 + 0.0j))
         if x > self.EDGE_CAP:
             raise QuadratureFailed(f"dual window at x={x:g} starts past the segment "
@@ -863,16 +862,27 @@ def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
 
     The only place that picks a multiplicative operator's coordinate: t for
     closed forms on sequences and on functions that oscillate in t, otherwise
-    the additive operator at log x.
+    the additive operator at log x.  A value that is not finite (past x ~ 1e300
+    exact phases overflow in ``_split``), or an x that overflowed to inf,
+    raises :class:`QuadratureFailed`.
     """
     _check_domain(kernel, f)
-    if kernel.flavor is Flavor.ADDITIVE:
-        return _AddWindow(kernel, f, variant, settings)
     form = kernel.additive_form()
-    if form is not None and (f.sequence is not None or f.osc_scale != "log"):
-        return _MultClosed(form, f, variant, settings)
-    additive = _AddWindow(to_additive(kernel), transport_function(f), variant, settings)
-    return lambda x: additive(math.log(x))
+    if kernel.flavor is Flavor.ADDITIVE:
+        window = _AddWindow(kernel, f, variant, settings)
+    elif form is not None and (f.sequence is not None or f.osc_scale != "log"):
+        window = _MultClosed(form, f, variant, settings)
+    else:
+        additive = _AddWindow(to_additive(kernel), transport_function(f), variant, settings)
+        window = lambda x: additive(math.log(x))
+
+    def evaluate(x: float) -> complex:
+        value = window(x) if x < math.inf else math.nan
+        if not cmath.isfinite(value):
+            raise QuadratureFailed(f"the window value at x={x:g} is not finite", interval=(x, x))
+        return value
+
+    return evaluate
 
 
 def apply_forward(kernel: Kernel, f: TestFunction, x: float,
@@ -1020,10 +1030,7 @@ def estimate_limit(method: MethodDescriptor, f: TestFunction,
     amplitude = 0.0
 
     x = LADDER_X0
-    for j in range(settings.ladder_max_steps + 1):
-        if x <= kernel.support_origin():
-            x *= settings.ladder_ratio
-            continue
+    for _ in range(settings.ladder_max_steps + 1):
         try:
             v = evaluator(float(x))
         except QuadratureFailed:

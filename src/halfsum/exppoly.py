@@ -7,11 +7,14 @@ convolution, powers, masses and Fourier transforms of catalog kernels are all
 exact here.  Convolution is done in the transform domain: each term is a
 rational function ``C / (z - mu)**a`` of ``z = i*xi``, products of such terms
 are split by partial fractions, or for near-equal rates expanded in a series
-about one pole, and mapped back.
+about one pole, and mapped back.  Every exact integral of a polynomial times
+an exponential is ``_tail`` (a term on a half-line) or ``_cell_moments`` (a cell).
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,8 +59,6 @@ class ExpPoly:
     def __init__(self, terms):
         merged: dict[tuple, complex] = {}
         for t in terms:
-            if not isinstance(t, Term):
-                t = Term(complex(t[0]), int(t[1]), complex(t[2]))
             key = (t.power, t.rate)
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(t.coef)
         # a term is dropped when its L1 norm |c| p! / (-Re mu)^(p+1), not its
@@ -112,36 +113,18 @@ class ExpPoly:
 
     def moment(self, j: int) -> complex:
         """int_0^inf x^j f(x) dx = sum c (p + j)! / (-mu)^(p + j + 1)."""
-        return complex(sum(t.coef * math.factorial(t.power + j) / (-t.rate) ** (t.power + j + 1)
-                           for t in self.terms))
-
-    def antiderivative(self, x):
-        """F(x) = integral of the function from 0 to x, vectorized."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for t in self.terms:
-            # int_0^x s^p e^{mu s} ds
-            p, mu = t.power, t.rate
-            acc = np.zeros(x.shape, dtype=complex)
-            # e^{mu x} * sum_{i=0..p} (-1)^i p!/(p-i)! x^{p-i} / mu^{i+1}, minus value at 0
-            for i in range(p + 1):
-                acc += ((-1) ** i * math.factorial(p) / math.factorial(p - i)
-                        * x ** (p - i) / mu ** (i + 1))
-            at0 = (-1) ** p * math.factorial(p) / mu ** (p + 1)
-            out += t.coef * (np.exp(mu * x) * acc - at0)
-        return out if out.ndim else complex(out)
+        return complex(sum(t.coef * _tail(t.power + j, t.rate, 0.0) for t in self.terms))
 
     def integral(self, a: float, b: float) -> complex:
-        return complex(self.antiderivative(b) - self.antiderivative(a))
+        return self.tail_integral(a) - self.tail_integral(b)
 
     def tail_integral(self, a: float) -> complex:
         """Integral over [a, inf)."""
-        return self.mass() - complex(self.antiderivative(a))
+        return complex(sum(t.coef * _tail(t.power, t.rate, a) for t in self.terms))
 
     def abs_tail_bound(self, a: float) -> float:
         """Upper bound on the integral of |f| over [a, inf)."""
-        return float(sum(abs(t.coef) * _poly_exp_tail(t.power, -t.rate.real, a)
-                         for t in self.terms))
+        return float(sum(abs(t.coef) * _tail(t.power, t.rate.real, a) for t in self.terms))
 
     def support_cutoff(self, eps: float) -> float:
         """Smallest point of the grid 1.25^n beyond which the absolute tail is below eps."""
@@ -175,26 +158,67 @@ class ExpPoly:
                 out.extend(_pole_product(c1 * c2, t1.rate, a, t2.rate, b))
         return ExpPoly(out)
 
-    def power(self, k: int) -> "ExpPoly":
-        if k < 1:
-            raise InvalidKernel("convolution power requires k >= 1")
-        result = self
-        for _ in range(k - 1):
-            result = result.convolve(self)
-        return result
-
     def __repr__(self):
         body = " + ".join(f"({t.coef:.6g})*x^{t.power}*exp({t.rate:.6g}x)" for t in self.terms)
         return f"ExpPoly[{body or '0'}]"
 
 
-def _poly_exp_tail(p: int, lam: float, a: float) -> float:
-    """int_a^inf t^p e^{-lam t} dt for lam > 0, a >= 0."""
-    # e^{-lam a} * sum_{i=0..p} p!/(p-i)! a^{p-i} / lam^{i+1}
-    acc = 0.0
-    for i in range(p + 1):
-        acc += math.factorial(p) / math.factorial(p - i) * a ** (p - i) / lam ** (i + 1)
-    return math.exp(-lam * a) * acc
+def _tail(p: int, mu: complex, a: float) -> complex:
+    """int_a^inf t^p e^(mu t) dt = e^(mu a) sum_k p!/k! a^k / (-mu)^(p - k + 1), Re mu < 0, a >= 0.
+
+    By Horner's rule in a; ``math.exp`` and a float for a real rate, ``cmath.exp`` otherwise.
+    """
+    mu = mu.real if mu.imag == 0 else mu
+    scale = (cmath.exp if mu.imag else math.exp)(mu * a)
+    r = -1.0 / mu
+    acc, s = 0.0, r
+    for k in range(p, -1, -1):
+        acc = acc * a + s      # s = p!/k! r^(p - k + 1)
+        s *= k * r
+    return scale * acc
+
+
+def _cell_moments(z: np.ndarray, jmax: int, pmax: int) -> np.ndarray:
+    """M[j, p, i] = int_0^1 (1 - s)^j s^p e^(z_i s) ds for a 1-D array z, Re z <= 0.
+
+    Below |z| = r = max(1/2, (jmax + pmax) / 2), where closed forms cancel,
+    the Taylor series sum_m z^m / m! j! (p + m)! / (j + p + m + 1)! up to its
+    first term below 1e-20.  From r on, M[0, p] = I_p = int_0^1 s^p e^(z s) ds
+    from I_0 = (e^z - 1) / z by the upward recurrence I_p = (e^z - p I_(p-1)) / z,
+    which loses at most p! / r^p <= 2, and M[j, p] = M[j-1, p] - M[j-1, p+1].
+    Closed forms run in place on every point; the series overwrites its own.
+    """
+    width = jmax + pmax + 1
+    out = np.empty((jmax + 1, width, z.size), dtype=np.result_type(z, float))
+    r = max(0.5, (jmax + pmax) / 2)
+    small = np.flatnonzero(np.abs(z) < r)
+    if small.size < z.size:
+        # z = 0, a series point, is NaN here until the series overwrites it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e, inv, rising = np.exp(z), 1.0 / z, out[0]
+            np.subtract(e, 1.0, out=rising[0])
+            rising[0] *= inv
+            for p in range(1, width):
+                np.multiply(rising[p - 1], -p, out=rising[p])
+                rising[p] += e
+                rising[p] *= inv
+            for j in range(1, jmax + 1):
+                np.subtract(out[j - 1, :width - j], out[j - 1, 1:width - j + 1],
+                            out=out[j, :width - j])
+    out = out[:, :pmax + 1]
+    if small.size:
+        top = np.abs(z[small]).max()
+        terms = next(n for n in itertools.count(1) if top ** n / math.factorial(n) < 1e-20)
+        # term m over term m - 1 is z (p + m) / (m (j + p + m + 1))
+        j, p, m = np.arange(jmax + 1)[:, None], np.arange(pmax + 1), np.arange(terms)[:, None, None]
+        series = (p + m) / (np.maximum(m, 1) * (j + p + m + 1))
+        series[0] = [[math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+                      for b in range(pmax + 1)] for a in range(jmax + 1)]
+        zs, acc = z[small], 0.0
+        for c in np.cumprod(series, axis=0)[::-1]:
+            acc = acc * zs + c[..., None]
+        out[..., small] = acc
+    return out
 
 
 def _pole_product(coef: complex, u: complex, a: int, v: complex, b: int):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import (ConfigError, DegenerateKernel, FlavorMismatch,
                      InvalidArgument, InvalidKernel, QuadratureFailed)
-from .exppoly import ExpPoly, Term, _real_if_exact
+from .exppoly import ExpPoly, Term, _cell_moments, _real_if_exact
 from .quadrature import (_fft_convolve, _is_uniform, fourier_piecewise_linear,
                          integrate_adaptive)
 
@@ -220,47 +219,11 @@ def _cell_product_weights(da: int, db: int):
     return at, before
 
 
-def _cell_moments(z: np.ndarray, jmax: int, pmax: int) -> np.ndarray:
-    """M[j, p, i] = int_0^1 (1 - s)^j s^p e^(z_i s) ds for a 1-D array z, Re z <= 0.
-
-    Below |z| = r = max(1/2, (jmax + pmax) / 2), where closed forms cancel,
-    the Taylor series sum_m z^m / m! j! (p + m)! / (j + p + m + 1)! up to its
-    first term below 1e-20; from r on, M[j, p] = sum_a C(j, a) (-1)^a I_(p+a)
-    with I_i = int_0^1 s^i e^(z s) ds from I_0 = (e^z - 1) / z by the upward
-    recurrence I_i = (e^z - i I_(i-1)) / z, which loses at most i! / r^i <= 2.
-    """
-    out = np.empty((jmax + 1, pmax + 1, z.size), dtype=np.result_type(z, float))
-    r = max(0.5, (jmax + pmax) / 2)
-    small = np.abs(z) < r
-    top = np.abs(z[small]).max(initial=0.0)
-    terms = next(n for n in itertools.count(1) if top ** n / math.factorial(n) < 1e-20)
-    # term m over term m - 1 is z (p + m) / (m (j + p + m + 1))
-    j, p, m = np.arange(jmax + 1)[:, None], np.arange(pmax + 1), np.arange(terms)[:, None, None]
-    series = (p + m) / (np.maximum(m, 1) * (j + p + m + 1))
-    series[0] = [[math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
-                  for b in range(pmax + 1)] for a in range(jmax + 1)]
-    series = np.cumprod(series, axis=0)
-    zs, acc = z[small], 0.0
-    for c in series[::-1]:
-        acc = acc * zs + c[..., None]
-    out[..., small] = acc
-    large = ~small
-    e, inv = np.exp(z[large]), 1.0 / z[large]
-    rising = [(e - 1.0) * inv]
-    for i in range(1, jmax + pmax + 1):
-        rising.append((e - i * rising[-1]) * inv)
-    for j in range(jmax + 1):
-        for p in range(pmax + 1):
-            out[j, p, large] = sum((math.comb(j, a) * (-1) ** a * rising[p + a]
-                                    for a in range(1, j + 1)), rising[p])
-    return out
-
-
 class _CellsTimesForm:
     """P * form for a piecewise polynomial P (``_Cells``) and an ``ExpPoly``, exact at any x.
 
     Each cell is integrated exactly against the form's terms c s^p e^(mu s),
-    one rate at a time, with M the ``_cell_moments``.  Cell k, ending at
+    one rate at a time, with M the ``exppoly._cell_moments``.  Cell k, ending at
     g_(k+1) = x - D, gives h e^(mu D) sum_q C(p, q) D^(p - q) h^q
     sum_j c_j[k] M[j, q](mu h): weights at node k + 1 that ``_node_sums``
     carries to every node at once.  With g_K the last node <= x and

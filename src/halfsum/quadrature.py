@@ -14,10 +14,11 @@ Three tools:
   because the benchmark's tracer (``perfbench/tracing.py``) wraps its
   ``value_to``.
 * :func:`fourier_piecewise_linear` — exact Fourier integral of a piecewise
-  linear interpolant on a uniform grid (Filon-type), used for transforms of
-  sampled kernels.  It takes a whole frequency array at once: equally spaced
-  frequencies go through blocked chirp-z transforms, any other frequencies
-  through a blocked direct product.
+  linear interpolant on a uniform grid (Filon-type, its two cell weights
+  from ``exppoly._cell_moments``), used for transforms of sampled kernels.
+  It takes a whole frequency array at once: equally spaced frequencies go
+  through blocked chirp-z transforms, any other frequencies through a
+  blocked direct product.
 * :func:`trapezoid_convolution` — trapezoid rule for the half-line
   convolution of two functions sampled on one uniform grid, at every node
   from one zero-padded FFT product (``_fft_convolve``, which also multiplies
@@ -40,6 +41,7 @@ from numpy.fft import fft, ifft, irfft, rfft
 
 from .config import DEFAULT
 from .errors import QuadratureFailed
+from .exppoly import _cell_moments
 
 # Gauss-Kronrod G20/K41 (QUADPACK qk41, Piessens et al. 1983): the Kronrod
 # nodes from the right end to the centre with their weights, and the weights
@@ -268,12 +270,6 @@ class RunningIntegral:
         return self.total
 
 
-# Filon weights use their Taylor series for |xi h| below _SERIES_W, where the
-# closed forms cancel; the first omitted term is below 1e-19 at |xi h| = 0.5
-_SERIES_W = 0.5
-_SERIES_TERMS = 16
-_E0_SERIES = np.array([1.0 / math.factorial(n + 1) for n in range(_SERIES_TERMS)])
-_E1_SERIES = np.array([1.0 / (math.factorial(n) * (n + 2)) for n in range(_SERIES_TERMS)])
 # chirp-z blocks hold max(_CZT_BLOCK, N) frequencies: chirp phase rounding grows
 # with the square of the longest chirp, max(block, N), and each block costs one
 # FFT of length N + block.  With N = 32767 samples: 2e-13 for one block of
@@ -295,28 +291,6 @@ def _fast_len(n: int) -> int:
             odd *= 3
         fives *= 5
     return best
-
-
-def _filon_weights(xi: np.ndarray, h: float):
-    """``e0 = int_0^h e^{-i xi s} ds`` and ``e1 = int_0^h s e^{-i xi s} ds`` per frequency."""
-    w = xi * h
-    e0 = np.empty(xi.shape, dtype=complex)
-    e1 = np.empty(xi.shape, dtype=complex)
-    small = np.abs(w) < _SERIES_W
-    # e0/h = sum (-iw)^n/(n+1)!,  e1/h^2 = sum (-iw)^n/(n! (n+2)),  by Horner
-    z = -1j * w[small]
-    s0 = np.zeros(z.shape, dtype=complex)
-    s1 = np.zeros(z.shape, dtype=complex)
-    for c0, c1 in zip(_E0_SERIES[::-1], _E1_SERIES[::-1]):
-        s0 = s0 * z + c0
-        s1 = s1 * z + c1
-    e0[small] = h * s0
-    e1[small] = h * h * s1
-    x = xi[~small]
-    ph = np.exp(-1j * w[~small])
-    e0[~small] = (1 - ph) / (1j * x)
-    e1[~small] = ph * (1j * h / x + 1 / x ** 2) - 1 / x ** 2
-    return e0, e1
 
 
 def _is_uniform(xi: np.ndarray) -> bool:
@@ -378,8 +352,9 @@ def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray,
 
     On cell ``k`` the interpolant is ``a_k + b_k s`` with ``s = t - t_k``, so the
     transform is ``e0(xi) sum_k a_k e^{-i xi t_k} + e1(xi) sum_k b_k e^{-i xi t_k}``
-    with the Filon weights ``e0``, ``e1`` of one cell, for every frequency of
-    the 1-D array ``xi`` at once.  When ``xi`` has at least two points and
+    with the Filon weights ``e0 = h M[0, 0]``, ``e1 = h^2 M[0, 1]`` of one cell,
+    M the ``exppoly._cell_moments`` at ``-i xi h`` (h and h^2 scale the sums'
+    coefficients), for every frequency of the 1-D array ``xi`` at once.  When ``xi`` has at least two points and
     equal steps (``_is_uniform``) the two phase sums are chirp-z transforms
     over blocks of ``max(_CZT_BLOCK, N)`` frequencies, O((N + M) log(N + M))
     in all; any other ``xi`` takes a direct product, blocked so that its
@@ -387,13 +362,13 @@ def fourier_piecewise_linear(grid: np.ndarray, values: np.ndarray,
     """
     xi = np.asarray(xi, dtype=float)
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    coeffs = np.stack([values[:-1], np.diff(values) / h]).astype(complex)
+    coeffs = (h * np.stack([values[:-1], np.diff(values)])).astype(complex)
     if _is_uniform(xi):
         sums = _chirp_z_sums(coeffs, grid[0], h, xi)
     else:
         sums = _direct_sums(coeffs, grid[:-1], xi)
-    e0, e1 = _filon_weights(xi, h)
-    return e0 * sums[0] + e1 * sums[1]
+    m = _cell_moments((-1j * h) * xi, 0, 1)[0]
+    return m[0] * sums[0] + m[1] * sums[1]
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

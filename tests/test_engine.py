@@ -868,6 +868,33 @@ def test_real_declared_windows_stay_real():
     assert complex(apply_forward(exponential(1.0), char_1, 4.0)).imag != 0
 
 
+@pytest.mark.parametrize("method, function, flavor", [
+    ("S_exp1", "sin", Flavor.ADDITIVE), ("S*_exp1", "sin", Flavor.ADDITIVE),
+    ("S_ce1", "sin", Flavor.ADDITIVE), ("K", "char_1", Flavor.ADDITIVE),
+    ("M", "char_1", Flavor.MULTIPLICATIVE), ("M*_1", "char_1", Flavor.MULTIPLICATIVE)])
+def test_far_ladder_stops_at_its_first_value_that_is_not_finite(method, function, flavor):
+    # 1100 steps of 2 take x past the largest double, and exact phases
+    # overflow from x ~ 1e300: the ladder stops there and keeps its finite trace
+    res = estimate_limit(method_catalog()[method], corpus_map()[(function, flavor)],
+                         DEFAULT.replace(ladder_max_steps=1100))
+    assert res.status is Status.OSCILLATING
+    assert len(res.trace) > 900
+    assert all(np.isfinite(x) and np.isfinite(v) for x, v in res.trace)
+
+
+@pytest.mark.parametrize("kernel, function, x", [
+    (exponential(1.0), ("sin", Flavor.ADDITIVE), 2.0 ** 1000),
+    (power_law(1.0), ("alt", Flavor.MULTIPLICATIVE), 1e308)], ids=["exp1_sin", "power1_alt"])
+def test_windows_near_the_largest_double_are_finite_or_fail(kernel, function, x):
+    # a declared window's phase overflowed to NaN, and the dyadic pieces of
+    # [1, 1e308] formed 2^1024 and raised OverflowError
+    try:
+        value = apply_forward(kernel, corpus_map()[function], x)
+    except QuadratureFailed:
+        return
+    assert np.isfinite(value)
+
+
 @pytest.mark.parametrize("label, limit", [("sin", 0.0), ("blocks", 0.5)])
 def test_sampled_mean_converges_on_functions_periodic_in_t(label, limit):
     f = corpus_map()[(label, Flavor.MULTIPLICATIVE)]
