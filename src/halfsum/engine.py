@@ -17,13 +17,9 @@ ones in u = log t) every window is exact, e^(i w x) times the body's
 transform, or a closed form's exact integral below the kernel's cut; on the
 chirp sin(t^2) a closed form's window goes by parts where the chirp is fast
 (Iserles and Norsett, Proc. R. Soc. A 461, 2005).  Panels, one adaptive
-quadrature per point, integrate what is left, and all of an undeclared
-function's window; closed forms and sampled kernels differ there only in
-their cut and in the panel edges a sampled grid adds.  A function that
-declares its rounding noise gets a panel target floored at that noise, so
-windows far out, where f(x - s) rounds its argument to ulp(x), stop
-bisecting the rounding; declared windows leave panels only slow arguments,
-so the floor serves undeclared functions.
+quadrature per point, integrate what is left, all of an undeclared
+function's window, with their target floored at the function's declared
+rounding noise (``_AddWindow``).
 
 Closed forms on sequences and on functions that oscillate in t stay in t,
 in one evaluator for both variants, ``_MultClosed``.  It cuts the window at
@@ -43,7 +39,7 @@ polynomial does) takes every piece far enough out by parts instead, at a
 cost independent of the piece's length (``_ByParts``): multiplicative sin
 and cos take about 1e3 evaluations per ladder where their panels took 2e7.
 The dual's ``EDGE_CAP`` and its tail completion do not depend on the
-backend.
+backend; the completion takes a declared mean (``_MultClosed``).
 
 Composition is convolution, U_psi(U_phi f) = U_(phi * psi) f.  A method
 is one kernel: a method iterated k times is built as the method of the
@@ -110,25 +106,20 @@ class TestFunction:
     ``ORDER`` (K), ``t_min``, ``antiderivatives(t)`` (rows B_1 .. B_K for
     t >= t_min, one column per point of t, each row the derivative of the
     next), ``bound`` (on |B_K| past t_min) and ``window(shape, forward, cut,
-    target)``, the part of an additive window it gives without panels.  A
-    closed-form multiplicative operator takes the moments of every dyadic
-    piece past a reach of about 10^2-10^3 (and past t_min) by parts at a
-    fixed cost per piece, where panels cost O(piece length), and the additive
-    window leaves panels only what the declaration does not give
-    (``_AddWindow``).  ``embed_sequence(..., period=P)`` declares the period's
+    target)``, which always returns a window x -> (value, lo, hi): the part
+    of an additive window it gives without panels, and the s-range left to
+    them (all of it, ``_all_panels``, where it gives nothing).  ``_ByParts``
+    takes far moments by parts with it, ``_MultClosed`` completes a dual's
+    tail with its mean, and ``_AddWindow`` runs panels only where it leaves
+    them.  ``embed_sequence(..., period=P)`` declares the period's
     antiderivatives; ``TrigPolynomial`` declares those of sum c_k e^(i w_k t),
     as the corpus' sin, cos and characters do, and ``Chirp`` those of
     sin(t^2).  The declaration must match the evaluator, which nothing checks
     at run time.
     ``noise(t)``, when set, bounds the absolute error of the double-precision
     value at an argument near t, from the argument's rounding and from the
-    evaluation itself, and does not decrease in |t|.  The additive window's
-    panels floor their target there (``_AddWindow``); a function without it
-    has no floor, and at x >~ 2^28, where f(x - s) rounds its argument to
-    ulp(x), its windows may spend up to the ``max_evals`` budget (6e7) per
-    point bisecting that rounding.  Declared windows take no panels there, so
-    the floor serves undeclared functions (and a chirp on a body that is not
-    a closed form).
+    evaluation itself, and does not decrease in |t|: the additive window's
+    panels floor their target at it (``_AddWindow``).
     Calling it returns the evaluator's values as float64 when they are real
     and as complex128 when they are complex.
     """
@@ -201,6 +192,11 @@ class _FiniteSequence:
         return out
 
 
+def _all_panels(x: float):
+    """The window a declaration gives nothing of: value 0, and all of s left to panels."""
+    return 0.0, 0.0, math.inf
+
+
 class _PeriodicSequence:
     """a_n = values[(n - 1) mod P] for one declared period, as a vectorized callable.
 
@@ -233,18 +229,22 @@ class _PeriodicSequence:
         self.bound = float(np.abs(b).sum(axis=1).max())
 
     def __call__(self, n):
-        return self.values[(np.asarray(n, dtype=np.int64) - 1) % self.values.size]
+        return self.values[self._residue(n)]
 
     def antiderivatives(self, t: np.ndarray) -> np.ndarray:
         """B_1, ..., B_K as rows, one column per point of ``t``."""
         n = np.floor(t)
-        r = (n.astype(np.int64) - 1) % self.values.size
-        return np.einsum("kti,ti->kt", self.poly[:, r],
+        return np.einsum("kti,ti->kt", self.poly[:, self._residue(n)],
                          (t - n)[:, None] ** np.arange(self.ORDER + 1))
 
+    def _residue(self, n) -> np.ndarray:
+        """(n - 1) mod P as indices for whole n of any size: only np.mod's exact result is cast."""
+        period = self.values.size
+        return (np.mod(n, period).astype(np.intp, copy=False) - 1) % period
+
     def window(self, shape, forward: bool, cut: float, target: float):
-        """None: an additive window of a step function runs on panels."""
-        return None
+        """An additive window of a step function runs on panels."""
+        return _all_panels
 
 
 def embed_sequence(a, label: str = "sequence", period: Optional[int] = None) -> TestFunction:
@@ -311,10 +311,13 @@ def _expi(a, b):
 
 
 def _split(v):
-    """Veltkamp's split v = hi + lo, each part of at most 26 significant bits."""
+    """Veltkamp's split v = hi + lo, each part of at most 26 significant bits,
+    taken of v 2^-28 and scaled back: (2^27 + 1) v would overflow past 2^996,
+    and the scaling is exact for 2^-994 <= |v| < 2^1024 - 2^997."""
+    v = v * 2.0 ** -28
     c = 134217729.0 * v          # 2^27 + 1
     hi = c - (c - v)
-    return hi, v - hi
+    return hi * 2.0 ** 28, (v - hi) * 2.0 ** 28
 
 
 class TrigPolynomial:
@@ -378,7 +381,7 @@ class TrigPolynomial:
             near = lambda x: (cast((c * [g.integral(0.0, x) for g in shifted]) @ _expi(w, x)),
                               0.0, 0.0)
         else:
-            near = lambda x: (0.0, 0.0, x)
+            near = _all_panels
         return lambda x: whole(x) if x >= cut else near(x)
 
 
@@ -436,7 +439,7 @@ class Chirp:
         antiderivative value.
         """
         if not isinstance(shape, ExpPoly):
-            return None
+            return _all_panels
         derivs = [shape]
         for _ in range(self.ORDER):
             derivs.append(derivs[-1].derivative())
@@ -449,7 +452,7 @@ class Chirp:
 
         def forward_window(x):
             if x <= start:
-                return 0.0, 0.0, x
+                return _all_panels(x)
             counter.add(2 * self.ORDER)
             b = self.antiderivatives(np.array([x, start])) * at(np.array([0.0, x - start]))
             return complex(np.sum(b[:, 0] - b[:, 1])), x - start, x
@@ -701,9 +704,10 @@ class _MultClosed:
     The forward window sums the pieces of [1, x].  The dual one sums the
     pieces of [x, inf) until either the kernel tail is negligible or the
     pieces pass ``EDGE_CAP``; the unresolved remainder is completed by the
-    exact remaining kernel mass times the function's recent weighted average
-    (exact for functions that settle, negligible for functions whose local
-    means die out).  A dual window that starts past ``EDGE_CAP`` raises
+    exact remaining kernel mass times the function's declared mean or, if it
+    declares none, its weighted average over the last two pieces (exact for
+    functions that settle, negligible for functions whose local means die
+    out).  A dual window that starts past ``EDGE_CAP`` raises
     ``QuadratureFailed``.
     """
 
@@ -739,8 +743,7 @@ class _MultClosed:
                                    interval=(x, 2.0 * x))
         tol = self.settings.tol_quad * (1.0 + self.f.bound)
         total = 0.0 + 0.0j
-        seg_sum: list[complex] = []
-        seg_weight: list[complex] = []
+        recent = []                     # the last two pieces' (sum, kernel weight)
         for k, (lo, hi, m) in enumerate(_dyadic_pieces(x)):
             v_lo, v_hi = math.log(lo / x), math.log(hi / x)
             if self.form.abs_tail_bound(v_lo) * self.f.bound < tol:
@@ -748,14 +751,14 @@ class _MultClosed:
             if hi > self.EDGE_CAP and k >= 2:
                 break
             s = self._piece(x, lo, hi, m)
-            seg_sum.append(s)
-            seg_weight.append(self.form.integral(v_lo, v_hi))
+            recent = recent[-1:] + [(s, self.form.integral(v_lo, v_hi))]
             total += s
-        # complete the unresolved kernel tail with the recent weighted average
+        # complete the kernel tail with the declared mean, or else the recent average
         rem = self.form.tail_integral(v_lo)
-        if abs(rem) > 0 and seg_sum:
-            s_recent = sum(seg_sum[-2:])
-            w_recent = sum(seg_weight[-2:])
+        if abs(rem) > 0 and self.f.oscillation is not None:
+            total += rem * self.f.oscillation.mean
+        elif abs(rem) > 0 and recent:
+            s_recent, w_recent = map(sum, zip(*recent))
             if abs(w_recent) > 1e-12:
                 total += rem * (s_recent / w_recent)
         return complex(total)
@@ -773,29 +776,32 @@ class _AddWindow:
     a sampled kernel's geometric tail model past its last sample, or a
     convolved body's bound from its factors.  phi is ``Kernel.shape``.
 
-    A function that declares its oscillation gives what it can of the window
-    without panels (``TestFunction.oscillation``'s ``window``), built once per
-    evaluator: a trigonometric polynomial every window of a closed form, and
-    every dual window and every forward window at x >= cut of any body, from
-    the body's transform; a chirp the part of a closed form's window where it
-    is fast, by parts.  Panels integrate only what is left, and all of the
-    window for an undeclared function.
+    The function's declaration (``TestFunction.oscillation``'s ``window``,
+    built once per evaluator, or ``_all_panels``) gives what it can of the
+    window without panels: a trigonometric polynomial all of it on a closed
+    form, and on any body the dual and the forward window at x >= cut, from
+    the body's transform; a chirp a closed form's window where it is fast,
+    by parts.  Panels integrate the s-range it leaves.
 
     On panels a sampled kernel is its linear interpolant, and its grid nodes
     (``Kernel.breaks``) are panel edges: each panel sees one linear piece.  A
     convolved body's kinks lie on the sums of its sampled factors' nodes,
     and it is smooth between them, so they serve as edges the same way.
-    A function with ``noise`` floors the panels' target at its noise n at
-    the far end of their arguments times ||phi||_1: past x ~ 2^26 f(x -+ s)
-    rounds its argument to ulp(x), and no error estimate on that staircase
-    falls much below n.  When the floor passes the target, a closed form's
-    range is split where n times phi's absolute tail falls to half the
-    target.  The head runs on panels of at most 41 (tol / n)^2,
-    (n / tol)^2 nodes per unit of s, so its K41 sums average the rounding
-    down to about the target; the tail's rounding is below half the target
-    outright.  Declared windows leave panels only arguments below about
-    t_min, so the floor serves undeclared functions, and the windows of a
-    chirp on a body that is not a closed form.
+
+    The noise floor.  Past x ~ 2^26 f(x -+ s) rounds its argument to ulp(x),
+    and no error estimate on that staircase falls much below the function's
+    ``noise`` n at the far end of the panels' arguments, so their target is
+    floored at n ||phi||_1.  When that passes the target on a body without
+    kinks (a closed form), the range is split where n times phi's absolute
+    tail falls to half the target: the head runs on panels at most
+    41 (tol / n)^2 long, so its K41 sums average the rounding down to about
+    the target, and the tail's rounding is below half the target outright.
+    A sampled or convolved body keeps the plain floored target on its nodes,
+    at an eighth to a tenth of the evaluations the split takes.  Declared
+    windows leave panels only slow arguments, so the floor serves undeclared
+    functions and the chirp on a body that is not a closed form, whose
+    ladders under a 512-sample e^(-u) converge in 4e6 evaluations with it
+    and end inconclusive after 6e7 without it.
     """
 
     def __init__(self, kernel: Kernel, f: TestFunction, variant: Variant,
@@ -805,20 +811,15 @@ class _AddWindow:
         self.forward = variant is Variant.FORWARD
         self.settings = settings
         self.tol = settings.tol_quad * (1.0 + f.bound)
-        eps = settings.tol_quad / (10.0 * (1.0 + f.bound))
         self.shape, self.breaks = kernel.shape, kernel.breaks
-        self.cut = self.shape.support_cutoff(eps)
-        self.form = kernel.additive_form()
+        self.cut = self.shape.support_cutoff(settings.tol_quad / (10.0 * (1.0 + f.bound)))
         osc = f.oscillation
-        self.declared = (None if osc is None
+        self.declared = (_all_panels if osc is None
                          else osc.window(self.shape, self.forward, self.cut, 0.1 * self.tol))
 
     def __call__(self, x: float) -> complex:
-        upper = min(x, self.cut) if self.forward else self.cut
-        if self.declared is None:
-            return self._panels(x, 0.0, upper)
         value, lo, hi = self.declared(x)
-        hi = min(hi, upper)
+        hi = min(hi, x if self.forward else math.inf, self.cut)
         return value + self._panels(x, lo, hi) if lo < hi else value
 
     def _panels(self, x: float, lo: float, hi: float) -> complex:
@@ -832,10 +833,10 @@ class _AddWindow:
             far = x + hi
         noise = 0.0 if f.noise is None else float(f.noise(far))
         target = max(tol, noise * self.kernel.l1_norm()) if noise else tol
-        if target == tol or self.form is None:
+        if target == tol or self.breaks is not None:
             return integrate_adaptive(g, lo, hi, target, breaks=self.breaks,
                                       max_evals=self.settings.max_evals)
-        head = max(lo, min(hi, self.form.support_cutoff(0.5 * tol / noise)))
+        head = max(lo, min(hi, shape.support_cutoff(0.5 * tol / noise)))
         share = target * (head - lo) / (hi - lo)
         value = integrate_adaptive(g, lo, head, share,
                                    panel=min((head - lo) / 4, PANEL_NODES * (tol / noise) ** 2),
@@ -862,9 +863,8 @@ def _make_evaluator(kernel: Kernel, f: TestFunction, variant: Variant,
 
     The only place that picks a multiplicative operator's coordinate: t for
     closed forms on sequences and on functions that oscillate in t, otherwise
-    the additive operator at log x.  A value that is not finite (past x ~ 1e300
-    exact phases overflow in ``_split``), or an x that overflowed to inf,
-    raises :class:`QuadratureFailed`.
+    the additive operator at log x.  A value that is not finite, or an x
+    that overflowed to inf, raises :class:`QuadratureFailed`.
     """
     _check_domain(kernel, f)
     form = kernel.additive_form()
@@ -930,10 +930,9 @@ def chain_apply(kernels: Sequence[Kernel], f: TestFunction,
 
 
 def nested_apply(outer: Kernel, inner: Kernel, f: TestFunction,
-                 xs: Sequence[float], settings: Settings = DEFAULT,
-                 grid_points: int = 2 ** 20) -> np.ndarray:
-    """U_outer(U_inner f) at additive probe points: ``chain_apply`` (``grid_points`` ignored)."""
-    return chain_apply([inner, outer], f, xs, settings, grid_points)
+                 xs: Sequence[float], settings: Settings = DEFAULT) -> np.ndarray:
+    """U_outer(U_inner f) at additive probe points: ``chain_apply``."""
+    return chain_apply([inner, outer], f, xs, settings)
 
 
 def transport_function(f: TestFunction) -> TestFunction:

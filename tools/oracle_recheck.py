@@ -307,6 +307,55 @@ def check_gauss_kronrod():
                 check(f"{name}[{i}]", g, w, mp.mpf("1e-30"))
 
 
+# --- sin(t^2) under the normalized n-sample e^(-u) on [0, 40] ---------------
+# The kernel is the linear interpolant of e^(-u) at n equally spaced points,
+# alpha + beta s on a cell, plus the tail model e^-40 e^-(u - 40), which adds
+# e^-40 to the mass and at most that to a window.  With y = x -+ s a cell's
+# int (alpha + beta s) sin((x -+ s)^2) ds is Fresnel's int sin(y^2) dy and
+# -cos(y^2) / 2.
+
+def _sampled_exp(n):
+    u = [mp.mpf(40) * i / (n - 1) for i in range(n)]
+    v = [mp.e ** -ui for ui in u]
+    mass = u[1] * (mp.fsum(v) - (v[0] + v[-1]) / 2) + v[-1]
+    return u, v, mass
+
+
+def _sampled_chirp(n, x, sign):
+    """The window on sin(t^2) at x, forward (sign -1) or dual (+1), cell by cell in closed form."""
+    u, v, mass = _sampled_exp(n)
+    rho = mp.sqrt(2 / mp.pi)
+    sine = lambda y: mp.fresnels(y * rho) / rho          # int_0^y sin(w^2) dw
+    cells = []
+    for a, b, va, vb in zip(u, u[1:], v, v[1:]):
+        beta = (vb - va) / (b - a)
+        alpha = va - beta * a
+        lo, hi = sorted((x + sign * a, x + sign * b))
+        cells.append((alpha - sign * beta * x) * (sine(hi) - sine(lo))
+                     + sign * beta * (mp.cos(lo ** 2) - mp.cos(hi ** 2)) / 2)
+    return mp.fsum(cells) / mass
+
+
+def _sampled_chirp_by_quadrature(n, x, sign):
+    u, v, mass = _sampled_exp(n)
+    return mp.fsum(
+        mp.quad(lambda s: mp.sin((x + sign * s) ** 2) * (va + (vb - va) * (s - a) / (b - a)),
+                mp.linspace(a, b, 8))
+        for a, b, va, vb in zip(u, u[1:], v, v[1:])) / mass
+
+
+def check_sampled_chirp():
+    """The closed form against quadrature on 16 samples at small x, then the
+    512-sample values frozen in tests/test_engine.py."""
+    for x, sign in ((mp.mpf(45), -1), (mp.mpf(3), 1)):
+        check(f"16-sample e^-u on sin(t^2), sign {sign}, by quadrature at {x}",
+              _sampled_chirp(16, x, sign), _sampled_chirp_by_quadrature(16, x, sign),
+              mp.mpf("1e-40"))
+    for variant, want in frozen("test_engine.py", "SIN_SQ_SAMPLED_EXP").items():
+        got = _sampled_chirp(512, mp.mpf(8192), -1 if variant == "forward" else 1)
+        check(f"512-sample e^-u on sin(t^2), {variant}, at 8192", got, want, 2e-16 * abs(got))
+
+
 def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), TESTS]
     check_gauss_kronrod()
@@ -314,6 +363,7 @@ def main():
     check_character_references()
     check_noise_bounds()
     check_composition()
+    check_sampled_chirp()
 
     # --- power-mean kernel transform: int_0^inf r e^{-ru} e^{-i x u} du ---
     for r in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2), mp.mpf(5)):
