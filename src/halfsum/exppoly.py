@@ -14,6 +14,7 @@ an exponential is ``_tail`` (a term on a half-line) or ``_cell_moments`` (a cell
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -209,16 +210,26 @@ def _cell_moments(z: np.ndarray, jmax: int, pmax: int) -> np.ndarray:
     if small.size:
         top = np.abs(z[small]).max()
         terms = next(n for n in itertools.count(1) if top ** n / math.factorial(n) < 1e-20)
-        # term m over term m - 1 is z (p + m) / (m (j + p + m + 1))
-        j, p, m = np.arange(jmax + 1)[:, None], np.arange(pmax + 1), np.arange(terms)[:, None, None]
-        series = (p + m) / (np.maximum(m, 1) * (j + p + m + 1))
-        series[0] = [[math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
-                      for b in range(pmax + 1)] for a in range(jmax + 1)]
-        zs, acc = z[small], 0.0
-        for c in np.cumprod(series, axis=0)[::-1]:
-            acc = acc * zs + c[..., None]
+        zs = z[small]
+        acc = np.zeros(out.shape[:2] + zs.shape, dtype=out.dtype)
+        for c in _taylor_table(jmax, pmax, terms):
+            acc *= zs
+            acc += c[..., None]
         out[..., small] = acc
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _taylor_table(jmax: int, pmax: int, terms: int) -> np.ndarray:
+    """``_cell_moments``' series coefficients [m, j, p], highest m first, read-only."""
+    # term m over term m - 1 is z (p + m) / (m (j + p + m + 1))
+    j, p, m = np.arange(jmax + 1)[:, None], np.arange(pmax + 1), np.arange(terms)[:, None, None]
+    series = (p + m) / (np.maximum(m, 1) * (j + p + m + 1))
+    series[0] = [[math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+                  for b in range(pmax + 1)] for a in range(jmax + 1)]
+    table = np.cumprod(series, axis=0)[::-1]
+    table.flags.writeable = False
+    return table
 
 
 def _pole_product(coef: complex, u: complex, a: int, v: complex, b: int):

@@ -106,10 +106,13 @@ def _panel_values(f, lo, hi):
     """G20/K41 estimate, its error estimate and the absolute integral per panel.
 
     The error estimate is the difference between the K41 and the embedded
-    G20 weights applied to the same node values.  ``f`` returns one value
-    per node, or one row per column with one value per node (a leading
-    column axis); the three results then carry the same leading axis, with
-    the panels on the last one.
+    G20 weights applied to the same node values.  ``f`` gets one flat array
+    of nodes, panel after panel, ``PANEL_NODES`` to a panel: mid + half x
+    for the unit nodes x in increasing order, so node ``PANEL_NODES // 2``
+    (x = 0) is the panel's midpoint exactly (:func:`panel_layout` reads it
+    back).  ``f`` returns one value per node, or one row per column with one
+    value per node (a leading column axis); the three results then carry the
+    same leading axis, with the panels on the last one.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -121,6 +124,17 @@ def _panel_values(f, lo, hi):
     est_low = half * (vals @ _G20)
     est_abs = half * (np.abs(vals) @ _K41)
     return est, np.abs(est - est_low), est_abs
+
+
+def panel_layout(u: np.ndarray):
+    """``(mid, half, x)`` for the nodes ``u`` that :func:`_panel_values` passes an integrand.
+
+    Row by row, ``u`` is mid + half x: ``mid`` is each panel's exact
+    midpoint, ``half`` its half-length read from the end nodes (to the
+    rounding of u), ``x`` the ``PANEL_NODES`` unit nodes on [-1, 1].
+    """
+    pts = u.reshape(-1, PANEL_NODES)
+    return pts[:, PANEL_NODES // 2], (pts[:, -1] - pts[:, 0]) / (2 * _GK_NODES[-1]), _GK_NODES
 
 
 # panels per block of refinement; 2048 x 41 nodes (656 KiB a column) stay in
@@ -139,7 +153,9 @@ def _edge_blocks(a, b, panel, breaks):
     if panel is None:
         edges = np.linspace(a, b, int(min(256, max(4, (b - a) / 2))) + 1)
         if breaks is not None:
-            edges = np.union1d(edges, breaks[(breaks > a) & (breaks < b)])
+            # np.union1d's sort and de-duplication, without its import of numpy.ma
+            edges = np.sort(np.concatenate([edges, breaks[(breaks > a) & (breaks < b)]]))
+            edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
         for i in range(0, edges.size - 1, _CHUNK_PANELS):
             yield edges[i:i + _CHUNK_PANELS + 1]
         return

@@ -27,7 +27,7 @@ from .config import DEFAULT, Settings
 from .errors import FlavorMismatch, InvalidArgument, TransformFailed, QuadratureFailed
 from .exppoly import ExpPoly
 from .kernels import Flavor, Kernel, to_additive
-from .quadrature import integrate_adaptive, max_columns
+from .quadrature import integrate_adaptive, max_columns, panel_layout
 # unused here (Sampled.transform calls it), but perfbench's tracer test reads it
 from .quadrature import fourier_piecewise_linear
 
@@ -103,6 +103,16 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.nd
     evaluation sees no more panel-columns than a one-column call.  The
     result has the shape of ``xi`` (a scalar gives one value); a NaN or
     infinite frequency raises ``InvalidArgument``.
+
+    A node of a panel is mid + half x (``panel_layout``), so its phase is
+    e^(-i xi mid) e^(-i xi half x): panels whose half-lengths round to one
+    multiple of the spacing of their own largest node share the node
+    factors of each column.  A panel-column then costs one complex
+    exponential and ``PANEL_NODES`` complex multiplies, plus one set of node
+    factors per distinct length; linspace panels differ only by rounding and
+    bisection halves them, so a call holds only a few.  The shared length
+    is within about one spacing of the panel's own, so each phase moves by
+    about xi ulp(u), the rounding that u itself carries.
     """
     shape, breaks = kernel.shape, kernel.breaks
     tol = settings.tol_quad
@@ -121,10 +131,14 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.nd
     out = np.empty(flat.shape, dtype=complex)
 
     def integrand(u):
-        # one row per frequency, built in place: a fresh array for each step
-        # took about 1.4x as long per value
-        vals = np.multiply.outer(-1j * w, u)
-        np.exp(vals, out=vals)
+        # node factors per distinct length, as the docstring says; take (not
+        # [:, which]) keeps the rows C-ordered, so the reshape copies nothing
+        mid, half, x = panel_layout(u)
+        step = np.spacing(np.abs(mid) + half)
+        length, which = np.unique(np.round(half / step) * step, return_inverse=True)
+        vals = np.exp(np.multiply.outer(-1j * w, np.multiply.outer(length, x))).take(which, axis=1)
+        vals *= np.exp(np.multiply.outer(-1j * w, mid))[..., None]
+        vals = vals.reshape(w.size, u.size)
         vals *= shape(u)
         return vals
 
@@ -188,7 +202,8 @@ def _rational_verdict(form: ExpPoly) -> Verdict:
         qmax = math.prod((FREQ_WINDOW + abs(mu)) ** m for mu, m in pole.items())
         return Verdict("nonvanishing_on_window", margin=float(abs(num[-1]) * np.prod(reach) / qmax))
     # a group that meets the axis is a zero at its mean, if |F| is small there
-    at = np.array([z[group == g].mean().imag for g in np.unique(group[reach <= 0])])
+    # sorted ids, as np.unique gave them; np.unique without return_inverse imports numpy.ma
+    at = np.array([z[group == g].mean().imag for g in sorted(set(group[reach <= 0].tolist()))])
     modulus = np.abs(form.transform(at))
     k = int(np.argmin(modulus))
     if modulus[k] < ZERO_EPSILON:

@@ -454,13 +454,31 @@ def test_demo(runner):
     assert "[ok] dual_sin" in res.output
 
 
-def test_import_loads_no_scipy():
-    # importing scipy.fft alone cost 0.3-0.4 s, most of the package's import time
+def _fresh_output(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports this halfsum."""
     src = str(Path(halfsum.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, halfsum, halfsum.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.fft alone cost 0.3-0.4 s, most of the package's import time
+    assert _fresh_output("import sys, halfsum, halfsum.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") \
+        == "[]"
+
+
+def test_transforms_load_no_numpy_ma():
+    # np.unique (without return_inverse) and np.union1d import numpy.ma on
+    # first use: about 10 ms
+    assert _fresh_output(
+        "import sys, numpy as np, halfsum\n"
+        "from halfsum import kernels, spectrum\n"
+        "spectrum.classify_wiener(kernels.counterexample_additive(1.0))\n"
+        "u = np.linspace(0.0, 40.0, 512)\n"
+        "k = kernels.sampled_kernel(u, np.exp(-u), kernels.Flavor.ADDITIVE)\n"
+        "spectrum.transform_numeric(k, np.linspace(-50.0, 50.0, 9))\n"
+        "print('numpy.ma' in sys.modules)") == "False"

@@ -12,7 +12,8 @@ from halfsum.kernels import (Flavor, Sampled, convolve, counterexample_additive,
                              counterexample_multiplicative, exponential,
                              finite_mixture, normalize, power, power_law,
                              sampled_kernel)
-from halfsum.quadrature import _CHUNK_PANELS, PANEL_NODES, counter, fourier_piecewise_linear
+from halfsum.quadrature import (_CHUNK_PANELS, PANEL_NODES, counter, fourier_piecewise_linear,
+                                max_columns, panel_layout)
 from halfsum.spectrum import (classify_wiener, dual_transform_identity_check,
                               fourier_transform, mellin_transform,
                               transform_grid, transform_numeric)
@@ -114,6 +115,42 @@ def test_transform_numeric_low_frequencies_keep_their_own_panels():
     k = power_law(1.0)
     low = transform_numeric(k, np.array([0.1, -0.3]))
     assert np.array_equal(transform_numeric(k, np.array([50.0, 0.1, -0.3, 7.0]))[1:3], low)
+
+
+# node phases e^(-i xi u) from shared per-length factors must match the
+# direct exponentials on the same panels
+_PHASE_KERNELS = {
+    "pow0.5": lambda: power_law(0.5),
+    "sampled512": _GROUPED_KERNELS["sampled512"],
+    "convolved": lambda: convolve(exponential(1.0), _sampled(lambda u: np.exp(-u), 300)),
+}
+
+
+@pytest.mark.parametrize("name", _PHASE_KERNELS)
+def test_shared_node_phases_match_direct_exponentials(monkeypatch, name):
+    k = _PHASE_KERNELS[name]()
+    tol = DEFAULT.tol_quad
+    cut = k.shape.support_cutoff(0.1 * tol)
+    # the top factor-of-two band of |xi| <= 50, at most max_columns
+    # frequencies: one group, so one integrate_adaptive call over [0, cut]
+    top = 0.99 * 2 * np.pi * 2.0 ** np.floor(np.log2(50.0 * cut / (2 * np.pi))) / cut
+    xi = top * np.array([-1.0, 0.9, -0.8, 0.7, 0.6])[:max_columns(0.0, cut, k.breaks)]
+    lengths, original = [], spectrum.integrate_adaptive
+
+    def recording(f, *args, **kwargs):
+        def g(u):
+            # distinct half-lengths in one call: by rounding alone on the
+            # equal panels of power_law, by the sample breaks on the others
+            lengths.append(np.unique(panel_layout(u)[1]).size)
+            return f(u)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "integrate_adaptive", recording)
+    got = transform_numeric(k, xi)
+    want = original(lambda u: np.exp(-1j * np.outer(xi, u)) * k.shape(u), 0.0, cut, tol,
+                    breaks=k.breaks, max_evals=DEFAULT.max_evals)
+    assert max(lengths) >= 2
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_transform_numeric_budget_miss_names_the_group():
