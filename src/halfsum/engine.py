@@ -21,24 +21,25 @@ quadrature per point, integrate what is left, all of an undeclared
 function's window, with their target floored at the function's declared
 rounding noise (``_AddWindow``).
 
-Closed forms on sequences and on functions that oscillate in t stay in t,
-in one evaluator for both variants, ``_MultClosed``.  It cuts the window at
-the dyadic points 2^m and expands the kernel on each piece by the binomial
+Closed forms on sequences and on functions that oscillate in t stay in t, in
+one evaluator for both variants, ``_MultClosed``.  It cuts the window at the
+dyadic points 2^m and expands the kernel on each piece by the binomial
 theorem about the segment's origin 2^m, which turns the piece into moment
 integrals of the function in tau = t / 2^m; the forward and dual expansions
-are one sum, ``_expand_moments``, and differ only in a sign.  The moments of
-a whole segment [2^m, 2^(m+1)] do not depend on x, so one table of them
-serves every evaluation point, and a point integrates at most one partial
-piece of its own, ending or starting at x.  One moment backend per distinct
-kernel rate returns all the moments of that rate at once: exact cell sums for
-embedded sequences, which stop at the last term of a finite sequence, and
-panel quadrature that evaluates the function once per node otherwise.  A
-function that declares its oscillation (``TestFunction.oscillation``: its
-mean and bounded antiderivatives, as a periodic sequence or a trigonometric
+are one sum and differ only in a sign.  The moments of a whole segment
+[2^m, 2^(m+1)] do not depend on x, so one table of them, stacked by m,
+serves every evaluation point: a point integrates at most one partial piece
+of its own, ending or starting at x, and its value is one vectorized
+expansion of all its rows.  One moment backend per distinct kernel rate
+returns all the moments of that rate at once: exact cell sums for embedded
+sequences, which stop at the last term of a finite sequence, and panel
+quadrature that evaluates the function once per node otherwise.  A function
+that declares its oscillation (``TestFunction.oscillation``: its mean and
+bounded antiderivatives, as a periodic sequence or a trigonometric
 polynomial does) takes every piece far enough out by parts instead, at a
 cost independent of the piece's length (``_ByParts``): multiplicative sin
-and cos take about 1e3 evaluations per ladder where their panels took 2e7.
-The dual's ``EDGE_CAP`` and its tail completion do not depend on the
+and cos take about 1e3 evaluations per ladder where their panels took
+2e7.  The dual's ``EDGE_CAP`` and its tail completion do not depend on the
 backend; the completion takes a declared mean (``_MultClosed``).
 
 Composition is convolution, U_psi(U_phi f) = U_(phi * psi) f.  A method
@@ -583,11 +584,13 @@ class _ByParts:
 
         int b h_j = sum_(k <= K) (-1)^(k-1) [B_k h_j^(k-1)] + (-1)^K int B_K h_j^(K),
 
-    with t h_j^(k+1) = (s - k) h_j^(k) + j h_(j-1)^(k).  The remainder is
-    dropped: h_j^(K) = 2^-m t^-K tau^s sum_i C_ji (log tau)^i, so past
-    ``reach`` max|B_K| (hi - lo) max|h_j^(K)| is below the rounding,
-    eps ||f||_inf (hi - lo) min|h_0|, of the piece's integral.  Such a piece
-    charges the evaluation counter 2K, one per antiderivative value.
+    with t h_j^(k+1) = (s - k) h_j^(k) + j h_(j-1)^(k), so h_j^(k) = t^-k
+    sum_i C_k[j, i] h_i.  ``coefs`` holds C_0 .. C_K, built once, and a
+    piece's boundary terms are one contraction of it with B_k t^-(k-1) and
+    h_i at its two ends.  The remainder is dropped: past ``reach``
+    max|B_K| (hi - lo) max|h_j^(K)| is below the rounding, eps ||f||_inf
+    (hi - lo) min|h_0|, of the piece's integral.  Such a piece charges the
+    evaluation counter 2K, one per antiderivative value.
     """
 
     def __init__(self, osc, amplitude: float, near, min_length: float):
@@ -595,6 +598,11 @@ class _ByParts:
         self.near = near
         self.p, self.s, self.sigma = near.p, near.s, near.s + 1.0
         self.min_length = min_length
+        c = [np.eye(self.p + 1, dtype=complex)]
+        for k in range(osc.ORDER):
+            c.append((self.s - k) * c[-1])
+            c[-1][:, :-1] += c[-2][:, 1:] * np.arange(1, self.p + 1)
+        self.coefs = np.array(c)
         self.reach = max(self._reach(amplitude), osc.t_min)
 
     def segment(self, lo: float, hi: float, m: int) -> np.ndarray:
@@ -615,23 +623,17 @@ class _ByParts:
         osc, p, s = self.osc, self.p, self.s
         if osc.bound == 0:
             return 0.0                  # a constant: its mean is all of it
-        # h_j^(K) = 2^-m t^-K tau^s sum_i c[j, i] (log tau)^i, |log tau| <= log 2
-        c = np.eye(p + 1, dtype=complex)
-        for k in range(osc.ORDER):
-            c, c_prev = (s - k) * c, c
-            c[:, :-1] += c_prev[:, 1:] * np.arange(1, p + 1)
-        c_max = np.max(np.abs(c) @ math.log(2.0) ** np.arange(p + 1))
+        # h_j^(K) = 2^-m t^-K tau^s sum_i C_K[j, i] (log tau)^i, |log tau| <= log 2
+        c_max = np.max(np.abs(self.coefs[-1]) @ math.log(2.0) ** np.arange(p + 1))
         eps_sum = np.finfo(float).eps * amplitude
         return (osc.bound * 2.0 ** abs(s.real) * c_max / eps_sum) ** (1.0 / osc.ORDER)
 
-    def _by_parts(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """[sum_(k <= K) (-1)^(k-1) B_k h_j^(k-1)] from t[0] to t[1], j = 0..p, d = h_j(t)."""
-        j = np.arange(self.p + 1)[:, None]
-        out = np.zeros(d.shape, dtype=complex)
-        for k, b_k in enumerate(self.osc.antiderivatives(t)):
-            out += (-1) ** k * b_k * d
-            d[1:] = ((self.s - k) * d[1:] + j[1:] * d[:-1]) / t
-            d[0] *= (self.s - k) / t
+    def _by_parts(self, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """[sum_(k <= K) (-1)^(k-1) B_k h_j^(k-1)] from t[0] to t[1], j = 0..p, h = h_j(t)."""
+        order = np.arange(self.osc.ORDER)[:, None]
+        b = self.osc.antiderivatives(t) * (-1.0) ** order * t ** -order   # (-1)^(k-1) B_k t^-(k-1)
+        # broadcast products: a process's first complex matmul or einsum adds resident memory
+        out = ((b[:, None, None] * self.coefs[:-1, :, :, None]).sum(axis=0) * h).sum(axis=1)
         return out[:, 1] - out[:, 0]
 
 
@@ -663,24 +665,6 @@ def _moment_backends(form: ExpPoly, f: TestFunction, sign: int, max_evals: int) 
             for mu, p in top.items()}
 
 
-def _expand_moments(form: ExpPoly, w: float, sign: int, moments: dict) -> complex:
-    """sum_terms c e^(sign mu w) sum_j C(p,j) (sign w)^(p-j) (-sign)^j m_j(mu), w = log(x / 2^m).
-
-    The kernel in additive form at u = sign log(x/t) = sign (w - log tau),
-    tau = t / 2^m, expanded by the binomial theorem about the segment's
-    origin 2^m: sign +1 is the forward window, sign -1 the dual one.  The
-    moments m_j(mu) of rate mu are those of ``_moment_backends(..., sign)``.
-    """
-    val = 0.0 + 0.0j
-    for t in form:
-        xpmu = np.exp(sign * t.rate * w)
-        m = moments[t.rate]
-        for j in range(t.power + 1):
-            val += (t.coef * xpmu * math.comb(t.power, j)
-                    * (sign * w) ** (t.power - j) * (-sign) ** j * m[j])
-    return val
-
-
 def _dyadic_pieces(a: float, b: float = math.inf):
     """[a, 2^(m+1)], [2^(m+1), 2^(m+2)], ..., [2^n, b] as (lo, hi, m), with 2^m <= a < 2^(m+1)."""
     m = math.frexp(a)[1] - 1
@@ -694,15 +678,23 @@ def _dyadic_pieces(a: float, b: float = math.inf):
 class _MultClosed:
     """Operator of a closed-form multiplicative kernel in t, either variant.
 
-    The window is cut at the dyadic points 2^m, and each piece is the
-    moment expansion ``_expand_moments`` about its segment's origin, so the
-    binomial factors stay bounded by the segment instead of growing with x.
-    The moments of whole segments [2^m, 2^(m+1)] do not depend on x and are
-    kept in a table shared by every evaluation point; only a partial piece
-    ending (forward) or starting (dual) at x is integrated per point.
+    The window is cut at the dyadic points 2^m.  On each piece the kernel in
+    additive form at u = sign (w - log tau), w = log(x / 2^m), tau = t / 2^m,
+    is expanded by the binomial theorem about the segment's origin 2^m (sign
+    +1 forward, -1 dual) into the moments m_j(mu) of ``_moment_backends``,
 
-    The forward window sums the pieces of [1, x].  The dual one sums the
-    pieces of [x, inf) until either the kernel tail is negligible or the
+        sum_terms c e^(sign mu w) sum_j C(p,j) (sign w)^(p-j) (-sign)^j m_j(mu),
+
+    so the binomial factors stay bounded by the segment instead of growing
+    with x.  The moments of whole segments [2^m, 2^(m+1)] do not depend on
+    x: ``table`` stacks them by m, one array per rate, each row computed
+    when a point first needs it, so the evaluation counts are those of one
+    piece at a time.  A point's value is one expansion of its rows, Horner
+    in sign w over j, and of at most one partial piece, ending (forward) or
+    starting (dual) at x.
+
+    The forward window sums the pieces of [1, x], x > 1.  The dual one sums
+    the pieces of [x, inf) until either the kernel tail is negligible or the
     pieces pass ``EDGE_CAP``; the unresolved remainder is completed by the
     exact remaining kernel mass times the function's declared mean or, if it
     declares none, its weighted average over the last two pieces (exact for
@@ -720,47 +712,67 @@ class _MultClosed:
         self.settings = settings
         self.sign = 1 if variant is Variant.FORWARD else -1
         self.backends = _moment_backends(form, f, self.sign, settings.max_evals)
-        self.table: dict[int, dict] = {}
+        # rows m = 0..1022: every whole segment below the largest double
+        self.known = np.zeros(1023, dtype=bool)
+        self.table = {mu: np.empty((1023, b.p + 1), dtype=complex)
+                      for mu, b in self.backends.items()}
 
-    def _piece(self, x: float, lo: float, hi: float, m: int) -> complex:
-        """int over t in [lo, hi], inside [2^m, 2^(m+1)], of f(t) psi((x/t)^sign) dt/t."""
-        whole = lo == 2.0 ** m and hi == 2.0 * lo
-        if whole and m in self.table:
-            moments = self.table[m]
-        else:
-            moments = {mu: b.segment(lo, hi, m) for mu, b in self.backends.items()}
-            if whole:
-                self.table[m] = moments
-        return _expand_moments(self.form, math.log(x / 2.0 ** m), self.sign, moments)
+    def _expand(self, x: float, m: np.ndarray, moments: dict) -> np.ndarray:
+        """Each row's piece value, from its segment's origin 2^m and its moments m_j(mu)."""
+        w = np.log(np.ldexp(x, -m))
+        y = self.sign * w
+        val = np.zeros(m.size, dtype=complex)
+        for t in self.form:
+            rows = moments[t.rate]
+            acc = rows[:, 0]
+            for j in range(1, t.power + 1):
+                acc = acc * y + math.comb(t.power, j) * (-self.sign) ** j * rows[:, j]
+            val += t.coef * np.exp(self.sign * t.rate * w) * acc
+        return val
+
+    def _values(self, x: float, m0: int, m1: int, part=None) -> np.ndarray:
+        """The values of the window's pieces at x, in order of t: the whole segments
+        m0 <= m < m1, and ``part`` = (lo, hi, m) just below (dual) or above them."""
+        segment = lambda lo, hi, m: {mu: b.segment(lo, hi, m) for mu, b in self.backends.items()}
+        below, above = part is not None and part[2] < m0, part is not None and part[2] == m1
+        rows = [segment(*part)] if below else []
+        for m in (m0 + np.flatnonzero(~self.known[m0:m1])).tolist():
+            for mu, row in segment(2.0 ** m, 2.0 ** (m + 1), m).items():
+                self.table[mu][m] = row
+            self.known[m] = True
+        rows.append({mu: t[m0:m1] for mu, t in self.table.items()})
+        rows += [segment(*part)] if above else []
+        moments = {mu: np.vstack([r[mu] for r in rows]) for mu in self.table}
+        return self._expand(x, np.arange(m0 - below, m1 + above), moments)
 
     def __call__(self, x: float) -> complex:
+        n = math.frexp(x)[1] - 1                    # 2^n <= x < 2^(n+1)
         if self.sign > 0:
-            return complex(sum((self._piece(x, lo, hi, m) for lo, hi, m in _dyadic_pieces(1.0, x)),
-                               0.0 + 0.0j))
+            return complex(self._values(x, 0, n, (2.0 ** n, x, n) if x > 2.0 ** n else None).sum())
         if x > self.EDGE_CAP:
             raise QuadratureFailed(f"dual window at x={x:g} starts past the segment "
                                    f"sums' reach {self.EDGE_CAP:g}",
                                    interval=(x, 2.0 * x))
         tol = self.settings.tol_quad * (1.0 + self.f.bound)
-        total = 0.0 + 0.0j
-        recent = []                     # the last two pieces' (sum, kernel weight)
-        for k, (lo, hi, m) in enumerate(_dyadic_pieces(x)):
-            v_lo, v_hi = math.log(lo / x), math.log(hi / x)
-            if self.form.abs_tail_bound(v_lo) * self.f.bound < tol:
+        pieces = []
+        for k, (lo, hi, _) in enumerate(_dyadic_pieces(x)):
+            v_lo = math.log(lo / x)
+            if (self.form.abs_tail_bound(v_lo) * self.f.bound < tol
+                    or (hi > self.EDGE_CAP and k >= 2)):
                 break
-            if hi > self.EDGE_CAP and k >= 2:
-                break
-            s = self._piece(x, lo, hi, m)
-            recent = recent[-1:] + [(s, self.form.integral(v_lo, v_hi))]
-            total += s
-        # complete the kernel tail with the declared mean, or else the recent average
+            pieces.append((lo, hi))
+        part = (x, 2.0 ** (n + 1), n) if x > 2.0 ** n and pieces else None
+        values = self._values(x, n + (part is not None), n + len(pieces), part)
+        total = values.sum()
+        # complete the kernel tail with the declared mean, or else the last two pieces' average
         rem = self.form.tail_integral(v_lo)
         if abs(rem) > 0 and self.f.oscillation is not None:
             total += rem * self.f.oscillation.mean
-        elif abs(rem) > 0 and recent:
-            s_recent, w_recent = map(sum, zip(*recent))
-            if abs(w_recent) > 1e-12:
-                total += rem * (s_recent / w_recent)
+        elif abs(rem) > 0 and pieces:
+            weight = sum(self.form.integral(math.log(lo / x), math.log(hi / x))
+                         for lo, hi in pieces[-2:])
+            if abs(weight) > 1e-12:
+                total += rem * (values[-2:].sum() / weight)
         return complex(total)
 
 

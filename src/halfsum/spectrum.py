@@ -102,7 +102,9 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.nd
     node once per group.  A group holds ``max_columns`` frequencies, so one
     evaluation sees no more panel-columns than a one-column call.  The
     result has the shape of ``xi`` (a scalar gives one value); a NaN or
-    infinite frequency raises ``InvalidArgument``.
+    infinite frequency raises ``InvalidArgument``.  Every group starts on
+    the same first block of panels, which does not depend on the
+    frequencies, so phi is evaluated on it once and reused, bit for bit.
 
     A node of a panel is mid + half x (``panel_layout``), so its phase is
     e^(-i xi mid) e^(-i xi half x): panels whose half-lengths round to one
@@ -129,6 +131,7 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.nd
     groups = [part[i:i + size] for part in np.split(order, np.flatnonzero(np.diff(band)) + 1)
               for i in range(0, part.size, size)]
     out = np.empty(flat.shape, dtype=complex)
+    first = []          # the first block's nodes and phi there
 
     def integrand(u):
         # node factors per distinct length, as the docstring says; take (not
@@ -139,7 +142,13 @@ def transform_numeric(kernel: Kernel, xi, settings: Settings = DEFAULT) -> np.nd
         vals = np.exp(np.multiply.outer(-1j * w, np.multiply.outer(length, x))).take(which, axis=1)
         vals *= np.exp(np.multiply.outer(-1j * w, mid))[..., None]
         vals = vals.reshape(w.size, u.size)
-        vals *= shape(u)
+        if first and np.array_equal(u, first[0]):
+            phi = first[1]
+        else:
+            phi = shape(u)
+            if not first:
+                first[:] = u, phi
+        vals *= phi
         return vals
 
     for group in groups:

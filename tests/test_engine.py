@@ -1,6 +1,7 @@
 """Operator evaluation and the limit estimator."""
 
 import dataclasses
+import math
 
 import mpmath as mp
 import numpy as np
@@ -714,6 +715,132 @@ def test_declared_sin_ladder_is_cheap(label):
     res = estimate_limit(method_catalog()[label], SIN_MUL, DEFAULT)
     assert res.status is Status.CONVERGED
     assert res.evaluations <= 1e4, res.evaluations
+
+
+def _by_parts_loop(osc, s, t, d):
+    """The by-parts boundary terms by the plain recurrence on d = h_j(t), in place:
+    t h_j^(k+1) = (s - k) h_j^(k) + j h_(j-1)^(k), and the h_j^(k) it passed."""
+    j = np.arange(d.shape[0])[:, None]
+    out, seen = np.zeros(d.shape, dtype=complex), []
+    for k, b_k in enumerate(osc.antiderivatives(t)):
+        seen.append(d.copy())
+        out += (-1) ** k * b_k * d
+        d[1:] = ((s - k) * d[1:] + j[1:] * d[:-1]) / t
+        d[0] *= (s - k) / t
+    return out[:, 1] - out[:, 0], seen + [d]
+
+
+@pytest.mark.parametrize("s", [-0.5, -1.5 + 2j, -2.0 - 0.5j])
+def test_by_parts_coefficient_table_matches_the_recurrence(s):
+    # h_j^(k) = t^-k sum_i C_k[j, i] h_i for k = 0..K, and the boundary terms
+    # from the table agree with the plain recurrence
+    alt = corpus_map()[("alt", Flavor.MULTIPLICATIVE)]
+    for p in range(3):
+        moments = engine._moment_backend(alt, p, s, DEFAULT.max_evals)
+        t, m = np.array([1000.5, 2048.0]), 10
+        tau = t * 2.0 ** -m
+        h = 2.0 ** -m * tau ** s * np.log(tau) ** np.arange(p + 1)[:, None]
+        want, derivs = _by_parts_loop(alt.oscillation, s, t, h.copy())
+        assert len(moments.coefs) == len(derivs) == alt.oscillation.ORDER + 1
+        for k, (c_k, d_k) in enumerate(zip(moments.coefs, derivs)):
+            got = t ** -k * (c_k[:, :, None] * h[None]).sum(axis=1)
+            assert np.all(np.abs(got - d_k) <= 1e-14 * np.abs(d_k).max()), (p, k)
+        got = moments._by_parts(t, h)
+        assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), p
+
+
+class _PerPieceReference:
+    """The closed-form multiplicative operator one dyadic piece at a time: one
+    backend call per piece, whole segments kept by m, and one binomial
+    expansion per piece, summed in order."""
+
+    def __init__(self, kernel, f, variant):
+        self.form, self.f = kernel.additive_form(), f
+        self.sign = 1 if variant is Variant.FORWARD else -1
+        self.backends = engine._moment_backends(self.form, f, self.sign, DEFAULT.max_evals)
+        self.table = {}
+
+    def _expand_moments(self, w, moments):
+        val, sign = 0.0 + 0.0j, self.sign
+        for t in self.form:
+            xpmu = np.exp(sign * t.rate * w)
+            m = moments[t.rate]
+            for j in range(t.power + 1):
+                val += (t.coef * xpmu * math.comb(t.power, j)
+                        * (sign * w) ** (t.power - j) * (-sign) ** j * m[j])
+        return val
+
+    def _piece(self, x, lo, hi, m):
+        whole = lo == 2.0 ** m and hi == 2.0 * lo
+        if whole and m in self.table:
+            moments = self.table[m]
+        else:
+            moments = {mu: b.segment(lo, hi, m) for mu, b in self.backends.items()}
+            if whole:
+                self.table[m] = moments
+        return self._expand_moments(math.log(x / 2.0 ** m), moments)
+
+    def __call__(self, x):
+        if self.sign > 0:
+            return sum((self._piece(x, *piece) for piece in engine._dyadic_pieces(1.0, x)),
+                       0.0 + 0.0j)
+        tol = DEFAULT.tol_quad * (1.0 + self.f.bound)
+        total, recent = 0.0 + 0.0j, []
+        for k, (lo, hi, m) in enumerate(engine._dyadic_pieces(x)):
+            v_lo, v_hi = math.log(lo / x), math.log(hi / x)
+            if self.form.abs_tail_bound(v_lo) * self.f.bound < tol:
+                break
+            if hi > engine._MultClosed.EDGE_CAP and k >= 2:
+                break
+            s = self._piece(x, lo, hi, m)
+            recent = recent[-1:] + [(s, self.form.integral(v_lo, v_hi))]
+            total += s
+        rem = self.form.tail_integral(v_lo)
+        if abs(rem) > 0 and self.f.oscillation is not None:
+            total += rem * self.f.oscillation.mean
+        elif abs(rem) > 0 and recent:
+            s_recent, w_recent = map(sum, zip(*recent))
+            if abs(w_recent) > 1e-12:
+                total += rem * (s_recent / w_recent)
+        return total
+
+
+_PATTERN = embed_sequence(lambda n: np.array([1.0, 0.0, 0.0, 1.0, 1.0])[(n - 1) % 5],
+                          "pattern")   # periodic, its period undeclared
+
+
+@pytest.mark.parametrize("function", ["alt", "blocks", "finite_ones", "pattern", "sin", "cos"])
+@pytest.mark.parametrize("label", ["M", "M_1/2", "M_2", "H_2", "H_3", "P", "M*_1", "M*_2"])
+def test_vectorized_expansion_matches_the_per_piece_sum(monkeypatch, label, function):
+    # the same pieces, computed in the same order, so each point charges the
+    # same evaluations; values to 1e-13 (1 + |v|).  A lower edge cap keeps the
+    # undeclared pattern's cell sums short; the dual's last point sits just
+    # below it, and the forward's at 1e308, where every dyadic segment below
+    # the largest double is whole (the pattern's 1e308 cells are left out)
+    monkeypatch.setattr(engine._MultClosed, "EDGE_CAP", 2.0 ** 20)
+    method = method_catalog()[label]
+    f = _PATTERN if function == "pattern" else corpus_map()[(function, Flavor.MULTIPLICATIVE)]
+    far = 1e308 if method.variant is Variant.FORWARD else np.nextafter(2.0 ** 20, 0.0)
+    points = [3.0, 4.0, 1000.0, 2.0 ** 14, 12345.6] + ([] if function == "pattern" else [far])
+    got = engine._MultClosed(method.kernel.additive_form(), f, method.variant, DEFAULT)
+    want = _PerPieceReference(method.kernel, f, method.variant)
+    for x in points:
+        start = counter.count
+        v = got(x)
+        mid = counter.count
+        w = want(x)
+        assert mid - start == counter.count - mid, x
+        assert abs(v - w) <= 1e-13 * (1 + abs(w)), (x, v, w)
+
+
+@pytest.mark.parametrize("function, label, evaluations", [
+    ("alt", "M", 223), ("alt", "M_1/2", 511), ("alt", "H_3", 479), ("alt", "M*_1", 508),
+    ("blocks", "M*_1", 748)])
+def test_sequence_ladders_keep_their_evaluation_counts(function, label, evaluations):
+    # each whole segment is computed when a ladder point first needs it, never
+    # ahead: filling segments early would charge more than these counts
+    res = estimate_limit(method_catalog()[label], corpus_map()[(function, Flavor.MULTIPLICATIVE)])
+    assert (res.status, res.evaluations) == (Status.CONVERGED, evaluations)
 
 
 @pytest.mark.parametrize("coefs, freqs", [

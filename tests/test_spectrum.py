@@ -153,6 +153,29 @@ def test_shared_node_phases_match_direct_exponentials(monkeypatch, name):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def test_transform_numeric_evaluates_phi_once_on_the_shared_first_block(monkeypatch):
+    # every group starts on the same first block: its phi is evaluated once
+    # for the 39 groups here, where no panel is bisected, and the values are
+    # bit for bit those of a run that evaluates it per group
+    k = _PHASE_KERNELS["convolved"]()
+    calls, original = [0], type(k.shape).__call__
+
+    def counting(body, u):
+        calls[0] += 1
+        return original(body, u)
+
+    def run():
+        calls[0] = 0
+        return transform_numeric(k, _GROUPED_XI), calls[0]
+
+    monkeypatch.setattr(type(k.shape), "__call__", counting)
+    got, reused = run()
+    monkeypatch.setattr(spectrum.np, "array_equal", lambda a, b: False)
+    want, fresh = run()
+    assert (got == want).all()
+    assert (reused, fresh) == (1, 39)
+
+
 def test_transform_numeric_budget_miss_names_the_group():
     # one band of |xi| (cut = 11.6): 2.5, 3 and 4 share a group
     xi = np.array([3.0, -4.0, 2.5])
